@@ -13,6 +13,8 @@ the CLI live in [bounds] as distance_method / distance_value / distance_exact.
 
 from __future__ import annotations
 
+import os
+import stat
 from pathlib import Path
 
 from .construct import DistanceSummary, SelfDualCertificate
@@ -233,6 +235,10 @@ def loads(text: str) -> SelfDualCertificate:
         exact_text = _take(bo, "bounds", "distance_exact")
         if exact_text not in ("true", "false"):
             raise CertificateFormatError(f"bad distance_exact {exact_text!r}")
+        if (exact_text == "true") != (method == "exhaustive"):
+            raise CertificateFormatError(
+                f"distance_exact = {exact_text} contradicts distance_method = {method}"
+            )
         distance = DistanceSummary(method, value, exact_text == "true")
 
     ch = sections["checks"]
@@ -288,7 +294,23 @@ def loads(text: str) -> SelfDualCertificate:
 
 
 def write_certificate(cert: SelfDualCertificate, path: str | Path) -> None:
-    Path(path).write_text(dumps(cert), encoding="ascii", newline="\n")
+    """Write atomically: a temporary file in the same directory replaces the
+    target only once it is complete, so a failed write leaves the old file.
+    The directory must be writable.  A symlink is followed, so its target is
+    replaced, and an existing file keeps its permission bits."""
+    path = Path(path).resolve()
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "x", encoding="ascii", newline="\n") as fh:
+            if path.exists():
+                os.chmod(fh.fileno(), stat.S_IMODE(path.stat().st_mode))
+            fh.write(dumps(cert))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_certificate(path: str | Path) -> SelfDualCertificate:

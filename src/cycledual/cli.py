@@ -18,8 +18,6 @@ import dataclasses
 import os
 import sys
 
-import numpy as np
-
 from . import linalg
 from .certificate import CertificateFormatError, read_certificate, write_certificate
 from .construct import (
@@ -97,7 +95,7 @@ def _reverify(cert: SelfDualCertificate) -> list[str]:
     # 1. re-run the four checks from the recorded code data
     try:
         inner = CyclicCode.from_generator(cert.field, cert.n_inner, cert.inner_generator)
-        _, _, rerun = pipeline_checks(inner, cert.kind, cert.outer_generator)
+        rerun = pipeline_checks(inner, cert.kind, cert.outer_generator)[-1]
     except (ValueError, VerificationError) as exc:
         failures.append(f"reconstruction: recorded codes are inconsistent ({exc})")
         rerun = None
@@ -112,7 +110,18 @@ def _reverify(cert: SelfDualCertificate) -> list[str]:
             elif not got:
                 failures.append(f"{name}: recorded fail")
 
-    # 2. full re-derivation from [params] and field-by-field comparison
+    # 2. an exact distance must lie between floor_min and the Singleton
+    # bound.  A sampled value is only an upper bound on d: it may exceed the
+    # Singleton bound, but it cannot be below floor_min
+    if cert.distance is not None:
+        d = cert.distance.value
+        singleton = cert.n_outer - cert.k_outer + 1
+        if d < 1 or (cert.distance.exact and d > singleton):
+            failures.append(f"distance_value: {d} outside 1..{singleton} (Singleton bound)")
+        elif d < cert.floor_min:
+            failures.append(f"distance_value: {d} below floor_min {cert.floor_min}")
+
+    # 3. full re-derivation from [params] and field-by-field comparison
     try:
         fresh = build_family(cert.kind, cert.s, cert.m, cert.mu, b_override=cert.b)
     except (ValueError, VerificationError) as exc:
@@ -152,18 +161,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return 1
     for name in cert.checks:
         print(f"{name}: pass (matches recorded)")
+    dist = cert.distance
+    if dist is not None and dist.exact:
+        print(
+            f"distance_value: {dist.value} within floor_min and the "
+            "Singleton bound (not re-derived)"
+        )
+    elif dist is not None:
+        print(
+            f"distance_value: {dist.value} at least floor_min "
+            "(sampled upper bound, not re-derived)"
+        )
     print("re-derivation from parameters: matches")
     return 0
-
-
-def _outer_basis_from_cert(cert: SelfDualCertificate) -> np.ndarray:
-    g = cert.outer_generator
-    k = cert.n_outer - g.degree
-    mat = np.zeros((k, cert.n_outer), dtype=linalg.dtype_for(cert.field))
-    for i in range(k):
-        for j, c in enumerate(g.coeffs):
-            mat[i, i + j] = c
-    return mat
 
 
 def _cmd_distance(args: argparse.Namespace) -> int:
@@ -175,7 +185,7 @@ def _cmd_distance(args: argparse.Namespace) -> int:
     except CertificateFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    basis = _outer_basis_from_cert(cert)
+    basis = linalg.shifted_rows(cert.outer_generator, cert.n_outer)
     if args.method == "exhaustive":
         budget = args.budget
         if budget is None:
@@ -190,13 +200,22 @@ def _cmd_distance(args: argparse.Namespace) -> int:
             f"d ≤ {report.value} (sampled, {report.enumerated} trials, "
             f"seed {report.seed})"
         )
-    updated = dataclasses.replace(
-        cert, distance=DistanceSummary(report.method, report.value, report.exact)
-    )
-    try:
-        write_certificate(updated, args.certificate)
-    except OSError as exc:
-        print(f"note: could not append report to certificate: {exc}", file=sys.stderr)
+    # never trade an exact record for a sampled bound, or a sampled bound
+    # for a weaker one
+    old = cert.distance
+    if old is not None and not report.exact and (old.exact or old.value <= report.value):
+        print(
+            f"note: certificate keeps its recorded {old.method} distance {old.value}",
+            file=sys.stderr,
+        )
+    else:
+        updated = dataclasses.replace(
+            cert, distance=DistanceSummary(report.method, report.value, report.exact)
+        )
+        try:
+            write_certificate(updated, args.certificate)
+        except OSError as exc:
+            print(f"note: could not append report to certificate: {exc}", file=sys.stderr)
     if report.value < cert.floor_min:
         print(
             f"distance bound violated: {report.value} < floor_min {cert.floor_min}",

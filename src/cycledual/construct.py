@@ -10,19 +10,31 @@ least min(d(dual), 2 d(C)).  After interleaving the two halves it becomes
 the repeated-root cyclic code generated by g1^2 g2, where g1 generates C and
 g1 g2 generates the dual.  Every one of those claims is re-verified here at
 construction time rather than assumed.
+
+The four recorded checks are identities on g1, the dual generator and
+G = g1^2 g2, computed with polynomial arithmetic only:
+
+- dual_containing: the defining-set predicate, cross-checked against g1
+  dividing the dual generator;
+- self_dual: G equals its own dual generator (for Hermitian codes, the
+  q-conjugate of it);
+- van_lint_equivalence: G divides x^(2n) - 1 and the two interleaved seed
+  rows [g1|g1] and [0|dual generator], and the dimensions agree;
+- cyclic_invariance: G divides x^(2n) - 1.
+
+The dense matrix versions of these checks live in the test suite's
+reference module, which the tests compare against at small lengths.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from . import linalg
-from .cyclic import CyclicCode, root_context
+from .cyclic import CyclicCode, hermitian_base, root_context
 from .cyclo import (
     EUCLIDEAN,
     HERMITIAN,
@@ -32,19 +44,17 @@ from .cyclo import (
     bch_defining_set,
 )
 from .gf import Field, field_create
-from .poly import Poly
+from .poly import Poly, conjugate_poly, dual_generator, x_pow_n_minus_1
 
 __all__ = [
     "VerificationError",
     "CoordinatePermutation",
     "interleave_permutation",
-    "cyclic_shift_permutation",
     "UUVCode",
     "uuv_construct",
     "repeated_root_generator",
     "verify_self_dual",
     "verify_van_lint_equivalence",
-    "check_code_automorphism",
     "FamilyParams",
     "family_parameters",
     "PaperFloor",
@@ -52,14 +62,7 @@ __all__ = [
     "DistanceSummary",
     "SelfDualCertificate",
     "build_family",
-    "FULL_COMPARE_LIMIT",
 ]
-
-logger = logging.getLogger(__name__)
-
-# Above this many codewords the van Lint check falls back from full set
-# comparison to basis membership plus dimension count.
-FULL_COMPARE_LIMIT = 1 << 20
 
 
 class VerificationError(Exception):
@@ -109,13 +112,6 @@ def interleave_permutation(n: int) -> CoordinatePermutation:
     return CoordinatePermutation(table)
 
 
-def cyclic_shift_permutation(size: int, shift: int = 1) -> CoordinatePermutation:
-    """Cyclic right shift by ``shift`` positions."""
-    if size < 1:
-        raise ValueError("size must be positive")
-    return CoordinatePermutation(tuple((p - shift) % size for p in range(size)))
-
-
 class UUVCode:
     """The [u|u+v] code of a dual-containing cyclic code C: basis rows are
     [u|u] for the rows of C's generator matrix and [0|v] for the dual's."""
@@ -154,107 +150,85 @@ def _uuv_basis(inner: CyclicCode, dual_code: CyclicCode) -> np.ndarray:
     return np.vstack([top, bottom])
 
 
-def verify_self_dual(field: Field, basis, kind: str) -> bool:
-    """True iff the rows span a self-dual code: dimension is half the length
-    and G G^T = 0 (Euclidean) or G conj(G)^T = 0 (Hermitian)."""
+def verify_self_dual(g: Poly, length: int, kind: str) -> bool:
+    """True iff the cyclic code of the given length generated by g is
+    self-dual: g equals its own dual generator (Euclidean) or the q-conjugate
+    of it (Hermitian).  That forces g to divide x^length - 1 and to have
+    degree length / 2."""
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    basis = linalg.as_array(field, basis)
-    rows, cols = basis.shape
-    if linalg.rank(field, basis) < rows:
-        raise ValueError("not a basis: rows are linearly dependent")
-    if cols % 2 or rows != cols // 2:
+    q = hermitian_base(g.field) if kind == HERMITIAN else None
+    try:
+        gd = dual_generator(g, length)
+    except ValueError:  # g does not divide x^length - 1
         return False
-    if kind == HERMITIAN:
-        if field.s % 2:
-            raise ValueError("hermitian self-duality needs a field of square order")
-        other = linalg.frobenius_array(field, basis, field.s // 2)
-    else:
-        other = basis
-    return not linalg.mat_mul(field, basis, other.T).any()
+    return (gd if q is None else conjugate_poly(gd, q)) == g
 
 
 def uuv_construct(code: CyclicCode, kind: str) -> UUVCode:
-    """Build the [u|u+v] code of a dual-containing cyclic code and verify its
-    self-duality before returning it."""
-    if not code.is_dual_containing(kind):
+    """Build the [u|u+v] code of a dual-containing cyclic code after running
+    the recorded checks on it."""
+    dual_code, _, _, checks = pipeline_checks(code, kind)
+    if not checks["dual_containing"]:
         raise ValueError("self-dual construction needs a dual-containing code")
-    dual_code = code.dual(kind)
-    out = UUVCode(code, dual_code, kind, _uuv_basis(code, dual_code))
-    if not verify_self_dual(code.field, out.basis, kind):
-        raise VerificationError("constructed [u|u+v] code failed the self-duality identity")
-    return out
+    if not all(checks.values()):
+        raise VerificationError("constructed [u|u+v] code failed a recorded check")
+    return UUVCode(code, dual_code, kind, _uuv_basis(code, dual_code))
+
+
+def _outer_generators(g1: Poly, g_dual: Poly) -> tuple[Poly, Poly]:
+    """g2 = g_dual / g1 and the outer generator g1^2 g2 = g1 g_dual."""
+    g2, rem = g_dual.divrem(g1)
+    if not rem.is_zero:
+        raise ValueError("containment violated: dual generator is not a multiple of g1")
+    return g2, g1 * g_dual
 
 
 def repeated_root_generator(code: CyclicCode, kind: str) -> Poly:
     """g1^2 g2, the generator of the interleaved repeated-root cyclic code,
     where g1 generates the code and g1 g2 generates its dual."""
-    g1 = code.g
-    gd = code.dual(kind).g
-    g2, rem = gd.divrem(g1)
-    if not rem.is_zero:
-        raise ValueError("containment violated: dual generator is not a multiple of g1")
-    return g1 * g1 * g2
+    return _outer_generators(code.g, code.dual(kind).g)[1]
 
 
-def _outer_basis(field: Field, g_out: Poly, length: int) -> np.ndarray:
-    k = length - g_out.degree
-    mat = np.zeros((k, length), dtype=linalg.dtype_for(field))
-    for i in range(k):
-        for j, c in enumerate(g_out.coeffs):
-            mat[i, i + j] = c
-    return mat
+def _word(p: Poly, n: int) -> list[int]:
+    """The coefficients of p as a word of length n.  The only divisor of
+    x^n - 1 of degree n is x^n - 1 itself, which generates the zero code."""
+    if p.degree >= n:
+        return [0] * n
+    return list(p.coeffs) + [0] * (n - len(p.coeffs))
 
 
 def verify_van_lint_equivalence(
-    U: UUVCode, outer_generator: Poly | None = None, method: str = "basis"
+    g1: Poly, g_dual: Poly, n: int, outer_generator: Poly
 ) -> bool:
-    """Check that interleaving the [u|u+v] code gives exactly the
-    repeated-root cyclic code generated by g1^2 g2.
+    """Check that interleaving the [u|u+v] code of the length-n cyclic codes
+    generated by g1 (for u) and g_dual (for v) gives exactly the
+    repeated-root cyclic code of length 2n generated by outer_generator.
 
-    With method="basis" every permuted basis row is tested for divisibility
-    by the outer generator and the dimensions are compared (membership plus
-    equal dimension forces set equality).  method="full" compares the two
-    codeword sets outright and is feasible only at desk scale.
+    The dimensions must agree, outer_generator must divide x^(2n) - 1, and it
+    must divide the interleaved seed rows [g1|g1] and [0|g_dual].  Every other
+    basis row interleaves to a seed times x^(t(n+1)) mod x^(2n) - 1, which the
+    ideal absorbs, so membership plus equal dimension forces equality.
     """
-    if method not in ("basis", "full"):
-        raise ValueError(f"unknown method {method!r}")
-    field = U.inner.field
-    n = U.inner.n
-    g_out = outer_generator
-    if g_out is None:
-        g_out = repeated_root_generator(U.inner, U.kind)
+    if (n - g1.degree) + (n - g_dual.degree) != 2 * n - outer_generator.degree:
+        return False
+    return _divides_x_pow_n_minus_1(outer_generator, 2 * n) and _seeds_in_ideal(
+        g1, g_dual, n, outer_generator
+    )
+
+
+def _divides_x_pow_n_minus_1(g: Poly, n: int) -> bool:
+    return (x_pow_n_minus_1(g.field, n) % g).is_zero
+
+
+def _seeds_in_ideal(g1: Poly, g_dual: Poly, n: int, outer_generator: Poly) -> bool:
+    """outer_generator divides the interleaved seed rows [g1|g1] and [0|g_dual]."""
+    field = g1.field
     perm = interleave_permutation(n)
-    dim_outer = 2 * n - g_out.degree
-    if linalg.rank(field, U.basis) != U.dimension or U.dimension != dim_outer:
-        logger.debug("van Lint dimension mismatch: [u|u+v] %d vs outer %d",
-                     U.dimension, dim_outer)
-        return False
-    permuted = perm.apply(U.basis)
-    remainders = linalg.poly_remainder_rows(field, permuted, g_out.coeffs)
-    bad = np.nonzero(remainders.any(axis=1))[0]
-    if bad.size:
-        logger.debug(
-            "van Lint failure on basis row %s", list(map(int, U.basis[int(bad[0])]))
-        )
-        return False
-    if method == "full":
-        lhs = linalg.span_packed(field, permuted, limit=FULL_COMPARE_LIMIT)
-        rhs = linalg.span_packed(
-            field, _outer_basis(field, g_out, 2 * n), limit=FULL_COMPARE_LIMIT
-        )
-        return linalg.spans_equal(lhs, rhs)
+    for row in (_word(g1, n) * 2, [0] * n + _word(g_dual, n)):
+        if not (Poly(field, perm.apply(row)) % outer_generator).is_zero:
+            return False
     return True
-
-
-def check_code_automorphism(field: Field, basis, perm: CoordinatePermutation) -> bool:
-    """True iff permuting every basis row lands back inside the row space."""
-    basis = linalg.as_array(field, basis)
-    if perm.size != basis.shape[1]:
-        raise ValueError("size mismatch between permutation and code length")
-    reduced, pivots = linalg.rref(field, basis)
-    residues = linalg.reduce_rows(field, reduced, pivots, perm.apply(basis))
-    return not residues.any()
 
 
 # -- pipeline families ---------------------------------------------------------
@@ -387,8 +361,11 @@ class SelfDualCertificate:
 
 def pipeline_checks(
     inner: CyclicCode, kind: str, outer_generator: Poly | None = None
-) -> tuple[UUVCode | None, Poly | None, dict[str, bool]]:
-    """Run the four recorded checks for an inner code.  Never raises on a
+) -> tuple[CyclicCode | None, Poly | None, Poly | None, dict[str, bool]]:
+    """Run the four recorded checks for an inner code and return its dual,
+    g2, the outer generator g1^2 g2 derived from the inner code, and the
+    verdicts.  van_lint_equivalence tests outer_generator when one is given;
+    the other checks always use the derived generator.  Never raises on a
     mathematical failure; the returned dict says what held."""
     checks = {
         "dual_containing": False,
@@ -398,20 +375,26 @@ def pipeline_checks(
     }
     checks["dual_containing"] = inner.is_dual_containing(kind)
     if not checks["dual_containing"]:
-        return None, None, checks
+        return None, None, None, checks
     dual_code = inner.dual(kind)
-    U = UUVCode(inner, dual_code, kind, _uuv_basis(inner, dual_code))
-    checks["self_dual"] = verify_self_dual(inner.field, U.basis, kind)
-    g_out = outer_generator
-    if g_out is None:
-        g2 = dual_code.g // inner.g
-        g_out = inner.g * inner.g * g2
-    checks["van_lint_equivalence"] = verify_van_lint_equivalence(U, g_out)
-    permuted = interleave_permutation(inner.n).apply(U.basis)
-    checks["cyclic_invariance"] = check_code_automorphism(
-        inner.field, permuted, cyclic_shift_permutation(2 * inner.n)
-    )
-    return U, g_out, checks
+    g2, g_out = _outer_generators(inner.g, dual_code.g)
+    length = 2 * inner.n
+    checks["self_dual"] = verify_self_dual(g_out, length, kind)
+    # an ideal generated by a divisor of x^(2n) - 1 is shift-invariant.  Both
+    # g1 and the dual generator divide x^n - 1, so g_out divides
+    # (x^n - 1)^2 = x^(2n) - 1 by construction.  The division is computed once
+    # and also serves the van Lint check of the derived generator, whose
+    # degree deg g1 + deg g_dual matches the dimensions by construction
+    checks["cyclic_invariance"] = _divides_x_pow_n_minus_1(g_out, length)
+    if outer_generator is None:
+        checks["van_lint_equivalence"] = checks["cyclic_invariance"] and _seeds_in_ideal(
+            inner.g, dual_code.g, inner.n, g_out
+        )
+    else:
+        checks["van_lint_equivalence"] = verify_van_lint_equivalence(
+            inner.g, dual_code.g, inner.n, outer_generator
+        )
+    return dual_code, g2, g_out, checks
 
 
 def build_family(
@@ -435,15 +418,13 @@ def build_family(
     n = params.n_inner
     T = bch_defining_set(n, field.order, b)
     inner = CyclicCode.from_defining_set(field, n, T)
-    U, g_out, checks = pipeline_checks(inner, kind)
+    dual_code, g2, g_out, checks = pipeline_checks(inner, kind)
     if not checks["dual_containing"]:
         raise VerificationError(
             "theorem precondition violated: constructed defining set is not dual-containing"
         )
-    assert U is not None and g_out is not None
-    g2 = U.dual_code.g // inner.g
     bch_inner = bch_bound(T)
-    bch_dual = bch_bound(U.dual_code.T)
+    bch_dual = bch_bound(dual_code.T)
     floor = paper_floor(kind, s, m, mu)
     ctx = root_context(field, n)
     return SelfDualCertificate(

@@ -1,9 +1,10 @@
-"""Vectorised matrix helpers over GF(2^s).
+"""Dense GF(2^s) arrays for minimum-distance enumeration.
 
-Arrays hold raw element values.  Characteristic two makes subtraction xor,
-so elimination and products reduce to xors plus log/antilog lookups; the
-tables are built lazily per field and give results identical to the plain
-carry-less arithmetic in :mod:`cycledual.gf`.
+Arrays hold raw element values.  ``shifted_rows`` lays out the generator
+matrix of a cyclic code, and ``scalar_mul`` scales rows through log/antilog
+tables built lazily per field, with results identical to the plain
+carry-less arithmetic in :mod:`cycledual.gf`.  The recorded checks use no
+matrices: they are polynomial identities (see :mod:`cycledual.construct`).
 """
 
 from __future__ import annotations
@@ -11,27 +12,13 @@ from __future__ import annotations
 import numpy as np
 
 from .gf import Field
+from .poly import Poly
 
-__all__ = [
-    "dtype_for",
-    "elementwise_mul",
-    "scalar_mul",
-    "frobenius_array",
-    "mat_mul",
-    "rref",
-    "rank",
-    "reduce_row",
-    "reduce_rows",
-    "in_rowspace",
-    "poly_remainder_rows",
-    "span_packed",
-    "spans_equal",
-]
+__all__ = ["dtype_for", "scalar_mul", "shifted_rows"]
 
 _TABLE_LIMIT = 1 << 20
 
 _tables: dict[Field, tuple[np.ndarray, np.ndarray]] = {}
-_frob_tables: dict[tuple[Field, int], np.ndarray] = {}
 
 
 def dtype_for(field: Field):
@@ -67,17 +54,6 @@ def as_array(field: Field, mat) -> np.ndarray:
     return np.asarray(mat, dtype=dtype_for(field))
 
 
-def elementwise_mul(field: Field, a, b) -> np.ndarray:
-    log, exp = _log_exp(field)
-    a = np.asarray(a)
-    b = np.asarray(b)
-    out = exp[log[a] + log[b]]  # fancy indexing yields a fresh array
-    zero = (a == 0) | (b == 0)
-    if zero.any():
-        out[zero] = 0
-    return out
-
-
 def scalar_mul(field: Field, c: int, arr) -> np.ndarray:
     arr = as_array(field, arr)
     if c == 0:
@@ -90,138 +66,11 @@ def scalar_mul(field: Field, c: int, arr) -> np.ndarray:
     return out
 
 
-def frobenius_array(field: Field, arr, k: int) -> np.ndarray:
-    table = _frob_tables.get((field, k % field.s))
-    if table is None:
-        table = np.array(
-            [field.frobenius(v, k) for v in range(field.order)], dtype=dtype_for(field)
-        )
-        _frob_tables[(field, k % field.s)] = table
-    return table[np.asarray(arr)]
-
-
-def mat_mul(field: Field, a, b) -> np.ndarray:
-    a = as_array(field, a)
-    b = as_array(field, b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError("shape mismatch")
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=dtype_for(field))
-    for t in range(a.shape[1]):
-        col = a[:, t]
-        if not col.any():
-            continue
-        out ^= elementwise_mul(field, col[:, None], b[t, :][None, :])
-    return out
-
-
-def rref(field: Field, mat) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    m = np.array(mat, dtype=dtype_for(field), copy=True)
-    if m.ndim != 2:
-        raise ValueError("expected a matrix")
-    rows, cols = m.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
-            continue
-        p = r + int(nz[0])
-        if p != r:
-            m[[r, p]] = m[[p, r]]
-        if m[r, c] != 1:
-            m[r] = scalar_mul(field, field.inv(int(m[r, c])), m[r])
-        factors = m[:, c].copy()
-        factors[r] = 0
-        if factors.any():
-            m ^= elementwise_mul(field, factors[:, None], m[r][None, :])
-        pivots.append(c)
-        r += 1
-    return m[:r], tuple(pivots)
-
-
-def rank(field: Field, mat) -> int:
-    return len(rref(field, mat)[1])
-
-
-def reduce_row(field: Field, reduced: np.ndarray, pivots: tuple[int, ...], row) -> np.ndarray:
-    res = np.array(row, dtype=dtype_for(field), copy=True)
-    for i, c in enumerate(pivots):
-        f = int(res[c])
-        if f:
-            res ^= scalar_mul(field, f, reduced[i])
-    return res
-
-
-def in_rowspace(field: Field, reduced: np.ndarray, pivots: tuple[int, ...], row) -> bool:
-    return not reduce_row(field, reduced, pivots, row).any()
-
-
-def reduce_rows(field: Field, reduced: np.ndarray, pivots: tuple[int, ...], rows) -> np.ndarray:
-    """Reduce many rows against an rref at once; zero rows are members."""
-    res = np.array(rows, dtype=dtype_for(field), copy=True)
-    for i, c in enumerate(pivots):
-        factors = res[:, c]
-        if factors.any():
-            res ^= elementwise_mul(field, factors[:, None], reduced[i][None, :])
-    return res
-
-
-def poly_remainder_rows(field: Field, rows, divisor_coeffs) -> np.ndarray:
-    """Remainders of many coefficient rows (low degree first) modulo one
-    polynomial, all rows reduced in lockstep."""
-    res = np.array(rows, dtype=dtype_for(field), copy=True)
-    g = np.asarray(list(divisor_coeffs), dtype=dtype_for(field))
-    if g.size == 0 or g[-1] == 0:
-        raise ValueError("divisor must be nonzero with exact leading coefficient")
-    dg = g.size - 1
-    if dg == 0:
-        return res[:, :0]
-    lead_inv = field.inv(int(g[-1]))
-    for top in range(res.shape[1] - 1, dg - 1, -1):
-        t = scalar_mul(field, lead_inv, res[:, top])
-        if t.any():
-            res[:, top - dg : top + 1] ^= elementwise_mul(field, t[:, None], g[None, :])
-    return res[:, :dg]
-
-
-def _pack(field: Field, word) -> int:
-    acc = 0
-    for i, v in enumerate(word):
-        acc |= int(v) << (i * field.s)
-    return acc
-
-
-def span_packed(field: Field, rows, limit: int = 1 << 20):
-    """All codewords spanned by the rows, packed s bits per symbol.
-
-    Returns a sorted numpy int64 array when the packed width fits, otherwise
-    a sorted list of python ints.
-    """
-    rows = [list(map(int, r)) for r in rows]
-    q = field.order
-    if q ** len(rows) > limit:
-        raise ValueError(f"span of {len(rows)} rows over GF({q}) exceeds limit {limit}")
-    if not rows:
-        return np.zeros(1, dtype=np.int64)
-    width = len(rows[0]) * field.s
-    multiples = [
-        [_pack(field, [field.mul(c, v) for v in row]) for c in range(q)] for row in rows
-    ]
-    if width <= 62:
-        arr = np.zeros(1, dtype=np.int64)
-        for packs in multiples:
-            arr = (arr[:, None] ^ np.array(packs, dtype=np.int64)[None, :]).ravel()
-        return np.unique(arr)
-    words = {0}
-    for packs in multiples:
-        words = {w ^ p for w in words for p in packs}
-    return sorted(words)
-
-
-def spans_equal(a, b) -> bool:
-    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
-        return a.shape == b.shape and bool((a == b).all())
-    return list(a) == list(b)
+def shifted_rows(g: Poly, length: int) -> np.ndarray:
+    """The (length - deg g) x length matrix whose rows are x^i g(x), i.e. the
+    generator matrix of the cyclic code of that length generated by g."""
+    coeffs = g.coeffs
+    mat = np.zeros((length - g.degree, length), dtype=dtype_for(g.field))
+    for i in range(mat.shape[0]):
+        mat[i, i : i + len(coeffs)] = coeffs
+    return mat

@@ -1,0 +1,275 @@
+"""Dense GF(2^s) linear algebra: the slow, obviously-correct reference for
+the polynomial checks in cycledual.construct and cycledual.cyclic.
+
+Every recorded fact is re-derived here from explicit basis matrices: the
+dual's rows reduced against the code's row echelon form, G G^T = 0 for
+self-duality, row-by-row divisibility plus a rank count (or an outright
+codeword-set comparison) for the van Lint equivalence, and the cyclic shift
+as a code automorphism.  The tests compare the production checks with these
+at small lengths.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from cycledual import CoordinatePermutation, CyclicCode, Field, Poly, interleave_permutation
+from cycledual.construct import _uuv_basis
+from cycledual.cyclo import HERMITIAN, KINDS
+from cycledual.linalg import _log_exp, as_array, dtype_for, scalar_mul, shifted_rows
+
+FULL_COMPARE_LIMIT = 1 << 20
+
+_frob_tables: dict[tuple[Field, int], np.ndarray] = {}
+
+
+# -- matrices over GF(2^s) ------------------------------------------------------
+
+
+def elementwise_mul(field: Field, a, b) -> np.ndarray:
+    log, exp = _log_exp(field)
+    a = np.asarray(a)
+    b = np.asarray(b)
+    out = exp[log[a] + log[b]]  # fancy indexing yields a fresh array
+    zero = (a == 0) | (b == 0)
+    if zero.any():
+        out[zero] = 0
+    return out
+
+
+def frobenius_array(field: Field, arr, k: int) -> np.ndarray:
+    table = _frob_tables.get((field, k % field.s))
+    if table is None:
+        table = np.array(
+            [field.frobenius(v, k) for v in range(field.order)], dtype=dtype_for(field)
+        )
+        _frob_tables[(field, k % field.s)] = table
+    return table[np.asarray(arr)]
+
+
+def mat_mul(field: Field, a, b) -> np.ndarray:
+    a = as_array(field, a)
+    b = as_array(field, b)
+    if a.shape[1] != b.shape[0]:
+        raise ValueError("shape mismatch")
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=dtype_for(field))
+    for t in range(a.shape[1]):
+        col = a[:, t]
+        if not col.any():
+            continue
+        out ^= elementwise_mul(field, col[:, None], b[t, :][None, :])
+    return out
+
+
+def rref(field: Field, mat) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
+    m = np.array(mat, dtype=dtype_for(field), copy=True)
+    if m.ndim != 2:
+        raise ValueError("expected a matrix")
+    rows, cols = m.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(m[r:, c])[0]
+        if nz.size == 0:
+            continue
+        p = r + int(nz[0])
+        if p != r:
+            m[[r, p]] = m[[p, r]]
+        if m[r, c] != 1:
+            m[r] = scalar_mul(field, field.inv(int(m[r, c])), m[r])
+        factors = m[:, c].copy()
+        factors[r] = 0
+        if factors.any():
+            m ^= elementwise_mul(field, factors[:, None], m[r][None, :])
+        pivots.append(c)
+        r += 1
+    return m[:r], tuple(pivots)
+
+
+def rank(field: Field, mat) -> int:
+    return len(rref(field, mat)[1])
+
+
+def reduce_row(field: Field, reduced: np.ndarray, pivots: tuple[int, ...], row) -> np.ndarray:
+    res = np.array(row, dtype=dtype_for(field), copy=True)
+    for i, c in enumerate(pivots):
+        f = int(res[c])
+        if f:
+            res ^= scalar_mul(field, f, reduced[i])
+    return res
+
+
+def in_rowspace(field: Field, reduced: np.ndarray, pivots: tuple[int, ...], row) -> bool:
+    return not reduce_row(field, reduced, pivots, row).any()
+
+
+def reduce_rows(field: Field, reduced: np.ndarray, pivots: tuple[int, ...], rows) -> np.ndarray:
+    """Reduce many rows against an rref at once; zero rows are members."""
+    res = np.array(rows, dtype=dtype_for(field), copy=True)
+    for i, c in enumerate(pivots):
+        factors = res[:, c]
+        if factors.any():
+            res ^= elementwise_mul(field, factors[:, None], reduced[i][None, :])
+    return res
+
+
+def poly_remainder_rows(field: Field, rows, divisor_coeffs) -> np.ndarray:
+    """Remainders of many coefficient rows (low degree first) modulo one
+    polynomial, all rows reduced in lockstep."""
+    res = np.array(rows, dtype=dtype_for(field), copy=True)
+    g = np.asarray(list(divisor_coeffs), dtype=dtype_for(field))
+    if g.size == 0 or g[-1] == 0:
+        raise ValueError("divisor must be nonzero with exact leading coefficient")
+    dg = g.size - 1
+    if dg == 0:
+        return res[:, :0]
+    lead_inv = field.inv(int(g[-1]))
+    for top in range(res.shape[1] - 1, dg - 1, -1):
+        t = scalar_mul(field, lead_inv, res[:, top])
+        if t.any():
+            res[:, top - dg : top + 1] ^= elementwise_mul(field, t[:, None], g[None, :])
+    return res[:, :dg]
+
+
+def _pack(field: Field, word) -> int:
+    acc = 0
+    for i, v in enumerate(word):
+        acc |= int(v) << (i * field.s)
+    return acc
+
+
+def span_packed(field: Field, rows, limit: int = 1 << 20):
+    """All codewords spanned by the rows, packed s bits per symbol.
+
+    Returns a sorted numpy int64 array when the packed width fits, otherwise
+    a sorted list of python ints.
+    """
+    rows = [list(map(int, r)) for r in rows]
+    q = field.order
+    if q ** len(rows) > limit:
+        raise ValueError(f"span of {len(rows)} rows over GF({q}) exceeds limit {limit}")
+    if not rows:
+        return np.zeros(1, dtype=np.int64)
+    width = len(rows[0]) * field.s
+    multiples = [
+        [_pack(field, [field.mul(c, v) for v in row]) for c in range(q)] for row in rows
+    ]
+    if width <= 62:
+        arr = np.zeros(1, dtype=np.int64)
+        for packs in multiples:
+            arr = (arr[:, None] ^ np.array(packs, dtype=np.int64)[None, :]).ravel()
+        return np.unique(arr)
+    words = {0}
+    for packs in multiples:
+        words = {w ^ p for w in words for p in packs}
+    return sorted(words)
+
+
+def spans_equal(a, b) -> bool:
+    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+        return a.shape == b.shape and bool((a == b).all())
+    return list(a) == list(b)
+
+
+# -- the recorded checks, by dense linear algebra ------------------------------
+
+
+def cyclic_shift_permutation(size: int, shift: int = 1) -> CoordinatePermutation:
+    """Cyclic right shift by ``shift`` positions."""
+    if size < 1:
+        raise ValueError("size must be positive")
+    return CoordinatePermutation(tuple((p - shift) % size for p in range(size)))
+
+
+def dual_containing(code: CyclicCode, kind: str) -> bool:
+    """Every row of the dual's generator matrix reduces to zero against the
+    code's row echelon form."""
+    dual = code.dual(kind)
+    if dual.k == 0:
+        return True
+    if code.k == 0:
+        return False
+    reduced, pivots = rref(code.field, code.generator_matrix())
+    return not reduce_rows(code.field, reduced, pivots, dual.generator_matrix()).any()
+
+
+def verify_self_dual(field: Field, basis, kind: str) -> bool:
+    """True iff the rows span a self-dual code: dimension is half the length
+    and G G^T = 0 (Euclidean) or G conj(G)^T = 0 (Hermitian)."""
+    if kind not in KINDS:
+        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+    basis = as_array(field, basis)
+    rows, cols = basis.shape
+    if rank(field, basis) < rows:
+        raise ValueError("not a basis: rows are linearly dependent")
+    if cols % 2 or rows != cols // 2:
+        return False
+    if kind == HERMITIAN:
+        if field.s % 2:
+            raise ValueError("hermitian self-duality needs a field of square order")
+        other = frobenius_array(field, basis, field.s // 2)
+    else:
+        other = basis
+    return not mat_mul(field, basis, other.T).any()
+
+
+def verify_van_lint_equivalence(
+    field: Field, basis, n: int, outer_generator: Poly, full: bool = False
+) -> bool:
+    """The interleaved rows of a [u|u+v] basis span exactly the code of
+    length 2n generated by outer_generator: every row is divisible by it and
+    the dimensions agree, or with full=True the two codeword sets are
+    compared outright (feasible only at desk scale)."""
+    basis = as_array(field, basis)
+    if rank(field, basis) != basis.shape[0] or basis.shape[0] != 2 * n - outer_generator.degree:
+        return False
+    permuted = interleave_permutation(n).apply(basis)
+    if poly_remainder_rows(field, permuted, outer_generator.coeffs).any():
+        return False
+    if full:
+        lhs = span_packed(field, permuted, limit=FULL_COMPARE_LIMIT)
+        rhs = span_packed(
+            field, shifted_rows(outer_generator, 2 * n), limit=FULL_COMPARE_LIMIT
+        )
+        return spans_equal(lhs, rhs)
+    return True
+
+
+def check_code_automorphism(field: Field, basis, perm: CoordinatePermutation) -> bool:
+    """True iff permuting every basis row lands back inside the row space."""
+    basis = as_array(field, basis)
+    if perm.size != basis.shape[1]:
+        raise ValueError("size mismatch between permutation and code length")
+    reduced, pivots = rref(field, basis)
+    residues = reduce_rows(field, reduced, pivots, perm.apply(basis))
+    return not residues.any()
+
+
+def pipeline_checks(
+    inner: CyclicCode, kind: str, outer_generator: Poly | None = None
+) -> dict[str, bool]:
+    """The four recorded checks by dense linear algebra, with the same
+    verdict dict as cycledual.construct.pipeline_checks."""
+    checks = dict.fromkeys(
+        ("dual_containing", "self_dual", "van_lint_equivalence", "cyclic_invariance"), False
+    )
+    checks["dual_containing"] = dual_containing(inner, kind)
+    if not checks["dual_containing"]:
+        return checks
+    dual = inner.dual(kind)
+    basis = _uuv_basis(inner, dual)
+    field, n = inner.field, inner.n
+    checks["self_dual"] = verify_self_dual(field, basis, kind)
+    if outer_generator is None:
+        outer_generator = inner.g * inner.g * (dual.g // inner.g)
+    checks["van_lint_equivalence"] = verify_van_lint_equivalence(
+        field, basis, n, outer_generator
+    )
+    permuted = interleave_permutation(n).apply(basis)
+    checks["cyclic_invariance"] = check_code_automorphism(
+        field, permuted, cyclic_shift_permutation(2 * n)
+    )
+    return checks

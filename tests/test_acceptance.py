@@ -20,6 +20,7 @@ from cycledual import (
     gcd_lemma,
     is_dual_containing_set,
     paper_floor,
+    repeated_root_generator,
     sampled_weight_upper_bound,
     uuv_construct,
     verify_self_dual,
@@ -28,6 +29,7 @@ from cycledual import (
 )
 from cycledual.cli import main
 
+import reference
 from conftest import GF2, GF4, divisor_codes
 
 FULL_SET_LIMIT = 1 << 20
@@ -58,8 +60,9 @@ def test_criterion_1():
     assert cert.self_dual and cert.van_lint_equivalence
     inner = CyclicCode.from_defining_set(cert.field, cert.n_inner, cert.defining_set)
     U = uuv_construct(inner, "euclidean")
-    assert verify_self_dual(cert.field, U.basis, "euclidean")
-    assert verify_van_lint_equivalence(U, cert.outer_generator)
+    assert verify_self_dual(cert.outer_generator, cert.n_outer, "euclidean")
+    assert verify_van_lint_equivalence(inner.g, U.dual_code.g, inner.n, cert.outer_generator)
+    assert reference.verify_self_dual(cert.field, U.basis, "euclidean")
     report = exact_min_distance(cert.field, U.basis)
     assert (report.value, report.enumerated) == (4, 127)
     assert cert.floor_min == 4
@@ -116,8 +119,12 @@ def test_criterion_5():
                 if not code.is_dual_containing("euclidean"):
                     continue
                 U = uuv_construct(code, "euclidean")
-                method = "full" if field.order**code.n <= FULL_SET_LIMIT else "basis"
-                assert verify_van_lint_equivalence(U, method=method), (field, n, code.T)
+                g_out = repeated_root_generator(code, "euclidean")
+                assert verify_van_lint_equivalence(code.g, U.dual_code.g, n, g_out)
+                full = field.order**code.n <= FULL_SET_LIMIT
+                assert reference.verify_van_lint_equivalence(
+                    field, U.basis, n, g_out, full=full
+                ), (field, n, code.T)
                 checked += 1
     assert checked >= 12
 

@@ -1,8 +1,17 @@
 import dataclasses
+import os
+import stat
 
 import pytest
 
-from cycledual import DistanceSummary, build_family, dumps, loads
+from cycledual import (
+    DistanceSummary,
+    build_family,
+    dumps,
+    loads,
+    read_certificate,
+    write_certificate,
+)
 from cycledual.certificate import CertificateFormatError
 
 
@@ -110,3 +119,44 @@ def test_value_level_edit_parses_but_differs(cert):
     parsed = loads(text)
     assert parsed.defining_set.sorted_members == (1, 2, 5)
     assert parsed != cert
+
+
+def test_write_is_atomic(cert, tmp_path, monkeypatch):
+    path = tmp_path / "cert.txt"
+    write_certificate(cert, path)
+    before = path.read_bytes()
+
+    def full_disk(fd):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "fsync", full_disk)
+    updated = dataclasses.replace(cert, distance=DistanceSummary("exhaustive", 4, True))
+    with pytest.raises(OSError, match="disk full"):
+        write_certificate(updated, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["cert.txt"]
+    monkeypatch.undo()
+    write_certificate(updated, path)
+    assert read_certificate(path) == updated
+
+
+def test_write_keeps_symlink_and_mode(cert, tmp_path):
+    target = tmp_path / "cert.txt"
+    write_certificate(cert, target)
+    target.chmod(0o640)
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    updated = dataclasses.replace(cert, distance=DistanceSummary("exhaustive", 4, True))
+    write_certificate(updated, link)
+    assert link.is_symlink()
+    assert read_certificate(target) == updated
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+
+
+def test_distance_exact_must_match_method(cert):
+    text = dumps(dataclasses.replace(cert, distance=DistanceSummary("exhaustive", 4, True)))
+    for method, exact in (("exhaustive", "false"), ("sampled", "true")):
+        edited = text.replace("distance_method = exhaustive", f"distance_method = {method}")
+        edited = edited.replace("distance_exact = true", f"distance_exact = {exact}")
+        with pytest.raises(CertificateFormatError, match="contradicts"):
+            loads(edited)

@@ -164,6 +164,87 @@ def test_distance_exhaustive(tmp_path, capsys):
     assert rc == 0
 
 
+def test_verify_checks_recorded_distance(tmp_path, capsys):
+    path = build_cert(tmp_path, capsys)
+    rc, out, _ = run(capsys, "verify", str(path))
+    assert rc == 0 and "distance_value" not in out  # no record, no new output
+    rc, _, _ = run(capsys, "distance", str(path), "--method", "exhaustive")
+    assert rc == 0
+    rc, out, _ = run(capsys, "verify", str(path))
+    assert rc == 0
+    assert "distance_value: 4 within floor_min and the Singleton bound" in out
+    exact = path.read_text()
+    sampled = exact.replace("exhaustive", "sampled").replace("exact = true", "exact = false")
+    # 9 exceeds the Singleton bound 14 - 7 + 1 = 8; 3 is below floor_min 4,
+    # for an exact value and for a sampled upper bound alike
+    for text, value, why in (
+        (exact, 9, "outside 1..8 (Singleton bound)"),
+        (exact, 0, "outside 1..8 (Singleton bound)"),
+        (exact, 3, "below floor_min 4"),
+        (sampled, 0, "outside 1..8 (Singleton bound)"),
+        (sampled, 3, "below floor_min 4"),
+    ):
+        path.write_text(text.replace("distance_value = 4", f"distance_value = {value}"))
+        rc, out, _ = run(capsys, "verify", str(path))
+        assert rc == 1
+        assert f"distance_value: {value} {why}" in out
+    # a sampled value is only an upper bound on d, so one above the Singleton
+    # bound is weak but true
+    path.write_text(sampled.replace("distance_value = 4", "distance_value = 9"))
+    rc, out, _ = run(capsys, "verify", str(path))
+    assert rc == 0
+    assert "distance_value: 9 at least floor_min (sampled upper bound" in out
+
+
+def test_verify_rejects_a_sampled_record_marked_exact(tmp_path, capsys):
+    path = build_cert(tmp_path, capsys)
+    rc, _, _ = run(capsys, "distance", str(path), "--method", "sampled", "--trials", "200")
+    assert rc == 0
+    path.write_text(path.read_text().replace("distance_exact = false", "distance_exact = true"))
+    for argv in (
+        ["verify", str(path)],
+        ["distance", str(path), "--method", "sampled", "--trials", "3"],
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == ""
+        assert "contradicts distance_method = sampled" in err
+
+
+def test_distance_keeps_the_stronger_record(tmp_path, capsys):
+    path = build_cert(tmp_path, capsys)
+    rc, _, _ = run(capsys, "distance", str(path), "--method", "exhaustive")
+    assert rc == 0
+    exact = path.read_text()
+    rc, out, err = run(
+        capsys, "distance", str(path), "--method", "sampled", "--trials", "3", "--seed", "1"
+    )
+    assert "d ≤" in out  # the run still reports its own result
+    assert "keeps its recorded exhaustive distance 4" in err
+    assert path.read_text() == exact
+
+    # of two sampled bounds the smaller one stays
+    path.write_text(
+        exact.replace("distance_method = exhaustive", "distance_method = sampled")
+        .replace("distance_value = 4", "distance_value = 5")
+        .replace("distance_exact = true", "distance_exact = false")
+    )
+    bounds = []
+    for seed in range(20):
+        rc, out, _ = run(
+            capsys, "distance", str(path), "--method", "sampled", "--trials", "3",
+            "--seed", str(seed),
+        )
+        bounds.append(int(out.split("d ≤ ")[1].split()[0]))
+        assert read_certificate(path).distance.value == min(bounds + [5])
+    assert min(bounds) < 5 < max(bounds)  # both branches ran
+
+    # an exact result replaces a sampled bound
+    rc, _, _ = run(capsys, "distance", str(path), "--method", "exhaustive")
+    assert rc == 0
+    assert path.read_text() == exact
+    assert [p.name for p in tmp_path.iterdir()] == ["cert.txt"]  # no temp files left
+
+
 def test_distance_sampled(tmp_path, capsys):
     path = tmp_path / "c3.txt"
     rc, _, _ = run(

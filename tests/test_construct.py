@@ -10,8 +10,6 @@ from cycledual import (
     Poly,
     bch_defining_set,
     build_family,
-    check_code_automorphism,
-    cyclic_shift_permutation,
     exact_min_distance,
     family_parameters,
     interleave_permutation,
@@ -20,8 +18,10 @@ from cycledual import (
     uuv_construct,
     verify_self_dual,
     verify_van_lint_equivalence,
+    x_pow_n_minus_1,
 )
 
+import reference
 from conftest import GF2, GF4, divisor_codes
 
 
@@ -65,14 +65,14 @@ def test_permutation_roundtrip():
 def test_uuv_hamming():
     U = uuv_construct(hamming(), "euclidean")
     assert (U.length, U.dimension) == (14, 7)
-    assert verify_self_dual(GF2, U.basis, "euclidean")
+    assert reference.verify_self_dual(GF2, U.basis, "euclidean")
 
 
 def test_uuv_whole_space_n1():
     U = uuv_construct(whole_space(GF2, 1), "euclidean")
     assert (U.length, U.dimension) == (2, 1)
     assert U.basis.tolist() == [[1, 1]]  # the code {00, 11}
-    assert verify_self_dual(GF2, U.basis, "euclidean")
+    assert reference.verify_self_dual(GF2, U.basis, "euclidean")
 
 
 def test_uuv_hermitian_2115():
@@ -80,7 +80,8 @@ def test_uuv_hermitian_2115():
     assert inner.k == 15
     U = uuv_construct(inner, "hermitian")
     assert (U.length, U.dimension) == (42, 21)
-    assert verify_self_dual(GF4, U.basis, "hermitian")
+    assert reference.verify_self_dual(GF4, U.basis, "hermitian")
+    assert verify_self_dual(repeated_root_generator(inner, "hermitian"), 42, "hermitian")
 
 
 def test_uuv_requires_dual_containing():
@@ -103,9 +104,14 @@ def test_repeated_root_generator_rejects_non_containing():
         repeated_root_generator(zero, "euclidean")
 
 
+def van_lint(code, kind, outer_generator):
+    dual = code.dual(kind)
+    return verify_van_lint_equivalence(code.g, dual.g, code.n, outer_generator)
+
+
 def test_van_lint_hamming_and_trivial():
-    assert verify_van_lint_equivalence(uuv_construct(hamming(), "euclidean"))
-    assert verify_van_lint_equivalence(uuv_construct(whole_space(GF2, 1), "euclidean"))
+    for code in (hamming(), whole_space(GF2, 1)):
+        assert van_lint(code, "euclidean", repeated_root_generator(code, "euclidean"))
 
 
 def test_van_lint_n3_gf4_exhaustive():
@@ -115,7 +121,9 @@ def test_van_lint_n3_gf4_exhaustive():
         if not code.is_dual_containing("euclidean"):
             continue
         U = uuv_construct(code, "euclidean")
-        assert verify_van_lint_equivalence(U, method="full")
+        g_out = repeated_root_generator(code, "euclidean")
+        assert van_lint(code, "euclidean", g_out)
+        assert reference.verify_van_lint_equivalence(GF4, U.basis, 3, g_out, full=True)
         count += 1
     assert count == 3  # {} and the two conjugate singleton defining sets
 
@@ -124,22 +132,43 @@ def test_van_lint_detects_wrong_generator():
     U = uuv_construct(hamming(), "euclidean")
     wrong = Poly(GF2, (1, 1)) * Poly(GF2, (1, 1, 0, 1)) * Poly(GF2, (1, 0, 1, 1))
     assert wrong.degree == 7
-    assert not verify_van_lint_equivalence(U, wrong)
+    assert not van_lint(hamming(), "euclidean", wrong)
+    assert not reference.verify_van_lint_equivalence(GF2, U.basis, 7, wrong)
+    # wrong degree, or not a divisor of x^14 - 1, fail before any division
+    assert not van_lint(hamming(), "euclidean", Poly(GF2, ()))
+    assert not van_lint(hamming(), "euclidean", Poly(GF2, (1,) * 8))
+    # x divides the only nonzero seed [0|1] of {(0|v)}, length 2, but it is a
+    # unit mod x^2 - 1, and {00, 01} is not cyclic
+    one, x = Poly(GF2, (1,)), Poly(GF2, (0, 1))
+    assert not verify_van_lint_equivalence(x_pow_n_minus_1(GF2, 1), one, 1, x)
 
 
 def test_verify_self_dual_cases():
-    U = uuv_construct(hamming(), "euclidean")
-    assert verify_self_dual(GF2, U.basis, "euclidean") is True
-    assert verify_self_dual(GF2, [[1, 1]], "euclidean") is True
-    # odd-length code cannot be self-dual: dimension test fails
-    assert verify_self_dual(GF2, hamming().generator_matrix(), "euclidean") is False
-    with pytest.raises(ValueError, match="not a basis"):
-        verify_self_dual(GF2, [[1, 1], [1, 1]], "euclidean")
+    g = repeated_root_generator(hamming(), "euclidean")
+    assert verify_self_dual(g, 14, "euclidean") is True
+    assert verify_self_dual(Poly(GF2, (1, 1)), 2, "euclidean") is True  # {00, 11}
+    assert verify_self_dual(hamming().g, 14, "euclidean") is False  # wrong degree
+    assert verify_self_dual(Poly(GF2, (1, 1, 1)), 4, "euclidean") is False  # no divisor
+    assert verify_self_dual(Poly(GF2, ()), 2, "euclidean") is False
     with pytest.raises(ValueError, match="square order"):
-        verify_self_dual(GF2, [[1, 1]], "hermitian")
+        verify_self_dual(Poly(GF2, (1, 1)), 2, "hermitian")
+    with pytest.raises(ValueError, match="kind must be"):
+        verify_self_dual(g, 14, "unitary")
+    # the dense reference on explicit bases
+    U = uuv_construct(hamming(), "euclidean")
+    assert reference.verify_self_dual(GF2, U.basis, "euclidean") is True
+    assert reference.verify_self_dual(GF2, [[1, 1]], "euclidean") is True
+    # odd-length code cannot be self-dual: dimension test fails
+    assert reference.verify_self_dual(GF2, hamming().generator_matrix(), "euclidean") is False
+    with pytest.raises(ValueError, match="not a basis"):
+        reference.verify_self_dual(GF2, [[1, 1], [1, 1]], "euclidean")
+    with pytest.raises(ValueError, match="square order"):
+        reference.verify_self_dual(GF2, [[1, 1]], "hermitian")
 
 
 def test_check_code_automorphism():
+    check_code_automorphism = reference.check_code_automorphism
+    cyclic_shift_permutation = reference.cyclic_shift_permutation
     U = uuv_construct(hamming(), "euclidean")
     identity = CoordinatePermutation(tuple(range(14)))
     assert check_code_automorphism(GF2, U.basis, identity) is True
@@ -240,9 +269,7 @@ def test_uuv_basis_matches_definition():
             v = dual.encode(mv)
             by_definition.add(u + tuple(a ^ b for a, b in zip(u, v)))
     U = uuv_construct(inner, "euclidean")
-    from cycledual.linalg import span_packed
-
-    packed = {int(w) for w in span_packed(GF2, U.basis)}
+    packed = {int(w) for w in reference.span_packed(GF2, U.basis)}
     assert packed == {sum(c << i for i, c in enumerate(w)) for w in by_definition}
     assert len(by_definition) == 2**7
 
@@ -253,8 +280,8 @@ def test_van_lint_basis_sweep_larger_lengths():
         for code in divisor_codes(field, n):
             if not code.is_dual_containing("euclidean"):
                 continue
-            U = uuv_construct(code, "euclidean")
-            assert verify_van_lint_equivalence(U), (field, n, code.T)
+            g_out = repeated_root_generator(code, "euclidean")
+            assert van_lint(code, "euclidean", g_out), (field, n, code.T)
             checked += 1
         assert checked >= 3
 

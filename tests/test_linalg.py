@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from cycledual.linalg import (
+from cycledual import Poly
+from cycledual.linalg import scalar_mul, shifted_rows
+
+from conftest import GF2, GF4
+from reference import (
     elementwise_mul,
     frobenius_array,
     in_rowspace,
@@ -9,12 +13,9 @@ from cycledual.linalg import (
     rank,
     reduce_row,
     rref,
-    scalar_mul,
     span_packed,
     spans_equal,
 )
-
-from conftest import GF2, GF4
 
 
 def test_elementwise_mul_matches_field():
@@ -29,6 +30,13 @@ def test_scalar_mul():
     assert scalar_mul(GF4, 0, row).tolist() == [0, 0, 0, 0]
     assert scalar_mul(GF4, 1, row).tolist() == [0, 1, 2, 3]
     assert scalar_mul(GF4, 3, row).tolist() == [GF4.mul(3, x) for x in (0, 1, 2, 3)]
+
+
+def test_shifted_rows():
+    g = Poly(GF4, (2, 0, 1))
+    assert shifted_rows(g, 4).tolist() == [[2, 0, 1, 0], [0, 2, 0, 1]]
+    assert shifted_rows(g, 4).dtype == np.uint8
+    assert shifted_rows(Poly(GF2, (1, 1)), 1).shape == (0, 1)
 
 
 def test_frobenius_array():
