@@ -1,10 +1,10 @@
 """Command line front end.
 
 Subcommands: construct (run a pipeline cell, optionally writing its
-certificate), verify (re-derive every check in a certificate from scratch),
-distance (exhaustive or sampled minimum distance of a certificate's outer
-code), table (sweep a parameter grid), and factor (cyclotomic cosets and the
-matching irreducible factors of x^n - 1).
+certificate), verify (rebuild a certificate from its parameters and compare
+every field), distance (exhaustive or sampled minimum distance of a
+certificate's outer code), table (sweep a parameter grid), and factor
+(cyclotomic cosets and the matching irreducible factors of x^n - 1).
 
 Exit codes: 0 all requested checks passed, 1 a mathematical check failed,
 2 usage or parameter error.  CYCLEDUAL_BUDGET overrides the default
@@ -26,9 +26,8 @@ from .construct import (
     VerificationError,
     build_family,
     family_parameters,
-    pipeline_checks,
 )
-from .cyclic import CyclicCode, root_context
+from .cyclic import root_context
 from .cyclo import KINDS, all_cosets, minimal_polynomial
 from .distance import DEFAULT_BUDGET, exact_min_distance, sampled_weight_upper_bound
 from .gf import field_create
@@ -89,29 +88,14 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _reverify(cert: SelfDualCertificate) -> list[str]:
-    """Re-derive every check and every recorded value; returns mismatch lines."""
+    """Rebuild the certificate from its [params] and compare every recorded
+    field except the distance, which is only range-checked; returns mismatch
+    lines.  Every input of the four checks is a recorded field, so equal
+    fields mean the recorded codes are the ones the rebuild checked."""
     failures: list[str] = []
 
-    # 1. re-run the four checks from the recorded code data
-    try:
-        inner = CyclicCode.from_generator(cert.field, cert.n_inner, cert.inner_generator)
-        rerun = pipeline_checks(inner, cert.kind, cert.outer_generator)[-1]
-    except (ValueError, VerificationError) as exc:
-        failures.append(f"reconstruction: recorded codes are inconsistent ({exc})")
-        rerun = None
-    if rerun is not None:
-        for name, recorded in cert.checks.items():
-            got = rerun[name]
-            if got != recorded:
-                failures.append(
-                    f"{name}: recorded {'pass' if recorded else 'fail'}, "
-                    f"recomputed {'pass' if got else 'fail'}"
-                )
-            elif not got:
-                failures.append(f"{name}: recorded fail")
-
-    # 2. an exact distance must lie between floor_min and the Singleton
-    # bound.  A sampled value is only an upper bound on d: it may exceed the
+    # an exact distance must lie between floor_min and the Singleton bound.
+    # A sampled value is only an upper bound on d: it may exceed the
     # Singleton bound, but it cannot be below floor_min
     if cert.distance is not None:
         d = cert.distance.value
@@ -121,7 +105,6 @@ def _reverify(cert: SelfDualCertificate) -> list[str]:
         elif d < cert.floor_min:
             failures.append(f"distance_value: {d} below floor_min {cert.floor_min}")
 
-    # 3. full re-derivation from [params] and field-by-field comparison
     try:
         fresh = build_family(cert.kind, cert.s, cert.m, cert.mu, b_override=cert.b)
     except (ValueError, VerificationError) as exc:
@@ -134,12 +117,14 @@ def _reverify(cert: SelfDualCertificate) -> list[str]:
         b = getattr(fresh, fld.name)
         if a != b:
             failures.append(f"{fld.name}: recorded {_show(a)}, recomputed {_show(b)}")
+        elif a is False:  # a check that fails in the rebuild too
+            failures.append(f"{fld.name}: recorded fail")
     return failures
 
 
 def _show(value) -> str:
-    if isinstance(value, Poly):
-        return value.to_string()
+    if isinstance(value, bool):
+        return "pass" if value else "fail"
     if hasattr(value, "to_string"):
         return value.to_string()
     return repr(value)

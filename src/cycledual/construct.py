@@ -12,12 +12,13 @@ g1 g2 generates the dual.  Every one of those claims is re-verified here at
 construction time rather than assumed.
 
 The four recorded checks are identities on g1, the dual generator and
-G = g1^2 g2, computed with polynomial arithmetic only:
+G = g1^2 g2, computed with polynomial arithmetic only.  G is the one derived
+from the inner code, and x^(2n) - 1 is divided by it once per pipeline:
 
 - dual_containing: the defining-set predicate, cross-checked against g1
   dividing the dual generator;
-- self_dual: G equals its own dual generator (for Hermitian codes, the
-  q-conjugate of it);
+- self_dual: G equals its own dual generator, read off the quotient
+  (x^(2n) - 1) / G (for Hermitian codes, the q-conjugate of it);
 - van_lint_equivalence: G divides x^(2n) - 1 and the two interleaved seed
   rows [g1|g1] and [0|dual generator], and the dimensions agree;
 - cyclic_invariance: G divides x^(2n) - 1.
@@ -44,9 +45,10 @@ from .cyclo import (
     bch_defining_set,
 )
 from .gf import Field, field_create
-from .poly import Poly, conjugate_poly, dual_generator, x_pow_n_minus_1
+from .poly import Poly, _monic_reversal, conjugate_poly, x_pow_n_minus_1
 
 __all__ = [
+    "MAX_INNER_LENGTH",
     "VerificationError",
     "CoordinatePermutation",
     "interleave_permutation",
@@ -63,6 +65,10 @@ __all__ = [
     "SelfDualCertificate",
     "build_family",
 ]
+
+
+# the largest inner length n that build_family accepts (Hermitian s=2 m=3 has 4095)
+MAX_INNER_LENGTH = 8191
 
 
 class VerificationError(Exception):
@@ -158,10 +164,15 @@ def verify_self_dual(g: Poly, length: int, kind: str) -> bool:
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     q = hermitian_base(g.field) if kind == HERMITIAN else None
-    try:
-        gd = dual_generator(g, length)
-    except ValueError:  # g does not divide x^length - 1
+    if g.is_zero:
         return False
+    h, rem = x_pow_n_minus_1(g.field, length).divrem(g)
+    return rem.is_zero and _is_own_dual(g, h, q)
+
+
+def _is_own_dual(g: Poly, h: Poly, q: int | None) -> bool:
+    """g equals the dual generator from its check polynomial h (q-conjugated if q)."""
+    gd = _monic_reversal(h)
     return (gd if q is None else conjugate_poly(gd, q)) == g
 
 
@@ -212,13 +223,8 @@ def verify_van_lint_equivalence(
     """
     if (n - g1.degree) + (n - g_dual.degree) != 2 * n - outer_generator.degree:
         return False
-    return _divides_x_pow_n_minus_1(outer_generator, 2 * n) and _seeds_in_ideal(
-        g1, g_dual, n, outer_generator
-    )
-
-
-def _divides_x_pow_n_minus_1(g: Poly, n: int) -> bool:
-    return (x_pow_n_minus_1(g.field, n) % g).is_zero
+    divides = (x_pow_n_minus_1(g1.field, 2 * n) % outer_generator).is_zero
+    return divides and _seeds_in_ideal(g1, g_dual, n, outer_generator)
 
 
 def _seeds_in_ideal(g1: Poly, g_dual: Poly, n: int, outer_generator: Poly) -> bool:
@@ -360,13 +366,14 @@ class SelfDualCertificate:
 
 
 def pipeline_checks(
-    inner: CyclicCode, kind: str, outer_generator: Poly | None = None
+    inner: CyclicCode, kind: str
 ) -> tuple[CyclicCode | None, Poly | None, Poly | None, dict[str, bool]]:
     """Run the four recorded checks for an inner code and return its dual,
-    g2, the outer generator g1^2 g2 derived from the inner code, and the
-    verdicts.  van_lint_equivalence tests outer_generator when one is given;
-    the other checks always use the derived generator.  Never raises on a
-    mathematical failure; the returned dict says what held."""
+    g2, the outer generator G = g1^2 g2 derived from the inner code, and the
+    verdicts.  x^(2n) - 1 is divided by G once: the remainder decides
+    cyclic_invariance and the divisibility part of van_lint_equivalence, and
+    the quotient is the check polynomial of the self-dual identity.  Never
+    raises on a mathematical failure; the returned dict says what held."""
     checks = {
         "dual_containing": False,
         "self_dual": False,
@@ -378,22 +385,16 @@ def pipeline_checks(
         return None, None, None, checks
     dual_code = inner.dual(kind)
     g2, g_out = _outer_generators(inner.g, dual_code.g)
-    length = 2 * inner.n
-    checks["self_dual"] = verify_self_dual(g_out, length, kind)
-    # an ideal generated by a divisor of x^(2n) - 1 is shift-invariant.  Both
-    # g1 and the dual generator divide x^n - 1, so g_out divides
-    # (x^n - 1)^2 = x^(2n) - 1 by construction.  The division is computed once
-    # and also serves the van Lint check of the derived generator, whose
-    # degree deg g1 + deg g_dual matches the dimensions by construction
-    checks["cyclic_invariance"] = _divides_x_pow_n_minus_1(g_out, length)
-    if outer_generator is None:
-        checks["van_lint_equivalence"] = checks["cyclic_invariance"] and _seeds_in_ideal(
-            inner.g, dual_code.g, inner.n, g_out
-        )
-    else:
-        checks["van_lint_equivalence"] = verify_van_lint_equivalence(
-            inner.g, dual_code.g, inner.n, outer_generator
-        )
+    # an ideal generated by a divisor of x^(2n) - 1 is shift-invariant.  g_out
+    # divides (x^n - 1)^2 = x^(2n) - 1 by construction, and its degree
+    # deg g1 + deg g_dual matches the van Lint dimensions by construction
+    h_out, rem = x_pow_n_minus_1(inner.field, 2 * inner.n).divrem(g_out)
+    q = hermitian_base(inner.field) if kind == HERMITIAN else None
+    checks["self_dual"] = rem.is_zero and _is_own_dual(g_out, h_out, q)
+    checks["cyclic_invariance"] = rem.is_zero
+    checks["van_lint_equivalence"] = rem.is_zero and _seeds_in_ideal(
+        inner.g, dual_code.g, inner.n, g_out
+    )
     return dual_code, g2, g_out, checks
 
 
@@ -404,9 +405,14 @@ def build_family(
 
     Builds the inner BCH code with defining set C_1 .. C_b (b = ceil(delta)-1
     unless overridden), verifies dual-containment, runs the [u|u+v]
-    construction and all recorded checks, and fills in the bounds.
+    construction and all recorded checks, and fills in the bounds.  Cells
+    with an inner length above MAX_INNER_LENGTH raise ValueError first.
     """
     params = family_parameters(kind, s, m, mu)
+    if params.n_inner > MAX_INNER_LENGTH:
+        raise ValueError(
+            f"inner length n = {params.n_inner} exceeds MAX_INNER_LENGTH = {MAX_INNER_LENGTH}"
+        )
     b = params.b_default if b_override is None else b_override
     if b_override is None and b < 1:
         raise ValueError(

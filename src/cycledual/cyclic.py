@@ -30,7 +30,7 @@ from .cyclo import (
     set_map,
 )
 from .gf import Embedding, Field, FieldElement, extension_with_embedding, nth_root_of_unity
-from .poly import Poly, conjugate_poly, dual_generator, x_pow_n_minus_1
+from .poly import Poly, _monic_reversal, conjugate_poly, x_pow_n_minus_1
 
 __all__ = ["RootContext", "root_context", "CyclicCode", "hermitian_base"]
 
@@ -127,9 +127,6 @@ class CyclicCode:
             raise ValueError("field mismatch")
         if g.is_zero:
             raise ValueError("generator must be nonzero")
-        rem = x_pow_n_minus_1(field, n) % g
-        if not rem.is_zero:
-            raise ValueError("not a divisor: g does not divide x^n - 1")
         g = g.monic()
         ctx = root_context(field, n)
         # roots of a GF(q)-coefficient polynomial come in whole cosets:
@@ -144,7 +141,7 @@ class CyclicCode:
     # -- duals -----------------------------------------------------------------
 
     def _dual_generator(self, kind: str) -> Poly:
-        gd = dual_generator(self.g, self.n)
+        gd = _monic_reversal(self.h)
         if kind == EUCLIDEAN:
             return gd
         if kind == HERMITIAN:

@@ -121,9 +121,13 @@ class Poly:
                 continue
             t = f.mul(c, lead_inv)
             q[i] = t
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    r[i + j] ^= f.mul(t, b)
+            if t == 1:
+                for j, b in enumerate(other.coeffs):
+                    r[i + j] ^= b
+            else:
+                for j, b in enumerate(other.coeffs):
+                    if b:
+                        r[i + j] ^= f.mul(t, b)
         return Poly(f, q), Poly(f, r)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
@@ -236,8 +240,14 @@ def dual_generator(g: Poly, n: int) -> Poly:
     h, rem = x_pow_n_minus_1(g.field, n).divrem(g)
     if not rem.is_zero:
         raise ValueError("not a generator: g does not divide x^n - 1")
-    f = g.field
-    inv0 = f.inv(h.coeffs[0])  # h(0) != 0 since x does not divide x^n - 1
+    return _monic_reversal(h)
+
+
+def _monic_reversal(h: Poly) -> Poly:
+    """x^k h(1/x) / h(0) for h = (x^n - 1) / g of degree k: the dual generator.
+    h(0) != 0 since x does not divide x^n - 1."""
+    f = h.field
+    inv0 = f.inv(h.coeffs[0])
     return Poly(f, [f.mul(inv0, c) for c in reversed(h.coeffs)])
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import reference
 from cycledual import KINDS, Poly, all_cosets, field_create, hermitian_base
-from cycledual.construct import pipeline_checks
+from cycledual.construct import pipeline_checks, verify_van_lint_equivalence
 from cycledual.cyclic import CyclicCode
 from cycledual.cyclo import DefiningSet
 from cycledual.poly import x_pow_n_minus_1
@@ -103,6 +103,6 @@ def test_random_divisor_codes_match_reference(data):
         return
     assert all(got.values())
     wrong = data.draw(wrong_generators(code, kind, g_out))
-    got = pipeline_checks(code, kind, wrong)[-1]
-    assert got == reference.pipeline_checks(code, kind, wrong)
-    assert not got["van_lint_equivalence"]
+    ok = verify_van_lint_equivalence(code.g, code.dual(kind).g, n, wrong)
+    assert dict(got, van_lint_equivalence=ok) == reference.pipeline_checks(code, kind, wrong)
+    assert not ok

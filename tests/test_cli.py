@@ -1,4 +1,6 @@
-from cycledual import read_certificate
+import dataclasses
+
+from cycledual import cli, read_certificate, write_certificate
 from cycledual.cli import main
 
 
@@ -96,7 +98,7 @@ def test_verify_flipped_generator_coefficient(tmp_path, capsys):
     path.write_text(text.replace("generator = 1,1,1,1,0,0,1,1", "generator = 1,0,1,1,0,0,1,1"))
     rc, out, _ = run(capsys, "verify", str(path))
     assert rc == 1
-    assert "recorded pass, recomputed fail" in out
+    assert "outer_generator: recorded 1,0,1,1,0,0,1,1, recomputed 1,1,1,1,0,0,1,1" in out
 
 
 def test_verify_edited_defining_set(tmp_path, capsys):
@@ -113,7 +115,56 @@ def test_verify_inner_generator_not_a_divisor(tmp_path, capsys):
     path.write_text(path.read_text().replace("generator = 1,1,0,1", "generator = 1,0,0,1"))
     rc, out, _ = run(capsys, "verify", str(path))
     assert rc == 1
-    assert "reconstruction" in out
+    assert "inner_generator: recorded 1,0,0,1, recomputed 1,1,0,1" in out
+
+
+CHECKS = ("dual_containing", "self_dual", "van_lint_equivalence", "cyclic_invariance")
+
+
+def _single_edits(text):
+    """Every text that differs from the certificate in one character of a
+    value outside [params] and the distance lines, replaced by one of 0-9,
+    a-f or a comma."""
+    lines = text.splitlines(keepends=True)
+    section = None
+    for i, line in enumerate(lines):
+        if line.startswith("["):
+            section = line.strip()
+        key, sep, _ = line.partition(" = ")
+        if not sep or section == "[params]" or key.startswith("distance_"):
+            continue
+        for j in range(len(key) + len(sep), len(line.rstrip("\n"))):
+            for ch in "0123456789abcdef,":
+                if ch != line[j]:
+                    edited = line[:j] + ch + line[j + 1 :]
+                    yield "".join(lines[:i] + [edited] + lines[i + 1 :])
+
+
+def test_verify_detects_every_single_edit(tmp_path, capsys):
+    path = build_cert(tmp_path, capsys)
+    text = path.read_text()
+    count = 0
+    for edited in _single_edits(text):
+        path.write_text(edited)
+        rc, _, _ = run(capsys, "verify", str(path))
+        assert rc != 0, edited
+        count += 1
+    assert count > 1000
+    for name in CHECKS:
+        path.write_text(text.replace(f"{name} = pass", f"{name} = fail"))
+        rc, out, _ = run(capsys, "verify", str(path))
+        assert rc == 1
+        assert out == f"{name}: recorded fail, recomputed pass\n"
+
+
+def test_verify_check_failing_in_the_rebuild_exits_1(tmp_path, capsys, monkeypatch):
+    path = build_cert(tmp_path, capsys)
+    failing = dataclasses.replace(read_certificate(path), self_dual=False)
+    write_certificate(failing, path)
+    monkeypatch.setattr(cli, "build_family", lambda *args, **kwargs: failing)
+    rc, out, _ = run(capsys, "verify", str(path))
+    assert rc == 1
+    assert out == "self_dual: recorded fail\n"
 
 
 def test_distance_partitions_flag(tmp_path, capsys):
@@ -292,6 +343,34 @@ def test_distance_floor_violation_exits_1(tmp_path, capsys):
     rc, out, err = run(capsys, "distance", str(path), "--method", "exhaustive")
     assert rc == 1
     assert "violated" in err
+
+
+def test_construct_over_size_limit_exits_2(capsys):
+    # n = 2^15 - 1 = 32767 exceeds MAX_INNER_LENGTH = 8191
+    rc, out, err = run(
+        capsys, "construct", "--kind", "euclidean", "--s", "5", "--m", "3", "--mu", "1"
+    )
+    assert rc == 2
+    assert out == ""
+    assert "inner length n = 32767 exceeds MAX_INNER_LENGTH = 8191" in err
+
+
+def test_verify_over_size_limit_exits_1(tmp_path, capsys):
+    path = build_cert(tmp_path, capsys)
+    path.write_text(path.read_text().replace("s = 1\n", "s = 9\n", 1))  # n = 2^27 - 1
+    rc, out, _ = run(capsys, "verify", str(path))
+    assert rc == 1
+    assert "re-derivation: parameters do not rebuild (inner length n = 134217727" in out
+
+
+def test_table_over_size_limit_prints_error_row(capsys):
+    rc, out, _ = run(
+        capsys, "table", "--kind", "euclidean", "--s", "5", "--m-max", "3", "--mu", "1"
+    )
+    assert rc == 0
+    assert out.splitlines()[-1] == (
+        "5 3 1 - - - error (inner length n = 32767 exceeds MAX_INNER_LENGTH = 8191)"
+    )
 
 
 def test_table_euclidean(capsys):
