@@ -21,6 +21,7 @@ import sys
 from . import linalg
 from .certificate import CertificateFormatError, read_certificate, write_certificate
 from .construct import (
+    MAX_INNER_LENGTH,
     DistanceSummary,
     SelfDualCertificate,
     VerificationError,
@@ -259,6 +260,8 @@ def _cmd_factor(args: argparse.Namespace) -> int:
         raise ValueError("n must be odd and positive")
     field = field_create(q.bit_length() - 1)
     ctx = root_context(field, n)  # raises when the extension is infeasible
+    if n > MAX_INNER_LENGTH:
+        raise ValueError(f"length n = {n} exceeds MAX_INNER_LENGTH = {MAX_INNER_LENGTH}")
     lines = []
     product = Poly.one(field)
     for rep, orbit in sorted(all_cosets(n, q).items()):

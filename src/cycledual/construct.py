@@ -67,7 +67,7 @@ __all__ = [
 ]
 
 
-# the largest inner length n that build_family accepts (Hermitian s=2 m=3 has 4095)
+# the largest inner length n that build_family and factor accept (Hermitian s=2 m=3 has 4095)
 MAX_INNER_LENGTH = 8191
 
 
@@ -187,18 +187,13 @@ def uuv_construct(code: CyclicCode, kind: str) -> UUVCode:
     return UUVCode(code, dual_code, kind, _uuv_basis(code, dual_code))
 
 
-def _outer_generators(g1: Poly, g_dual: Poly) -> tuple[Poly, Poly]:
-    """g2 = g_dual / g1 and the outer generator g1^2 g2 = g1 g_dual."""
-    g2, rem = g_dual.divrem(g1)
-    if not rem.is_zero:
-        raise ValueError("containment violated: dual generator is not a multiple of g1")
-    return g2, g1 * g_dual
-
-
 def repeated_root_generator(code: CyclicCode, kind: str) -> Poly:
     """g1^2 g2, the generator of the interleaved repeated-root cyclic code,
     where g1 generates the code and g1 g2 generates its dual."""
-    return _outer_generators(code.g, code.dual(kind).g)[1]
+    g_out = pipeline_checks(code, kind)[2]
+    if g_out is None:
+        raise ValueError("containment violated: dual generator is not a multiple of g1")
+    return g_out
 
 
 def _word(p: Poly, n: int) -> list[int]:
@@ -370,21 +365,26 @@ def pipeline_checks(
 ) -> tuple[CyclicCode | None, Poly | None, Poly | None, dict[str, bool]]:
     """Run the four recorded checks for an inner code and return its dual,
     g2, the outer generator G = g1^2 g2 derived from the inner code, and the
-    verdicts.  x^(2n) - 1 is divided by G once: the remainder decides
-    cyclic_invariance and the divisibility part of van_lint_equivalence, and
-    the quotient is the check polynomial of the self-dual identity.  Never
-    raises on a mathematical failure; the returned dict says what held."""
+    verdicts.  The dual generator is divided by g1 once: the remainder must
+    agree with the defining-set predicate, and the quotient is g2.  x^(2n) - 1
+    is divided by G once: the remainder decides cyclic_invariance and the
+    divisibility part of van_lint_equivalence, and the quotient is the check
+    polynomial of the self-dual identity.  Never raises on a mathematical
+    failure; the returned dict says what held."""
     checks = {
         "dual_containing": False,
         "self_dual": False,
         "van_lint_equivalence": False,
         "cyclic_invariance": False,
     }
+    dual_code = inner.dual(kind)
+    g2, rem = dual_code.g.divrem(inner.g)
     checks["dual_containing"] = inner.is_dual_containing(kind)
+    if checks["dual_containing"] != rem.is_zero:
+        raise RuntimeError("internal: containment predicate and generator division disagree")
     if not checks["dual_containing"]:
         return None, None, None, checks
-    dual_code = inner.dual(kind)
-    g2, g_out = _outer_generators(inner.g, dual_code.g)
+    g_out = inner.g * dual_code.g
     # an ideal generated by a divisor of x^(2n) - 1 is shift-invariant.  g_out
     # divides (x^n - 1)^2 = x^(2n) - 1 by construction, and its degree
     # deg g1 + deg g_dual matches the van Lint dimensions by construction

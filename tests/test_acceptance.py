@@ -3,12 +3,14 @@ and enforcing its stated runtime limit."""
 
 import functools
 import math
+import os
 import random
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+import cycledual
 from cycledual import (
     CyclicCode,
     bch_bound,
@@ -217,6 +219,10 @@ def test_criterion_10():
     # and across processes for the binary cell
     import tempfile
 
+    # the child imports the same cycledual as this process, installed or not
+    src = str(Path(cycledual.__file__).resolve().parents[1])
+    paths = (src, os.environ.get("PYTHONPATH"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     with tempfile.TemporaryDirectory() as td:
         outputs = []
         for name in ("a.txt", "b.txt"):
@@ -224,7 +230,7 @@ def test_criterion_10():
             subprocess.run(
                 [sys.executable, "-m", "cycledual.cli", "construct", "--kind",
                  "euclidean", "--s", "1", "--m", "3", "--mu", "1", "--out", str(p)],
-                check=True, capture_output=True,
+                check=True, capture_output=True, env=env,
             )
             outputs.append(p.read_bytes())
         assert outputs[0] == outputs[1]

@@ -31,6 +31,8 @@ def test_every_divisor_code_matches_reference(s, n, kind):
     for code in divisor_codes(field_create(s), n):
         got = pipeline_checks(code, kind)[-1]
         assert got == reference.pipeline_checks(code, kind), (code.T, kind)
+        dual = code.dual(kind)
+        assert dual.T == CyclicCode.from_generator(code.field, n, dual.g).T, (code.T, kind)
 
 
 def _feasible_lengths(field, limit=63, max_extension_bits=20):
@@ -99,10 +101,12 @@ def test_random_divisor_codes_match_reference(data):
     code = data.draw(random_divisor_codes(field, n, kind, containing=data.draw(st.booleans())))
     _, _, g_out, got = pipeline_checks(code, kind)
     assert got == reference.pipeline_checks(code, kind)
+    dual = code.dual(kind)
+    assert dual.T == CyclicCode.from_generator(field, n, dual.g).T
     if not got["dual_containing"]:
         return
     assert all(got.values())
     wrong = data.draw(wrong_generators(code, kind, g_out))
-    ok = verify_van_lint_equivalence(code.g, code.dual(kind).g, n, wrong)
+    ok = verify_van_lint_equivalence(code.g, dual.g, n, wrong)
     assert dict(got, van_lint_equivalence=ok) == reference.pipeline_checks(code, kind, wrong)
     assert not ok

@@ -428,3 +428,11 @@ def test_factor_trivial_and_errors(capsys):
     rc, _, err = run(capsys, "factor", "--q", "2", "--n", "1000003")
     assert rc == 2  # would need an extension beyond 2^32
     assert "2^32" in err
+
+
+def test_factor_over_size_limit_exits_2(capsys):
+    # n = 2^17 - 1 has a feasible extension, GF(2^17), but exceeds MAX_INNER_LENGTH
+    rc, out, err = run(capsys, "factor", "--q", "2", "--n", "131071")
+    assert rc == 2
+    assert out == ""
+    assert "length n = 131071 exceeds MAX_INNER_LENGTH = 8191" in err

@@ -20,6 +20,7 @@ from cycledual import (
     verify_van_lint_equivalence,
     x_pow_n_minus_1,
 )
+from cycledual.construct import pipeline_checks
 
 import reference
 from conftest import GF2, GF4, divisor_codes
@@ -102,6 +103,19 @@ def test_repeated_root_generator_rejects_non_containing():
     zero = CyclicCode.from_generator(GF2, 7, Poly(GF2, [1] + [0] * 6 + [1]))
     with pytest.raises(ValueError, match="containment violated"):
         repeated_root_generator(zero, "euclidean")
+
+
+def test_pipeline_checks_raises_when_predicate_and_division_disagree(monkeypatch):
+    zero = CyclicCode.from_generator(GF2, 7, Poly(GF2, [1] + [0] * 6 + [1]))
+    codes = (hamming(), zero)
+    assert [c.is_dual_containing("euclidean") for c in codes] == [True, False]
+    predicate = CyclicCode.is_dual_containing
+    monkeypatch.setattr(
+        CyclicCode, "is_dual_containing", lambda self, kind="euclidean": not predicate(self, kind)
+    )
+    for code in codes:
+        with pytest.raises(RuntimeError, match="containment predicate"):
+            pipeline_checks(code, "euclidean")
 
 
 def van_lint(code, kind, outer_generator):

@@ -7,6 +7,8 @@ from cycledual import (
     Poly,
     bch_defining_set,
 )
+from cycledual.cyclo import complement, set_map
+from cycledual.poly import _monic_reversal
 from conftest import GF2, GF4, divisor_codes
 from reference import mat_mul, rank
 
@@ -87,14 +89,29 @@ def test_hermitian_needs_square_order():
 @pytest.mark.parametrize("field", [GF2, GF4])
 @pytest.mark.parametrize("n", [7, 9, 15, 21])
 def test_dual_paths_agree_and_dims_sum(field, n):
-    # dual() internally cross-checks the generator-reversal path against the
-    # defining-set path and raises on any disagreement
+    kinds = ("euclidean", "hermitian") if field is GF4 else ("euclidean",)
     for code in divisor_codes(field, n):
-        d = code.dual("euclidean")
-        assert code.k + d.k == n
-        if field is GF4:
-            dh = code.dual("hermitian")
-            assert code.k + dh.k == n
+        for kind in kinds:
+            d = code.dual(kind)
+            assert code.k + d.k == n
+            assert d.T == CyclicCode.from_generator(field, n, d.g).T, (code.T, kind)
+
+
+@pytest.mark.parametrize("n", [5, 9, 15, 21])
+def test_dual_rejects_generator_without_conjugation(monkeypatch, n):
+    # with the Hermitian conjugation skipped, dual("hermitian") gets the
+    # Euclidean dual generator, whose roots -(Z_n minus T) differ from the
+    # Hermitian T^perp = -2 (Z_n minus T) exactly when 2T != T
+    monkeypatch.setattr(CyclicCode, "_dual_generator", lambda self, kind: _monic_reversal(self.h))
+    changed = 0
+    for code in divisor_codes(GF4, n):
+        if set_map(code.T, 2) == code.T:
+            assert code.dual("hermitian").T == set_map(complement(code.T), -2)
+        else:
+            changed += 1
+            with pytest.raises(RuntimeError, match="root outside"):
+                code.dual("hermitian")
+    assert changed > 0
 
 
 @pytest.mark.parametrize("n", [3, 5, 7, 9, 15])
