@@ -30,7 +30,14 @@ from .cyclo import (
     minimal_polynomial,
     set_map,
 )
-from .gf import Embedding, Field, FieldElement, extension_with_embedding, nth_root_of_unity
+from .gf import (
+    EXTENSION_MAX_S,
+    Embedding,
+    Field,
+    FieldElement,
+    extension_with_embedding,
+    nth_root_of_unity,
+)
 from .poly import Poly, _monic_reversal, conjugate_poly, x_pow_n_minus_1
 
 __all__ = ["RootContext", "root_context", "CyclicCode", "hermitian_base"]
@@ -56,9 +63,9 @@ def root_context(field: Field, n: int) -> RootContext:
     while pw != 1 % n:
         pw = (pw * field.order) % n
         m += 1
-        if field.s * m > 32:
+        if field.s * m > EXTENSION_MAX_S:
             raise ValueError(
-                f"extension degree for n={n} exceeds the 2^32 limit"
+                f"extension degree for n={n} exceeds the 2^{EXTENSION_MAX_S} limit"
             )
     ext, emb = extension_with_embedding(field, m)
     beta = nth_root_of_unity(ext, n)

@@ -208,7 +208,11 @@ def minimal_polynomial(
     coset_residues: Iterable[int], beta: FieldElement, emb: Embedding
 ) -> Poly:
     """Expand prod_{j in coset} (x - beta^j) in the extension and pull the
-    coefficients back to the base field."""
+    coefficients back to the base field.
+
+    The product is a plain list of extension values built with scalar
+    ``ext.mul``; the roots follow the coset, beta^(j q) = (beta^j)^q, from one
+    power of beta.  No polynomial over the extension is formed."""
     ext = emb.ext
     if not isinstance(beta, FieldElement) or beta.field != ext:
         raise ValueError("field mismatch: beta must live in the embedding's extension")
@@ -220,12 +224,14 @@ def minimal_polynomial(
         raise ValueError("coset residues must lie in 0..n-1")
     if members != set(coset(n, emb.base.order, min(members))):
         raise ValueError("not a single cyclotomic coset")
-    prod = Poly.one(ext)
-    for j in sorted(members):
-        root = ext.pow(beta.value, j)
-        prod = prod * Poly(ext, (root, 1))
+    prod = [1]
+    root = ext.pow(beta.value, min(members))
+    for _ in range(len(members)):
+        # (x + root) * prod, low degree first
+        prod = [ext.mul(root, c) ^ lower for c, lower in zip(prod + [0], [0] + prod)]
+        root = ext.frobenius(root, emb.base.s)
     pulled = []
-    for c in prod.coeffs:
+    for c in prod:
         try:
             pulled.append(emb.pullback(c).value)
         except ValueError:

@@ -18,12 +18,20 @@ Canonical choices (so that independent runs agree bit for bit):
   of full multiplicative order;
 * a subfield embedding sends the base generator to the smallest root of the
   base modulus inside the extension.
+
+The size limits live here, together: code alphabets (``field_create``) go up
+to GF(2^16), extension fields hosting roots of unity up to GF(2^32), and the
+log/antilog tables behind vectorised arithmetic (``log_exp``, shared by
+:mod:`cycledual.poly` and :mod:`cycledual.linalg`) up to GF(2^16), which
+admits every alphabet.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from typing import Union
+
+import numpy as np
 
 __all__ = [
     "Field",
@@ -35,6 +43,11 @@ __all__ = [
     "default_modulus",
     "is_irreducible",
 ]
+
+
+ALPHABET_MAX_S = 16
+EXTENSION_MAX_S = 32
+TABLE_MAX_S = 16
 
 
 def _gf2_degree(p: int) -> int:
@@ -108,8 +121,8 @@ class Field:
     __slots__ = ("s", "modulus", "order", "_factors", "_primitive")
 
     def __init__(self, s: int, modulus: int | None = None):
-        if not 1 <= s <= 32:
-            raise ValueError(f"field degree s={s} outside supported range 1..32")
+        if not 1 <= s <= EXTENSION_MAX_S:
+            raise ValueError(f"field degree s={s} outside supported range 1..{EXTENSION_MAX_S}")
         if modulus is None:
             modulus = default_modulus(s)
         if _gf2_degree(modulus) != s:
@@ -303,9 +316,54 @@ def _get_field(s: int, modulus: int | None) -> Field:
 
 def field_create(s: int, modulus: int | None = None) -> Field:
     """Create (or fetch the cached) GF(2^s) with the given or default modulus."""
-    if not 1 <= s <= 16:
-        raise ValueError(f"s={s} outside supported range 1..16")
+    if not 1 <= s <= ALPHABET_MAX_S:
+        raise ValueError(f"s={s} outside supported range 1..{ALPHABET_MAX_S}")
     return _get_field(s, modulus)
+
+
+# -- log/antilog tables (package-internal, so not in __all__) -----------------
+
+_tables: dict[Field, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def dtype_for(field: Field):
+    """The narrowest unsigned numpy dtype holding every element."""
+    if field.order <= 1 << 8:
+        return np.uint8
+    if field.order <= 1 << 16:
+        return np.uint16
+    return np.uint32
+
+
+def log_exp(field: Field) -> tuple[np.ndarray, np.ndarray]:
+    """The field's (log, exp) tables, built once per field, such that
+    ``exp[log[a] + log[b]] == field.mul(a, b)`` for all a, b, zero included.
+
+    Nonzero logs lie in 0..q-2 (q = field order), so their sums index the
+    first 2(q-1) entries of ``exp``, which repeat the powers of the
+    primitive element twice and need no modulo.  ``log[0]`` is 2(q-1), and
+    every sum involving it lands in the zero-filled tail of ``exp``.  Fields
+    beyond GF(2^TABLE_MAX_S) raise ValueError before anything is allocated.
+    """
+    tabs = _tables.get(field)
+    if tabs is None:
+        if field.s > TABLE_MAX_S:
+            raise ValueError(
+                f"{field!r} exceeds the 2^{TABLE_MAX_S} limit of table arithmetic"
+            )
+        q1 = field.order - 1
+        gamma = field.primitive_element()
+        log = np.empty(field.order, dtype=np.int32)
+        log[0] = 2 * q1
+        exp = np.zeros(4 * q1 + 1, dtype=dtype_for(field))
+        v = 1
+        for i in range(q1):
+            exp[i] = exp[i + q1] = v
+            log[v] = i
+            v = field.mul(v, gamma)
+        tabs = (log, exp)
+        _tables[field] = tabs
+    return tabs
 
 
 def _eval_binary_poly(ext: Field, bits: int, x: int) -> int:
@@ -397,8 +455,10 @@ def extension_with_embedding(base: Field, m: int) -> tuple[Field, Embedding]:
     """GF(2^(s*m)) together with the canonical embedding of the base field."""
     if m < 1:
         raise ValueError("extension degree must be positive")
-    if base.s * m > 32:
-        raise ValueError(f"extension field GF(2^{base.s * m}) exceeds the 2^32 limit")
+    if base.s * m > EXTENSION_MAX_S:
+        raise ValueError(
+            f"extension field GF(2^{base.s * m}) exceeds the 2^{EXTENSION_MAX_S} limit"
+        )
     return _extension_with_embedding(base, m)
 
 

@@ -1,53 +1,21 @@
 """Dense GF(2^s) arrays for minimum-distance enumeration.
 
 Arrays hold raw element values.  ``shifted_rows`` lays out the generator
-matrix of a cyclic code, and ``scalar_mul`` scales rows through log/antilog
-tables built lazily per field, with results identical to the plain
-carry-less arithmetic in :mod:`cycledual.gf`.  The recorded checks use no
-matrices: they are polynomial identities (see :mod:`cycledual.construct`).
+matrix of a cyclic code, and ``scalar_mul`` scales rows through the field's
+log/antilog tables, which :mod:`cycledual.gf` builds once per field and
+shares with the polynomial kernel of :mod:`cycledual.poly`.  The recorded
+checks use no matrices: they are polynomial identities (see
+:mod:`cycledual.construct`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .gf import Field
+from .gf import Field, dtype_for, log_exp
 from .poly import Poly
 
-__all__ = ["dtype_for", "scalar_mul", "shifted_rows"]
-
-_TABLE_LIMIT = 1 << 20
-
-_tables: dict[Field, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def dtype_for(field: Field):
-    if field.order <= 1 << 8:
-        return np.uint8
-    if field.order <= 1 << 16:
-        return np.uint16
-    return np.uint32
-
-
-def _log_exp(field: Field) -> tuple[np.ndarray, np.ndarray]:
-    tabs = _tables.get(field)
-    if tabs is None:
-        if field.order > _TABLE_LIMIT:
-            raise ValueError(f"{field!r} too large for table-based matrix ops")
-        q1 = field.order - 1
-        gamma = field.primitive_element()
-        log = np.zeros(field.order, dtype=np.int32)
-        # exp doubled so summed logs index directly, no modulo
-        exp = np.zeros(2 * q1 if q1 > 1 else 2, dtype=dtype_for(field))
-        v = 1
-        for i in range(q1):
-            exp[i] = v
-            exp[i + q1] = v
-            log[v] = i
-            v = field.mul(v, gamma)
-        tabs = (log, exp)
-        _tables[field] = tabs
-    return tabs
+__all__ = ["scalar_mul", "shifted_rows"]
 
 
 def as_array(field: Field, mat) -> np.ndarray:
@@ -55,15 +23,8 @@ def as_array(field: Field, mat) -> np.ndarray:
 
 
 def scalar_mul(field: Field, c: int, arr) -> np.ndarray:
-    arr = as_array(field, arr)
-    if c == 0:
-        return np.zeros_like(arr)
-    if c == 1:
-        return arr.copy()
-    log, exp = _log_exp(field)
-    out = exp[log[arr] + log[c]]
-    out[arr == 0] = 0
-    return out
+    log, exp = log_exp(field)
+    return exp[log[as_array(field, arr)] + log[c]]
 
 
 def shifted_rows(g: Poly, length: int) -> np.ndarray:

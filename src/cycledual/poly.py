@@ -4,13 +4,25 @@ Coefficients are raw field values stored low degree first with trailing
 zeros trimmed, so the zero polynomial has an empty coefficient tuple.  The
 serialized form is a comma-separated list of lowercase hex coefficients,
 low degree first: 1 + x + x^3 over GF(2) is "1,1,0,1".
+
+Multiplication and division share one numpy kernel over the field's
+log/antilog tables (:func:`cycledual.gf.log_exp`, fields up to
+GF(2^TABLE_MAX_S)): ``_add_scaled`` adds c times a coefficient array B,
+shifted, in one vector operation, a plain xor when c = 1 and otherwise
+``exp[log B + log c]``.  A product takes B to be the longer operand and makes
+one such step per nonzero coefficient c of the shorter one.  Long division
+keeps its sequential loop over the quotient coefficients; B is the divisor
+and each step updates the remainder once.  Results come back as tuples of
+plain Python ints.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Union
 
-from .gf import Embedding, Field, FieldElement
+import numpy as np
+
+from .gf import Embedding, Field, FieldElement, dtype_for, log_exp
 
 __all__ = ["Poly", "x_pow_n_minus_1", "dual_generator", "conjugate_poly"]
 
@@ -36,6 +48,15 @@ class Poly:
             vals.pop()
         self.field = field
         self.coeffs = tuple(vals)
+
+    @classmethod
+    def _trusted(cls, field: Field, coeffs: tuple[int, ...]) -> "Poly":
+        """A polynomial from plain in-range ints with no trailing zero: the
+        kernel's results, which need none of the constructor's checks."""
+        p = object.__new__(cls)
+        p.field = field
+        p.coeffs = coeffs
+        return p
 
     @classmethod
     def zero(cls, field: Field) -> "Poly":
@@ -87,21 +108,21 @@ class Poly:
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
-        if self.is_zero or other.is_zero:
-            return Poly(self.field)
         f = self.field
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            if a == 1:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] ^= b
-            else:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] ^= f.mul(a, b)
-        return Poly(f, out)
+        log, exp = log_exp(f)
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return Poly(f)
+        if len(a) > len(b):
+            a, b = b, a
+        arr_b = np.array(b, dtype=dtype_for(f))
+        log_b = log[arr_b]
+        out = np.zeros(len(a) + len(b) - 1, dtype=arr_b.dtype)
+        for i, c in enumerate(a):
+            if c:
+                _add_scaled(out, i, arr_b, log_b, exp, int(log[c]))
+        # the leading coefficient is the nonzero product of the two leads
+        return Poly._trusted(f, tuple(out.tolist()))
 
     def divrem(self, other: "Poly") -> tuple["Poly", "Poly"]:
         """Quotient and remainder with deg(remainder) < deg(other)."""
@@ -109,26 +130,26 @@ class Poly:
         if other.is_zero:
             raise ValueError("division by zero polynomial")
         f = self.field
+        log, exp = log_exp(f)
         db = other.degree
-        r = list(self.coeffs)
-        if len(r) <= db:
-            return Poly(f), Poly(f, r)
-        q = [0] * (len(r) - db)
-        lead_inv = f.inv(other.coeffs[-1])
+        if len(self.coeffs) <= db:
+            return Poly(f), self
+        q1 = f.order - 1
+        arr_b = np.array(other.coeffs, dtype=dtype_for(f))
+        log_b = log[arr_b]
+        r = np.array(self.coeffs, dtype=arr_b.dtype)
+        quot = [0] * (len(r) - db)
+        log_lead_inv = -int(log[other.coeffs[-1]]) % q1
         for i in range(len(r) - 1 - db, -1, -1):
-            c = r[i + db]
-            if c == 0:
-                continue
-            t = f.mul(c, lead_inv)
-            q[i] = t
-            if t == 1:
-                for j, b in enumerate(other.coeffs):
-                    r[i + j] ^= b
-            else:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        r[i + j] ^= f.mul(t, b)
-        return Poly(f, q), Poly(f, r)
+            c = int(r[i + db])
+            if c:
+                log_t = (int(log[c]) + log_lead_inv) % q1
+                quot[i] = int(exp[log_t])
+                _add_scaled(r, i, arr_b, log_b, exp, log_t)
+        nonzero = np.flatnonzero(r[:db])
+        rem = tuple(r[: nonzero[-1] + 1].tolist()) if nonzero.size else ()
+        # quot[-1] = lead(self) / lead(other) is nonzero
+        return Poly._trusted(f, tuple(quot)), Poly._trusted(f, rem)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return self.divrem(other)[0]
@@ -224,6 +245,17 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self.field!r}, [{self.to_string()}])"
+
+
+def _add_scaled(
+    out: np.ndarray, i: int, arr_b: np.ndarray, log_b: np.ndarray, exp: np.ndarray, log_c: int
+) -> None:
+    """The kernel's one step: out[i : i + len(B)] ^= c * B for the nonzero c
+    with log c = log_c, a plain xor when c = 1."""
+    if log_c == 0:
+        out[i : i + len(arr_b)] ^= arr_b
+    else:
+        out[i : i + len(arr_b)] ^= exp[log_b + log_c]
 
 
 def x_pow_n_minus_1(field: Field, n: int) -> Poly:

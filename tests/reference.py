@@ -1,5 +1,10 @@
-"""Dense GF(2^s) linear algebra: the slow, obviously-correct reference for
-the polynomial checks in cycledual.construct and cycledual.cyclic.
+"""Slow, obviously-correct references for the tests to compare against.
+
+Schoolbook polynomial multiply and long division, one ``Field.mul`` per
+coefficient pair, are the reference for the numpy kernel of cycledual.poly.
+
+Dense GF(2^s) linear algebra is the reference for the polynomial checks in
+cycledual.construct and cycledual.cyclic.
 
 Every recorded fact is re-derived here from explicit basis matrices: the
 dual's rows reduced against the code's row echelon form, G G^T = 0 for
@@ -16,25 +21,58 @@ import numpy as np
 from cycledual import CoordinatePermutation, CyclicCode, Field, Poly, interleave_permutation
 from cycledual.construct import _uuv_basis
 from cycledual.cyclo import HERMITIAN, KINDS
-from cycledual.linalg import _log_exp, as_array, dtype_for, scalar_mul, shifted_rows
+from cycledual.gf import dtype_for, log_exp
+from cycledual.linalg import as_array, scalar_mul, shifted_rows
 
 FULL_COMPARE_LIMIT = 1 << 20
 
 _frob_tables: dict[tuple[Field, int], np.ndarray] = {}
 
 
+# -- polynomials over GF(2^s) ----------------------------------------------------
+
+
+def poly_mul(a: Poly, b: Poly) -> Poly:
+    """Schoolbook product."""
+    if a.field != b.field:
+        raise ValueError("field mismatch")
+    f = a.field
+    if a.is_zero or b.is_zero:
+        return Poly(f)
+    out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] ^= f.mul(x, y)
+    return Poly(f, out)
+
+
+def poly_divrem(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """Long division: quotient and remainder with deg(remainder) < deg(b)."""
+    if a.field != b.field:
+        raise ValueError("field mismatch")
+    if b.is_zero:
+        raise ValueError("division by zero polynomial")
+    f = a.field
+    db = b.degree
+    r = list(a.coeffs)
+    if len(r) <= db:
+        return Poly(f), Poly(f, r)
+    q = [0] * (len(r) - db)
+    lead_inv = f.inv(b.coeffs[-1])
+    for i in range(len(r) - 1 - db, -1, -1):
+        t = f.mul(r[i + db], lead_inv)
+        q[i] = t
+        for j, y in enumerate(b.coeffs):
+            r[i + j] ^= f.mul(t, y)
+    return Poly(f, q), Poly(f, r)
+
+
 # -- matrices over GF(2^s) ------------------------------------------------------
 
 
 def elementwise_mul(field: Field, a, b) -> np.ndarray:
-    log, exp = _log_exp(field)
-    a = np.asarray(a)
-    b = np.asarray(b)
-    out = exp[log[a] + log[b]]  # fancy indexing yields a fresh array
-    zero = (a == 0) | (b == 0)
-    if zero.any():
-        out[zero] = 0
-    return out
+    log, exp = log_exp(field)
+    return exp[log[np.asarray(a)] + log[np.asarray(b)]]  # zero operands give zero
 
 
 def frobenius_array(field: Field, arr, k: int) -> np.ndarray:

@@ -1,8 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
 from cycledual import (
+    Field,
     Poly,
     conjugate_poly,
     dual_generator,
@@ -11,8 +15,11 @@ from cycledual import (
     nth_root_of_unity,
     x_pow_n_minus_1,
 )
+from cycledual import gf
 
 from conftest import GF2, GF4, divisor_codes
+
+KERNEL_FIELDS = [GF2, GF4, field_create(4), field_create(8), field_create(16)]
 
 
 def P(field, *coeffs):
@@ -146,3 +153,90 @@ def test_constructor_checks():
         Poly(GF2, [GF4.element(1)])
     assert Poly(GF4, [GF4.element(2), GF4.element(1)]) == P(GF4, 2, 1)
     assert P(GF2, 1, 1, 0, 0).coeffs == (1, 1)  # trailing zeros trimmed
+
+
+# -- the numpy kernel against the schoolbook reference -------------------------
+
+
+def _plain_ints(p):
+    return all(type(c) is int for c in p.coeffs)
+
+
+def _check_against_reference(a, b):
+    """Product of a and b, and each divided by the other where defined."""
+    prod = a * b
+    assert prod == reference.poly_mul(a, b)
+    assert b * a == prod
+    assert _plain_ints(prod)
+    for x, y in ((a, b), (b, a)):
+        if not y.is_zero:
+            q, r = x.divrem(y)
+            assert (q, r) == reference.poly_divrem(x, y)
+            assert _plain_ints(q) and _plain_ints(r)
+
+
+@st.composite
+def _poly(draw, field, max_len):
+    """A polynomial whose coefficient list has a length uniform in 0..max_len
+    (trailing zeros are trimmed, so the degree may be lower)."""
+    size = draw(st.integers(0, max_len))
+    coeffs = draw(st.lists(st.integers(0, field.order - 1), min_size=size, max_size=size))
+    return Poly(field, coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_kernel_matches_reference(data):
+    field = data.draw(st.sampled_from(KERNEL_FIELDS), label="field")
+    b = data.draw(_poly(field, 300), label="b")
+    if data.draw(st.booleans(), label="a = b c + r"):
+        # every step of the division cancels a leading coefficient down to
+        # the drawn remainder r, which may be zero or much shorter than b
+        c = data.draw(_poly(field, 300 - len(b.coeffs)), label="c")
+        r = data.draw(_poly(field, max(len(b.coeffs) - 1, 0)), label="r")
+        a = reference.poly_mul(b, c) + r
+    else:
+        a = data.draw(_poly(field, 300), label="a")
+    _check_against_reference(a, b)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=lambda f: f"GF(2^{f.s})")
+def test_kernel_edge_cases(field):
+    top = field.order - 1  # non-monic leading coefficient, except over GF(2)
+    zero = Poly.zero(field)
+    one = Poly.one(field)
+    long = Poly(field, [(7 * i + 3) % field.order for i in range(40)] + [top])
+    short = Poly(field, (top, 0, 1, top))
+    constant = Poly(field, (top,))
+    cases = [
+        (zero, short),  # zero dividend and zero factor
+        (short, zero),  # zero multiplier
+        (zero, zero),
+        (short, long),  # divisor longer than the dividend
+        (long, short),  # non-monic divisor
+        (long, constant),  # division by a nonzero constant
+        (long, one),
+        (long * short, short),  # exact division
+        (long * short + one, long),  # the remainder collapses to a constant
+        (x_pow_n_minus_1(field, 63), short),
+    ]
+    for a, b in cases:
+        _check_against_reference(a, b)
+    assert (short * long).divrem(short) == (long, zero)
+    assert short.divrem(long) == (zero, short)
+
+
+def test_table_limit_admits_every_alphabet():
+    assert gf.TABLE_MAX_S >= gf.ALPHABET_MAX_S
+    largest = field_create(gf.ALPHABET_MAX_S)
+    p = Poly(largest, (largest.order - 1, 2, 1))
+    assert (p * p).divrem(p) == (p, Poly.zero(largest))
+
+
+def test_arithmetic_beyond_table_limit_raises_before_allocating():
+    big = Field(gf.TABLE_MAX_S + 1)
+    p = Poly(big, (3, 1))
+    for op in (lambda: p * p, lambda: p.divrem(p), lambda: p * Poly.zero(big)):
+        with pytest.raises(ValueError, match=rf"2\^{gf.TABLE_MAX_S} limit of table arithmetic"):
+            op()
+    assert big not in gf._tables
