@@ -11,7 +11,6 @@ from .certificate import (
     write_certificate,
 )
 from .construct import (
-    CoordinatePermutation,
     DistanceSummary,
     PaperFloor,
     SelfDualCertificate,
@@ -19,7 +18,6 @@ from .construct import (
     VerificationError,
     build_family,
     family_parameters,
-    interleave_permutation,
     paper_floor,
     repeated_root_generator,
     uuv_construct,
@@ -63,7 +61,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CertificateFormatError",
-    "CoordinatePermutation",
     "CyclicCode",
     "DEFAULT_BUDGET",
     "DefiningSet",
@@ -96,7 +93,6 @@ __all__ = [
     "field_create",
     "gcd_lemma",
     "hermitian_base",
-    "interleave_permutation",
     "is_dual_containing_set",
     "loads",
     "minimal_polynomial",

@@ -162,6 +162,24 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_outer_shape(cert: SelfDualCertificate) -> None:
+    """Raise ValueError unless the outer code has the shape of every
+    construct certificate.  These facts bound the size of the basis, so
+    they are checked before it is allocated."""
+    n, n_out, k_out = cert.n_inner, cert.n_outer, cert.k_outer
+    if n > MAX_INNER_LENGTH:
+        raise ValueError(f"inner n = {n} exceeds MAX_INNER_LENGTH = {MAX_INNER_LENGTH}")
+    if n_out != 2 * n:
+        raise ValueError(f"outer n = {n_out} is not 2 * inner n = {2 * n}")
+    if k_out != n:
+        raise ValueError(f"outer k = {k_out} is not inner n = {n}")
+    deg = cert.outer_generator.degree
+    if deg != n_out - k_out:
+        raise ValueError(
+            f"outer generator degree {deg} is not outer n - outer k = {n_out - k_out}"
+        )
+
+
 def _cmd_distance(args: argparse.Namespace) -> int:
     try:
         cert = read_certificate(args.certificate)
@@ -171,6 +189,7 @@ def _cmd_distance(args: argparse.Namespace) -> int:
     except CertificateFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    _check_outer_shape(cert)
     basis = linalg.shifted_rows(cert.outer_generator, cert.n_outer)
     if args.method == "exhaustive":
         budget = args.budget

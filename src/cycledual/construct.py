@@ -35,23 +35,20 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclic import CyclicCode, hermitian_base, root_context
+from .cyclic import CyclicCode, _conjugation_power, _dual_from_check, root_context
 from .cyclo import (
     EUCLIDEAN,
-    HERMITIAN,
     KINDS,
     DefiningSet,
     bch_bound,
     bch_defining_set,
 )
 from .gf import Field, field_create
-from .poly import Poly, _monic_reversal, conjugate_poly, x_pow_n_minus_1
+from .poly import Poly, x_pow_n_minus_1
 
 __all__ = [
     "MAX_INNER_LENGTH",
     "VerificationError",
-    "CoordinatePermutation",
-    "interleave_permutation",
     "UUVCode",
     "uuv_construct",
     "repeated_root_generator",
@@ -73,49 +70,6 @@ MAX_INNER_LENGTH = 8191
 
 class VerificationError(Exception):
     """A recorded mathematical check failed (or an internal self-check fired)."""
-
-
-@dataclass(frozen=True)
-class CoordinatePermutation:
-    """A permutation of coordinates: output position p reads input
-    position table[p]."""
-
-    table: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        table = tuple(int(t) for t in self.table)
-        if sorted(table) != list(range(len(table))):
-            raise ValueError("permutation table is not a bijection")
-        object.__setattr__(self, "table", table)
-
-    @property
-    def size(self) -> int:
-        return len(self.table)
-
-    def apply(self, word):
-        if isinstance(word, np.ndarray):
-            if word.shape[-1] != self.size:
-                raise ValueError("size mismatch")
-            return word[..., np.array(self.table)]
-        word = tuple(word)
-        if len(word) != self.size:
-            raise ValueError("size mismatch")
-        return tuple(word[t] for t in self.table)
-
-    def inverse(self) -> "CoordinatePermutation":
-        inv = [0] * self.size
-        for p, t in enumerate(self.table):
-            inv[t] = p
-        return CoordinatePermutation(tuple(inv))
-
-
-def interleave_permutation(n: int) -> CoordinatePermutation:
-    """Sends the concatenated word (x | y) of length 2n to the word w with
-    w_p = x_{p mod n} for even p and w_p = y_{p mod n} for odd p."""
-    if n < 1 or n % 2 == 0:
-        raise ValueError("n must be odd")
-    table = tuple((p % n) if p % 2 == 0 else n + (p % n) for p in range(2 * n))
-    return CoordinatePermutation(table)
 
 
 class UUVCode:
@@ -161,19 +115,11 @@ def verify_self_dual(g: Poly, length: int, kind: str) -> bool:
     self-dual: g equals its own dual generator (Euclidean) or the q-conjugate
     of it (Hermitian).  That forces g to divide x^length - 1 and to have
     degree length / 2."""
-    if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    q = hermitian_base(g.field) if kind == HERMITIAN else None
+    q = _conjugation_power(g.field, kind)
     if g.is_zero:
         return False
     h, rem = x_pow_n_minus_1(g.field, length).divrem(g)
-    return rem.is_zero and _is_own_dual(g, h, q)
-
-
-def _is_own_dual(g: Poly, h: Poly, q: int | None) -> bool:
-    """g equals the dual generator from its check polynomial h (q-conjugated if q)."""
-    gd = _monic_reversal(h)
-    return (gd if q is None else conjugate_poly(gd, q)) == g
+    return rem.is_zero and _dual_from_check(h, q) == g
 
 
 def uuv_construct(code: CyclicCode, kind: str) -> UUVCode:
@@ -222,12 +168,23 @@ def verify_van_lint_equivalence(
     return divides and _seeds_in_ideal(g1, g_dual, n, outer_generator)
 
 
+def _interleave(x: list[int], y: list[int]) -> list[int]:
+    """The word w of length 2n with w_p = x_(p mod n) for even p and
+    w_p = y_(p mod n) for odd p, n = len(x) = len(y) odd.  The even p < n
+    read the even positions of x and the even p >= n its odd ones; the odd p
+    read the odd positions of y first, then its even ones."""
+    w = [0] * (2 * len(x))
+    w[0::2] = x[0::2] + x[1::2]
+    w[1::2] = y[1::2] + y[0::2]
+    return w
+
+
 def _seeds_in_ideal(g1: Poly, g_dual: Poly, n: int, outer_generator: Poly) -> bool:
     """outer_generator divides the interleaved seed rows [g1|g1] and [0|g_dual]."""
     field = g1.field
-    perm = interleave_permutation(n)
-    for row in (_word(g1, n) * 2, [0] * n + _word(g_dual, n)):
-        if not (Poly(field, perm.apply(row)) % outer_generator).is_zero:
+    g1_word = _word(g1, n)
+    for row in (_interleave(g1_word, g1_word), _interleave([0] * n, _word(g_dual, n))):
+        if not (Poly(field, row) % outer_generator).is_zero:
             return False
     return True
 
@@ -389,8 +346,8 @@ def pipeline_checks(
     # divides (x^n - 1)^2 = x^(2n) - 1 by construction, and its degree
     # deg g1 + deg g_dual matches the van Lint dimensions by construction
     h_out, rem = x_pow_n_minus_1(inner.field, 2 * inner.n).divrem(g_out)
-    q = hermitian_base(inner.field) if kind == HERMITIAN else None
-    checks["self_dual"] = rem.is_zero and _is_own_dual(g_out, h_out, q)
+    q = _conjugation_power(inner.field, kind)
+    checks["self_dual"] = rem.is_zero and _dual_from_check(h_out, q) == g_out
     checks["cyclic_invariance"] = rem.is_zero
     checks["van_lint_equivalence"] = rem.is_zero and _seeds_in_ideal(
         inner.g, dual_code.g, inner.n, g_out

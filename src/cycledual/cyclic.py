@@ -1,7 +1,9 @@
 """Cyclic codes over GF(2^s) with odd length n: construction from a defining
-set or a generator polynomial, Euclidean and Hermitian duals (generator from
-the check polynomial, defining set from T, root-checked against each other),
-membership, and non-systematic encoding.
+set or a generator polynomial, Euclidean and Hermitian duals, membership, and
+non-systematic encoding.
+
+A dual's generator is read off the check polynomial, its defining set is
+T^perp = -q (Z_n minus T), and one product ties the two together.
 
 The primitive n-th root beta used to pin defining sets is canonical per
 (field, n): it is gamma^((2^(s*m)-1)/n) for the canonical primitive element
@@ -23,6 +25,7 @@ from .cyclo import (
     EUCLIDEAN,
     HERMITIAN,
     DefiningSet,
+    _check_kind,
     all_cosets,
     complement,
     coset,
@@ -34,7 +37,6 @@ from .gf import (
     EXTENSION_MAX_S,
     Embedding,
     Field,
-    FieldElement,
     extension_with_embedding,
     nth_root_of_unity,
 )
@@ -45,12 +47,13 @@ __all__ = ["RootContext", "root_context", "CyclicCode", "hermitian_base"]
 
 @dataclass(frozen=True)
 class RootContext:
-    """Extension field hosting the canonical primitive n-th root of unity."""
+    """Extension field hosting the canonical primitive n-th root of unity
+    beta, held as its int value."""
 
     m: int
     ext: Field
     emb: Embedding
-    beta: FieldElement
+    beta: int
     beta_exponent: int
 
 
@@ -68,7 +71,7 @@ def root_context(field: Field, n: int) -> RootContext:
                 f"extension degree for n={n} exceeds the 2^{EXTENSION_MAX_S} limit"
             )
     ext, emb = extension_with_embedding(field, m)
-    beta = nth_root_of_unity(ext, n)
+    beta = nth_root_of_unity(ext, n).value
     return RootContext(m, ext, emb, beta, (ext.order - 1) // n)
 
 
@@ -78,11 +81,34 @@ def _coset_minimal_polynomial(field: Field, n: int, rep: int) -> Poly:
     return minimal_polynomial(coset(n, field.order, rep), ctx.beta, ctx.emb)
 
 
+def _generator(field: Field, n: int, T: DefiningSet) -> Poly:
+    """The monic polynomial with roots beta^i for i in the coset-closed T:
+    the product of the minimal polynomials of T's cosets."""
+    g = Poly.one(field)
+    for rep in sorted({min(coset(n, field.order, i)) for i in T}):
+        g = g * _coset_minimal_polynomial(field, n, rep)
+    return g
+
+
 def hermitian_base(field: Field) -> int:
     """The q with q^2 = |field|, i.e. the Hermitian conjugation power."""
     if field.s % 2:
         raise ValueError("hermitian operations need a field of square order")
     return 1 << (field.s // 2)
+
+
+def _conjugation_power(field: Field, kind: str) -> int:
+    """The q of the kind's inner product sum u_i v_i^q: 1 (Euclidean) or
+    sqrt|field| (Hermitian)."""
+    _check_kind(kind)
+    return hermitian_base(field) if kind == HERMITIAN else 1
+
+
+def _dual_from_check(h: Poly, q: int) -> Poly:
+    """The dual generator of the code with check polynomial h: the monic
+    reversal of h, with every coefficient raised to the q-th power."""
+    gd = _monic_reversal(h)
+    return gd if q == 1 else conjugate_poly(gd, q)
 
 
 class CyclicCode:
@@ -117,15 +143,7 @@ class CyclicCode:
         if not T.is_coset_closed():
             raise ValueError("defining set not coset-closed")
         root_context(field, n)  # validates feasibility up front
-        g = Poly.one(field)
-        seen: set[int] = set()
-        for i in T.sorted_members:
-            if i in seen:
-                continue
-            orb = coset(n, field.order, i)
-            seen.update(orb)
-            g = g * _coset_minimal_polynomial(field, n, min(orb))
-        return cls(field, n, g, T)
+        return cls(field, n, _generator(field, n, T), T)
 
     @classmethod
     def from_generator(cls, field: Field, n: int, g: Poly) -> "CyclicCode":
@@ -141,7 +159,7 @@ class CyclicCode:
         # g(beta^(q i)) = g(beta^i)^q, so one representative decides the orbit
         members: set[int] = set()
         for rep, orbit in all_cosets(n, field.order).items():
-            if g.eval(ctx.beta**rep, ctx.emb).value == 0:
+            if g.eval(ctx.ext.pow(ctx.beta, rep), ctx.emb).value == 0:
                 members.update(orbit)
         T = DefiningSet(n, field.order, frozenset(members))
         return cls(field, n, g, T)
@@ -149,31 +167,26 @@ class CyclicCode:
     # -- duals -----------------------------------------------------------------
 
     def _dual_generator(self, kind: str) -> Poly:
-        gd = _monic_reversal(self.h)
-        if kind == EUCLIDEAN:
-            return gd
-        if kind == HERMITIAN:
-            return conjugate_poly(gd, hermitian_base(self.field))
-        raise ValueError(f"unknown dual kind {kind!r}")
+        return _dual_from_check(self.h, _conjugation_power(self.field, kind))
 
     def dual(self, kind: str = EUCLIDEAN) -> "CyclicCode":
         """The dual code: generator the (conjugated) reversal of the check
-        polynomial, defining set T^perp = -q (Z_n minus T).  That generator
-        divides the squarefree x^n - 1 with degree |T^perp|, so its roots are
-        T^perp iff it vanishes at no coset representative of -q T."""
+        polynomial, defining set T^perp = -q (Z_n minus T).  Since x^n - 1
+        is squarefree, that generator has exactly the roots T^perp iff its
+        product with the generator of -q T, the complement of T^perp, is
+        x^n - 1.  The check builds the latter from minimal polynomials, not
+        from the reversal or the conjugation, so it catches a fault in
+        either."""
+        q = _conjugation_power(self.field, kind)
         gd = self._dual_generator(kind)
-        q = 1 if kind == EUCLIDEAN else hermitian_base(self.field)
-        ctx = root_context(self.field, self.n)
-        for rep in sorted({min(coset(self.n, self.field.order, i)) for i in self.T}):
-            if gd.eval(ctx.beta ** (-q * rep % self.n), ctx.emb).value == 0:
-                raise RuntimeError("internal: the dual generator has a root outside T^perp")
+        complement_g = _generator(self.field, self.n, set_map(self.T, -q))
+        if gd * complement_g != x_pow_n_minus_1(self.field, self.n):
+            raise RuntimeError("internal: the dual generator has a root outside T^perp")
         return CyclicCode(self.field, self.n, gd, set_map(complement(self.T), -q))
 
     def is_dual_containing(self, kind: str = EUCLIDEAN) -> bool:
         """The defining-set predicate: the dual lies in the code."""
-        if kind == HERMITIAN:
-            return is_dual_containing_set(self.T, kind, hermitian_base(self.field))
-        return is_dual_containing_set(self.T, kind)
+        return is_dual_containing_set(self.T, kind, _conjugation_power(self.field, kind))
 
     # -- linear-algebra views -----------------------------------------------
 
@@ -183,21 +196,20 @@ class CyclicCode:
             raise ValueError("no basis: the zero code has no generator matrix")
         return linalg.shifted_rows(self.g, self.n)
 
-    def encode(self, message: Sequence[int | FieldElement]) -> tuple[int, ...]:
+    def encode(self, message: Sequence[int]) -> tuple[int, ...]:
         """Non-systematic encoding m(x) * g(x), returned as n coefficients."""
-        msg = [self.field.element(c).value for c in message]
+        msg = list(message)
         if len(msg) != self.k:
             raise ValueError(f"message length {len(msg)} != dimension {self.k}")
         word = (Poly(self.field, msg) * self.g) % x_pow_n_minus_1(self.field, self.n)
         coeffs = list(word.coeffs)
         return tuple(coeffs + [0] * (self.n - len(coeffs)))
 
-    def contains(self, word: Iterable[int | FieldElement]) -> bool:
-        vals = [self.field.element(c).value for c in word]
+    def contains(self, word: Iterable[int]) -> bool:
+        vals = list(word)
         if len(vals) != self.n:
             raise ValueError(f"word length {len(vals)} != code length {self.n}")
-        if self.k == 0:
-            return not any(vals)
+        # for the zero code, deg g = n exceeds deg w, so w is its own remainder
         return (Poly(self.field, vals) % self.g).is_zero
 
     def __repr__(self) -> str:

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from functools import lru_cache
+from typing import Iterable, Union
 
-from .gf import Embedding, FieldElement
+from .gf import Embedding, Field, FieldElement
 from .poly import Poly
 
 __all__ = [
@@ -204,28 +205,36 @@ def gcd_lemma(q: int, a: int, b: int, form: str) -> int:
     raise ValueError(f"unknown form {form!r}")
 
 
+@lru_cache(maxsize=None)
+def _order(ext: Field, beta: int) -> int:
+    """The multiplicative order of beta, computed once per (extension, beta)."""
+    return ext.multiplicative_order(beta)
+
+
 def minimal_polynomial(
-    coset_residues: Iterable[int], beta: FieldElement, emb: Embedding
+    coset_residues: Iterable[int], beta: Union[int, FieldElement], emb: Embedding
 ) -> Poly:
     """Expand prod_{j in coset} (x - beta^j) in the extension and pull the
-    coefficients back to the base field.
+    coefficients back to the base field.  beta is an int or a FieldElement
+    of the embedding's extension.
 
     The product is a plain list of extension values built with scalar
     ``ext.mul``; the roots follow the coset, beta^(j q) = (beta^j)^q, from one
     power of beta.  No polynomial over the extension is formed."""
     ext = emb.ext
-    if not isinstance(beta, FieldElement) or beta.field != ext:
+    if isinstance(beta, FieldElement) and beta.field != ext:
         raise ValueError("field mismatch: beta must live in the embedding's extension")
+    beta = ext.element(beta).value
     members = frozenset(int(j) for j in coset_residues)
     if not members:
         raise ValueError("empty coset")
-    n = ext.multiplicative_order(beta.value)
+    n = _order(ext, beta)
     if any(j < 0 or j >= n for j in members):
         raise ValueError("coset residues must lie in 0..n-1")
     if members != set(coset(n, emb.base.order, min(members))):
         raise ValueError("not a single cyclotomic coset")
     prod = [1]
-    root = ext.pow(beta.value, min(members))
+    root = ext.pow(beta, min(members))
     for _ in range(len(members)):
         # (x + root) * prod, low degree first
         prod = [ext.mul(root, c) ^ lower for c, lower in zip(prod + [0], [0] + prod)]

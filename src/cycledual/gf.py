@@ -6,8 +6,9 @@ in the polynomial basis, so GF(4) is {0, 1, 2, 3} with 2 = x and 3 = x + 1.
 Addition is xor; multiplication reduces modulo an irreducible binary
 polynomial stored the same way (x^2 + x + 1 is 0b111 = 7).
 
-:class:`Field` operates on raw ints, which is what the rest of the library
-uses internally.  :class:`FieldElement` binds a value to its owning field and
+:class:`Field` operates on raw ints, and the pipeline (cyclic, construct,
+cli) handles only ints.  :class:`FieldElement` is a convenience at the public
+boundary of gf, poly and cyclo: it binds a value to its owning field and
 overloads the arithmetic operators, catching cross-field mixups.
 
 Canonical choices (so that independent runs agree bit for bit):

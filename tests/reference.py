@@ -12,13 +12,18 @@ self-duality, row-by-row divisibility plus a rank count (or an outright
 codeword-set comparison) for the van Lint equivalence, and the cyclic shift
 as a code automorphism.  The tests compare the production checks with these
 at small lengths.
+
+The interleaving permutation table is the reference for the two slice
+assignments that interleave the seed rows in cycledual.construct.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from cycledual import CoordinatePermutation, CyclicCode, Field, Poly, interleave_permutation
+from cycledual import CyclicCode, Field, Poly
 from cycledual.construct import _uuv_basis
 from cycledual.cyclo import HERMITIAN, KINDS
 from cycledual.gf import dtype_for, log_exp
@@ -210,6 +215,52 @@ def spans_equal(a, b) -> bool:
     if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
         return a.shape == b.shape and bool((a == b).all())
     return list(a) == list(b)
+
+
+# -- coordinate permutations ---------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CoordinatePermutation:
+    """A permutation of coordinates: output position p reads input
+    position table[p]."""
+
+    table: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        table = tuple(int(t) for t in self.table)
+        if sorted(table) != list(range(len(table))):
+            raise ValueError("permutation table is not a bijection")
+        object.__setattr__(self, "table", table)
+
+    @property
+    def size(self) -> int:
+        return len(self.table)
+
+    def apply(self, word):
+        if isinstance(word, np.ndarray):
+            if word.shape[-1] != self.size:
+                raise ValueError("size mismatch")
+            return word[..., np.array(self.table)]
+        word = tuple(word)
+        if len(word) != self.size:
+            raise ValueError("size mismatch")
+        return tuple(word[t] for t in self.table)
+
+    def inverse(self) -> "CoordinatePermutation":
+        inv = [0] * self.size
+        for p, t in enumerate(self.table):
+            inv[t] = p
+        return CoordinatePermutation(tuple(inv))
+
+
+def interleave_permutation(n: int) -> CoordinatePermutation:
+    """Sends the concatenated word (x | y) of length 2n to the word w with
+    w_p = x_{p mod n} for even p and w_p = y_{p mod n} for odd p."""
+    if n < 1 or n % 2 == 0:
+        raise ValueError("n must be odd")
+    table = tuple((p % n) if p % 2 == 0 else n + (p % n) for p in range(2 * n))
+    return CoordinatePermutation(table)
 
 
 # -- the recorded checks, by dense linear algebra ------------------------------

@@ -1,5 +1,7 @@
 import dataclasses
 
+import pytest
+
 from cycledual import cli, read_certificate, write_certificate
 from cycledual.cli import main
 
@@ -343,6 +345,33 @@ def test_distance_floor_violation_exits_1(tmp_path, capsys):
     rc, out, err = run(capsys, "distance", str(path), "--method", "exhaustive")
     assert rc == 1
     assert "violated" in err
+
+
+@pytest.mark.parametrize("method", ["exhaustive", "sampled"])
+@pytest.mark.parametrize(
+    "old,new,field",
+    [
+        ("[outer_code]\nn = 14\n", "[outer_code]\nn = 10000000\n", "outer n"),
+        ("[inner_code]\nn = 7\n", "[inner_code]\nn = 10000000\n", "inner n"),
+        ("[outer_code]\nn = 14\nk = 7\n", "[outer_code]\nn = 14\nk = 8\n", "outer k"),
+        ("generator = 1,1,1,1,0,0,1,1\n", "generator = 1,1,1,1,0,0,1\n", "outer generator"),
+    ],
+    ids=["outer-n", "inner-n", "outer-k", "outer-generator"],
+)
+def test_distance_rejects_an_inconsistent_outer_code(tmp_path, capsys, method, old, new, field):
+    # each edit leaves a canonical certificate whose outer code no construct
+    # run produces; the first would ask for a 10^7 x 10^7 basis
+    path = build_cert(tmp_path, capsys)
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new))
+    edited = path.read_text()
+    rc, out, err = run(capsys, "distance", str(path), "--method", method)
+    assert rc == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {field} ")
+    assert path.read_text() == edited
 
 
 def test_construct_over_size_limit_exits_2(capsys):

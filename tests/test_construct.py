@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from cycledual import (
-    CoordinatePermutation,
     CyclicCode,
     DefiningSet,
     Poly,
@@ -12,7 +11,6 @@ from cycledual import (
     build_family,
     exact_min_distance,
     family_parameters,
-    interleave_permutation,
     paper_floor,
     repeated_root_generator,
     uuv_construct,
@@ -20,10 +18,12 @@ from cycledual import (
     verify_van_lint_equivalence,
     x_pow_n_minus_1,
 )
-from cycledual.construct import pipeline_checks
+from cycledual.cli import main
+from cycledual.construct import _interleave, pipeline_checks
 
 import reference
 from conftest import GF2, GF4, divisor_codes
+from reference import CoordinatePermutation, interleave_permutation
 
 
 def hamming():
@@ -61,6 +61,29 @@ def test_permutation_roundtrip():
         assert perm.inverse().apply(perm.apply(word)) == word
     with pytest.raises(ValueError, match="bijection"):
         CoordinatePermutation((0, 0, 1))
+
+
+def test_seed_row_interleave_matches_the_permutation():
+    rng = np.random.default_rng(3)
+    for n in range(1, 64, 2):
+        x = rng.integers(0, 16, n).tolist()
+        y = rng.integers(0, 16, n).tolist()
+        assert tuple(_interleave(x, y)) == interleave_permutation(n).apply(x + y), n
+
+
+def test_pipeline_evaluates_no_polynomial(monkeypatch, tmp_path, capsys):
+    def no_eval(*args, **kwargs):
+        raise AssertionError("Poly.eval called")
+
+    monkeypatch.setattr(Poly, "eval", no_eval)
+    for cell in (("euclidean", 1, 5, 1), ("euclidean", 2, 3, 1), ("hermitian", 1, 3, 1)):
+        assert build_family(*cell).all_checks_pass, cell
+    path = tmp_path / "cert.txt"
+    argv = ["construct", "--kind", "euclidean", "--s", "2", "--m", "3", "--mu", "1"]
+    assert main(argv + ["--out", str(path)]) == 0
+    assert main(["verify", str(path)]) == 0
+    assert main(["factor", "--q", "4", "--n", "63"]) == 0
+    capsys.readouterr()
 
 
 def test_uuv_hamming():

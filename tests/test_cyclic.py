@@ -7,6 +7,7 @@ from cycledual import (
     Poly,
     bch_defining_set,
 )
+from cycledual import cyclic
 from cycledual.cyclo import complement, set_map
 from cycledual.poly import _monic_reversal
 from conftest import GF2, GF4, divisor_codes
@@ -112,6 +113,32 @@ def test_dual_rejects_generator_without_conjugation(monkeypatch, n):
             with pytest.raises(RuntimeError, match="root outside"):
                 code.dual("hermitian")
     assert changed > 0
+
+
+@pytest.mark.parametrize(
+    "name,fault",
+    [
+        pytest.param("conjugate_poly", lambda p, q: p, id="no-conjugation"),
+        pytest.param("_monic_reversal", lambda h: h.monic(), id="no-reversal"),
+    ],
+)
+def test_dual_check_catches_faults_in_reversal_and_conjugation(monkeypatch, name, fault):
+    # the check multiplies by the generator of -q T, built from minimal
+    # polynomials, so a fault in the helpers that build the dual generator
+    # cannot cancel out of it
+    monkeypatch.setattr(cyclic, name, fault)
+    raised = 0
+    for field, n in ((GF2, 15), (GF4, 15), (GF4, 21)):
+        kinds = ("euclidean", "hermitian") if field is GF4 else ("euclidean",)
+        for code in divisor_codes(field, n):
+            for kind in kinds:
+                try:
+                    d = code.dual(kind)
+                except RuntimeError:
+                    raised += 1
+                    continue
+                assert d.T == CyclicCode.from_generator(field, n, d.g).T, (code.T, kind)
+    assert raised > 0
 
 
 @pytest.mark.parametrize("n", [3, 5, 7, 9, 15])

@@ -161,6 +161,17 @@ def test_minimal_polynomial_mod7():
         minimal_polynomial((0,), GF2.one, emb)
 
 
+def test_minimal_polynomial_takes_beta_as_int_or_element():
+    ext, emb = extension_with_embedding(GF4, 3)
+    beta = nth_root_of_unity(ext, 21)
+    for orb in all_cosets(21, 4).values():
+        assert minimal_polynomial(orb, beta.value, emb) == minimal_polynomial(orb, beta, emb)
+    with pytest.raises(ValueError, match="out of range"):
+        minimal_polynomial((0,), ext.order, emb)
+    with pytest.raises(ValueError, match="field mismatch"):
+        minimal_polynomial((0,), GF4.element(2), emb)
+
+
 @pytest.mark.parametrize("field", [GF2, GF4])
 @pytest.mark.parametrize("n", [7, 9, 15, 21, 63])
 def test_minimal_polynomial_product(field, n):
