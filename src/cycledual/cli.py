@@ -19,7 +19,7 @@ import os
 import sys
 
 from . import linalg
-from .certificate import CertificateFormatError, read_certificate, write_certificate
+from .certificate import read_certificate, write_certificate
 from .construct import (
     MAX_INNER_LENGTH,
     DistanceSummary,
@@ -31,6 +31,7 @@ from .construct import (
 from .cyclic import root_context
 from .cyclo import KINDS, all_cosets, minimal_polynomial
 from .distance import DEFAULT_BUDGET, exact_min_distance, sampled_weight_upper_bound
+from .distance import _check_budget
 from .gf import field_create
 from .poly import Poly, x_pow_n_minus_1
 
@@ -131,15 +132,16 @@ def _show(value) -> str:
     return repr(value)
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _read(path: str) -> SelfDualCertificate:
+    """read_certificate, with an unreadable file as a ValueError (exit 2)."""
     try:
-        cert = read_certificate(args.certificate)
+        return read_certificate(path)
     except OSError as exc:
-        print(f"error: cannot read certificate: {exc}", file=sys.stderr)
-        return 2
-    except CertificateFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"cannot read certificate: {exc}") from exc
+
+
+def _cmd_verify(args: argparse.Namespace) -> int:
+    cert = _read(args.certificate)
     failures = _reverify(cert)
     if failures:
         for line in failures:
@@ -181,23 +183,17 @@ def _check_outer_shape(cert: SelfDualCertificate) -> None:
 
 
 def _cmd_distance(args: argparse.Namespace) -> int:
-    try:
-        cert = read_certificate(args.certificate)
-    except OSError as exc:
-        print(f"error: cannot read certificate: {exc}", file=sys.stderr)
-        return 2
-    except CertificateFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cert = _read(args.certificate)
     _check_outer_shape(cert)
-    basis = linalg.shifted_rows(cert.outer_generator, cert.n_outer)
     if args.method == "exhaustive":
         budget = args.budget
         if budget is None:
             budget = int(os.environ.get("CYCLEDUAL_BUDGET", DEFAULT_BUDGET))
-        report = exact_min_distance(
-            cert.field, basis, budget=budget, partitions=args.partitions
-        )
+        # q and k fix the message count, so refuse before building the basis
+        _check_budget(cert.field.order, cert.k_outer, budget)
+    basis = linalg.shifted_rows(cert.outer_generator, cert.n_outer)
+    if args.method == "exhaustive":
+        report = exact_min_distance(cert.field, basis, budget, args.partitions)
         print(f"d = {report.value} (exact, {report.enumerated} codewords)")
     else:
         report = sampled_weight_upper_bound(cert.field, basis, args.trials, args.seed)

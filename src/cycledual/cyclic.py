@@ -107,8 +107,7 @@ def _conjugation_power(field: Field, kind: str) -> int:
 def _dual_from_check(h: Poly, q: int) -> Poly:
     """The dual generator of the code with check polynomial h: the monic
     reversal of h, with every coefficient raised to the q-th power."""
-    gd = _monic_reversal(h)
-    return gd if q == 1 else conjugate_poly(gd, q)
+    return conjugate_poly(_monic_reversal(h), q)
 
 
 class CyclicCode:

@@ -12,8 +12,9 @@ shifted, in one vector operation, a plain xor when c = 1 and otherwise
 ``exp[log B + log c]``.  A product takes B to be the longer operand and makes
 one such step per nonzero coefficient c of the shorter one.  Long division
 keeps its sequential loop over the quotient coefficients; B is the divisor
-and each step updates the remainder once.  Results come back as tuples of
-plain Python ints.
+and each step updates the remainder once.  The monic reversal and the q-th
+power of dual generators are one table lookup each.  Results come back as
+tuples of plain Python ints.
 """
 
 from __future__ import annotations
@@ -276,11 +277,12 @@ def dual_generator(g: Poly, n: int) -> Poly:
 
 
 def _monic_reversal(h: Poly) -> Poly:
-    """x^k h(1/x) / h(0) for h = (x^n - 1) / g of degree k: the dual generator.
-    h(0) != 0 since x does not divide x^n - 1."""
+    """x^k h(1/x) / h(0) for h = (x^n - 1) / g of degree k: the dual generator,
+    with leading coefficient h(0) / h(0) = 1 (x does not divide x^n - 1)."""
     f = h.field
-    inv0 = f.inv(h.coeffs[0])
-    return Poly(f, [f.mul(inv0, c) for c in reversed(h.coeffs)])
+    log, exp = log_exp(f)
+    rev = np.array(h.coeffs[::-1], dtype=dtype_for(f))
+    return Poly._trusted(f, tuple(exp[log[rev] + log[f.inv(h.coeffs[0])]].tolist()))
 
 
 def conjugate_poly(p: Poly, q: int) -> Poly:
@@ -288,5 +290,8 @@ def conjugate_poly(p: Poly, q: int) -> Poly:
     f = p.field
     if q < 1 or q & (q - 1) or q > f.order:
         raise ValueError("q must be a power of two not exceeding the field order")
-    k = q.bit_length() - 1
-    return Poly(f, [f.frobenius(c, k) for c in p.coeffs])
+    log, exp = log_exp(f)
+    c = np.array(p.coeffs, dtype=dtype_for(f))
+    # c^q = exp[q log c mod (|F| - 1)]; log[0] is a sentinel, not a logarithm
+    out = np.where(c != 0, exp[log[c].astype(np.int64) * q % (f.order - 1)], 0)
+    return Poly._trusted(f, tuple(out.tolist()))

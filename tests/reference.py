@@ -1,7 +1,12 @@
 """Slow, obviously-correct references for the tests to compare against.
 
 Schoolbook polynomial multiply and long division, one ``Field.mul`` per
-coefficient pair, are the reference for the numpy kernel of cycledual.poly.
+coefficient pair, are the reference for the numpy kernel of cycledual.poly;
+the monic reversal and the coefficient-wise q-th power, one ``Field.mul`` or
+``Field.frobenius`` per coefficient, for its table lookups.
+
+The weight of every message's codeword, enumerated with itertools, is the
+reference for the minimum-distance loop of cycledual.distance.
 
 Dense GF(2^s) linear algebra is the reference for the polynomial checks in
 cycledual.construct and cycledual.cyclic.
@@ -19,6 +24,7 @@ assignments that interleave the seed rows in cycledual.construct.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +76,38 @@ def poly_divrem(a: Poly, b: Poly) -> tuple[Poly, Poly]:
         for j, y in enumerate(b.coeffs):
             r[i + j] ^= f.mul(t, y)
     return Poly(f, q), Poly(f, r)
+
+
+def monic_reversal(h: Poly) -> Poly:
+    """x^k h(1/x) / h(0) for h of degree k with h(0) != 0."""
+    f = h.field
+    inv0 = f.inv(h.coeffs[0])
+    return Poly(f, [f.mul(inv0, c) for c in reversed(h.coeffs)])
+
+
+def conjugate_poly(p: Poly, q: int) -> Poly:
+    """Every coefficient raised to the q-th power, q a power of two."""
+    k = q.bit_length() - 1
+    return Poly(p.field, [p.field.frobenius(c, k) for c in p.coeffs])
+
+
+# -- codeword weights ----------------------------------------------------------
+
+
+def message_weights(field: Field, basis) -> list[int]:
+    """The weight of the codeword of each of the q^k messages, in
+    lexicographic order with the first row's coefficient most significant, so
+    entry 0 is the zero message."""
+    rows = as_array(field, basis).tolist()
+    mul = [[field.mul(a, b) for b in field.elements()] for a in field.elements()]
+    weights = []
+    for msg in itertools.product(field.elements(), repeat=len(rows)):
+        word = [0] * len(rows[0])
+        for c, row in zip(msg, rows):
+            for j, x in enumerate(row):
+                word[j] ^= mul[c][x]
+        weights.append(sum(1 for x in word if x))
+    return weights
 
 
 # -- matrices over GF(2^s) ------------------------------------------------------

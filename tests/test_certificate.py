@@ -1,18 +1,26 @@
 import dataclasses
+import functools
 import os
 import stat
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycledual import (
+    KINDS,
     DistanceSummary,
+    VerificationError,
     build_family,
     dumps,
+    family_parameters,
     loads,
     read_certificate,
     write_certificate,
 )
 from cycledual.certificate import CertificateFormatError
+from cycledual.cli import _divisors, main
 
 
 @pytest.fixture(scope="module")
@@ -160,3 +168,71 @@ def test_distance_exact_must_match_method(cert):
         edited = edited.replace("distance_exact = true", f"distance_exact = {exact}")
         with pytest.raises(CertificateFormatError, match="contradicts"):
             loads(edited)
+
+
+@functools.lru_cache(maxsize=None)
+def _small_cells():
+    """(kind, s, m, mu, b) of every cell with n_inner <= 63 that builds with
+    all checks passing, s <= 3 and m <= 5, at each coset count b from 0 to
+    the default."""
+    cells = []
+    for kind in KINDS:
+        for s in (1, 2, 3):
+            for m in (1, 3, 5):
+                group = (1 << (s * m if kind == "euclidean" else 2 * s * m)) - 1
+                for mu in _divisors(group):
+                    params = family_parameters(kind, s, m, mu)
+                    if params.n_inner > 63:
+                        continue
+                    for b in range(params.b_default + 1):
+                        try:
+                            cert = build_family(kind, s, m, mu, b_override=b)
+                        except (ValueError, VerificationError):
+                            continue
+                        if cert.all_checks_pass:
+                            cells.append((kind, s, m, mu, b))
+    return cells
+
+
+def _value_positions(text):
+    """(line index, column) of every value character outside [params] and
+    the distance_* lines."""
+    section = None
+    for i, line in enumerate(text.splitlines()):
+        if line.startswith("["):
+            section = line
+        key, sep, value = line.partition(" = ")
+        if sep and section != "[params]" and not key.startswith("distance_"):
+            for j in range(len(key) + len(sep), len(line)):
+                yield i, j
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_random_small_certificates_roundtrip_and_catch_a_single_edit(data):
+    assert len(_small_cells()) >= 20
+    kind, s, m, mu, b = data.draw(st.sampled_from(_small_cells()), label="cell")
+    cert = build_family(kind, s, m, mu, b_override=b)
+    method = data.draw(st.sampled_from([None, "exhaustive", "sampled"]), label="record")
+    if method is not None:
+        # a value that verify accepts: exact ones stay within Singleton
+        top = cert.n_outer - cert.k_outer + 1 if method == "exhaustive" else cert.n_outer
+        value = data.draw(st.integers(cert.floor_min, top), label="distance")
+        record = DistanceSummary(method, value, method == "exhaustive")
+        cert = dataclasses.replace(cert, distance=record)
+    text = dumps(cert)
+    assert loads(text) == cert
+    assert dumps(loads(text)) == text
+
+    lines = text.splitlines(keepends=True)
+    i, j = data.draw(st.sampled_from(list(_value_positions(text))), label="position")
+    ch = data.draw(st.sampled_from([c for c in "0123456789abcdef," if c != lines[i][j]]))
+    lines[i] = lines[i][:j] + ch + lines[i][j + 1 :]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cert.txt")
+        with open(path, "w") as f:
+            f.write(text)
+        assert main(["verify", path]) == 0
+        with open(path, "w") as f:
+            f.write("".join(lines))
+        assert main(["verify", path]) != 0, lines[i]

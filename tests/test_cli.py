@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from cycledual import cli, read_certificate, write_certificate
+from cycledual import cli, linalg, read_certificate, write_certificate
 from cycledual.cli import main
 
 
@@ -325,6 +325,30 @@ def test_distance_infeasible_exhaustive_exits_2(tmp_path, capsys):
     rc, _, err = run(capsys, "distance", str(path), "--method", "exhaustive")
     assert rc == 2
     assert "infeasible" in err
+
+
+def test_distance_checks_the_budget_before_building_the_basis(tmp_path, capsys, monkeypatch):
+    # E s=2 m=3 mu=3 is [42, 21] over GF(4): 4^21 - 1 messages exceed the
+    # default budget 2^26, which q and k alone show
+    path = tmp_path / "c3.txt"
+    rc, _, _ = run(
+        capsys, "construct", "--kind", "euclidean", "--s", "2", "--m", "3",
+        "--mu", "3", "--out", str(path),
+    )
+    assert rc == 0
+    text = path.read_text()
+
+    def refuse(*args):
+        raise AssertionError("the basis was built before the budget check")
+
+    monkeypatch.delenv("CYCLEDUAL_BUDGET", raising=False)
+    monkeypatch.setattr(linalg, "shifted_rows", refuse)
+    rc, out, err = run(capsys, "distance", str(path), "--method", "exhaustive")
+    assert rc == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "4^21 - 1" in err
+    assert path.read_text() == text
 
 
 def test_distance_budget_env_override(tmp_path, capsys, monkeypatch):

@@ -1,18 +1,27 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import reference
 from cycledual import (
     CyclicCode,
     bch_bound,
     bch_defining_set,
     build_family,
+    distance,
     exact_min_distance,
+    field_create,
     sampled_weight_upper_bound,
     uuv_construct,
     weight,
 )
 
 from conftest import GF2, GF4, divisor_codes
+
+GF16 = field_create(4)
 
 
 def hamming():
@@ -107,3 +116,81 @@ def test_exact_vs_bch_bound_and_singleton(field):
             assert r.value <= code.n - code.k + 1  # Singleton bound
             checked += 1
     assert checked >= 30
+
+
+# the largest k per field keeps the brute force at 16^3 messages or fewer
+MAX_K = {GF2: 5, GF4: 5, GF16: 3}
+
+
+def _lexicographic_walk(weights, partitions, chunk, bound):
+    """(least weight, messages seen) when the messages 1..q^k-1, with the
+    given codeword weights, are walked in blocks of chunk counted from the
+    start of each contiguous partition, stopping after the block whose
+    minimum reaches bound."""
+    total = len(weights) - 1
+    best, seen = max(weights) + 1, 0
+    for j in range(partitions):
+        end = 1 + total * (j + 1) // partitions
+        for pos in range(1 + total * j // partitions, end, chunk):
+            block = weights[pos : min(pos + chunk, end)]
+            best, seen = min(best, *block), seen + len(block)
+            if best <= bound:
+                return best, seen
+    return best, seen
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_both_methods_against_brute_force(data):
+    field = data.draw(st.sampled_from(list(MAX_K)), label="field")
+    k = data.draw(st.integers(1, MAX_K[field]), label="k")
+    n = data.draw(st.integers(k, 10), label="n")
+    symbol = st.integers(0, field.order - 1)
+    row = st.lists(symbol, min_size=n, max_size=n)
+    basis = data.draw(st.lists(row, min_size=k, max_size=k), label="basis")
+    assume(reference.rank(field, basis) == k)
+    weights = reference.message_weights(field, basis)
+    total = field.order**k - 1
+    d = min(weights[1:])
+    for partitions in range(1, 5):
+        r = exact_min_distance(field, basis, partitions=partitions)
+        assert (r.value, r.exact, r.enumerated) == (d, True, total)
+
+    # early stop: small chunks put block boundaries inside every partition
+    partitions = data.draw(st.integers(1, 4), label="partitions")
+    chunk = data.draw(st.sampled_from([1, 2, 5, distance._CHUNK]), label="chunk")
+    bound = data.draw(st.integers(1, n), label="known_lower_bound")
+    with mock.patch.object(distance, "_CHUNK", chunk):
+        r = exact_min_distance(field, basis, partitions=partitions, known_lower_bound=bound)
+    assert (r.value, r.enumerated) == _lexicographic_walk(weights, partitions, chunk, bound)
+
+    trials = data.draw(st.integers(1, 3000), label="trials")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    s = sampled_weight_upper_bound(field, basis, trials, seed)
+    assert s.value >= d and s.enumerated == trials
+    assert sampled_weight_upper_bound(field, basis, trials, seed) == s
+
+
+def test_early_stop_counts_keep_chunk_and_partition_boundaries():
+    # criterion 2's [14, 7] code over GF(4): 4^7 - 1 = 16383 messages, two
+    # blocks of 2^13 at one partition.  The first block of every partition
+    # count already reaches d = 4, so each count is that block's length
+    cert = build_family("euclidean", 2, 3, 9)
+    inner = CyclicCode.from_defining_set(cert.field, cert.n_inner, cert.defining_set)
+    basis = uuv_construct(inner, "euclidean").basis
+    counts = [
+        exact_min_distance(cert.field, basis, partitions=p, known_lower_bound=4).enumerated
+        for p in (1, 2, 3, 4)
+    ]
+    assert counts == [8192, 8191, 5461, 4095]
+    assert exact_min_distance(cert.field, basis).enumerated == 16383
+
+
+def test_budget_is_a_rule_of_q_and_k():
+    assert distance._check_budget(4, 7, 16383) == 16383
+    with pytest.raises(ValueError, match=r"infeasible: needs 4\^7 - 1 codewords, budget 16382"):
+        distance._check_budget(4, 7, 16382)
+    # 2^62 - 1 messages fit the int64 index range; 2^63 - 1 do not, at any budget
+    assert distance._check_budget(4, 31, 1 << 62) == (1 << 62) - 1
+    with pytest.raises(ValueError, match=r"needs 2\^63 - 1 codewords"):
+        distance._check_budget(2, 63, 1 << 70)

@@ -16,6 +16,7 @@ from cycledual import (
     x_pow_n_minus_1,
 )
 from cycledual import gf
+from cycledual.poly import _monic_reversal
 
 from conftest import GF2, GF4, divisor_codes
 
@@ -240,3 +241,20 @@ def test_arithmetic_beyond_table_limit_raises_before_allocating():
         with pytest.raises(ValueError, match=rf"2\^{gf.TABLE_MAX_S} limit of table arithmetic"):
             op()
     assert big not in gf._tables
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_reversal_and_conjugation_match_reference(data):
+    field = data.draw(st.sampled_from(KERNEL_FIELDS), label="field")
+    # about half of the coefficients are zero in every field, GF(2^16) too
+    symbol = st.one_of(st.just(0), st.integers(1, field.order - 1))
+    p = Poly(field, data.draw(st.lists(symbol, max_size=100), label="p"))
+    for k in range(field.s + 1):  # every valid q, 1 through |F|
+        conj = conjugate_poly(p, 1 << k)
+        assert conj == reference.conjugate_poly(p, 1 << k)
+        assert _plain_ints(conj)
+    h = Poly(field, [data.draw(st.integers(1, field.order - 1), label="h(0)")] + list(p.coeffs))
+    rev = _monic_reversal(h)
+    assert rev == reference.monic_reversal(h)
+    assert _plain_ints(rev)
