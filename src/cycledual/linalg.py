@@ -30,8 +30,8 @@ def scalar_mul(field: Field, c: int, arr) -> np.ndarray:
 def shifted_rows(g: Poly, length: int) -> np.ndarray:
     """The (length - deg g) x length matrix whose rows are x^i g(x), i.e. the
     generator matrix of the cyclic code of that length generated by g."""
-    coeffs = g.coeffs
-    mat = np.zeros((length - g.degree, length), dtype=dtype_for(g.field))
+    coeffs = np.asarray(g.coeffs, dtype=dtype_for(g.field))  # converted once, not per row
+    mat = np.zeros((length - g.degree, length), dtype=coeffs.dtype)
     for i in range(mat.shape[0]):
         mat[i, i : i + len(coeffs)] = coeffs
     return mat

@@ -6,7 +6,9 @@ the monic reversal and the coefficient-wise q-th power, one ``Field.mul`` or
 ``Field.frobenius`` per coefficient, for its table lookups.
 
 The weight of every message's codeword, enumerated with itertools, is the
-reference for the minimum-distance loop of cycledual.distance.
+reference for the exhaustive table walk of cycledual.distance; the seeded
+messages' codewords as xors of unpacked row multiples, one per digit, are the
+reference for its sampled row-run tables.
 
 Dense GF(2^s) linear algebra is the reference for the polynomial checks in
 cycledual.construct and cycledual.cyclic.
@@ -108,6 +110,28 @@ def message_weights(field: Field, basis) -> list[int]:
                 word[j] ^= mul[c][x]
         weights.append(sum(1 for x in word if x))
     return weights
+
+
+def sampled_min_weight(field: Field, basis, trials: int, seed: int) -> int:
+    """The least weight over the codewords of ``trials`` seeded nonzero
+    messages: draws of 2^14 x k digits with the zero messages dropped, each
+    codeword the xor of one row multiple per digit."""
+    basis = as_array(field, basis)
+    row_mult = [
+        np.stack([scalar_mul(field, c, row) for c in range(field.order)]) for row in basis
+    ]
+    rng = np.random.default_rng(seed)
+    best = basis.shape[1] + 1
+    while trials > 0:
+        digits = rng.integers(0, field.order, size=(1 << 14, len(basis)), dtype=dtype_for(field))
+        digits = digits[digits.any(axis=1)][:trials]
+        if len(digits):
+            trials -= len(digits)
+            words = row_mult[0][digits[:, 0]]
+            for i in range(1, len(row_mult)):
+                words ^= row_mult[i][digits[:, i]]
+            best = min(best, int(np.count_nonzero(words, axis=1).min()))
+    return best
 
 
 # -- matrices over GF(2^s) ------------------------------------------------------

@@ -1,8 +1,9 @@
+import time
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -18,10 +19,12 @@ from cycledual import (
     uuv_construct,
     weight,
 )
+from cycledual.gf import dtype_for
 
 from conftest import GF2, GF4, divisor_codes
 
 GF16 = field_create(4)
+GF256 = field_create(8)
 
 
 def hamming():
@@ -144,7 +147,10 @@ def _lexicographic_walk(weights, partitions, chunk, bound):
 def test_both_methods_against_brute_force(data):
     field = data.draw(st.sampled_from(list(MAX_K)), label="field")
     k = data.draw(st.integers(1, MAX_K[field]), label="k")
-    n = data.draw(st.integers(k, 10), label="n")
+    # lengths past 64 and 128 cross the word boundaries of the packed
+    # codewords; n * q^k stays small enough for the brute force
+    n_max = min(130, max(10, (1 << 14) // field.order**k))
+    n = data.draw(st.integers(k, n_max), label="n")
     symbol = st.integers(0, field.order - 1)
     row = st.lists(symbol, min_size=n, max_size=n)
     basis = data.draw(st.lists(row, min_size=k, max_size=k), label="basis")
@@ -156,8 +162,9 @@ def test_both_methods_against_brute_force(data):
         r = exact_min_distance(field, basis, partitions=partitions)
         assert (r.value, r.exact, r.enumerated) == (d, True, total)
 
-    # early stop: small chunks put block boundaries inside every partition
-    partitions = data.draw(st.integers(1, 4), label="partitions")
+    # early stop: small chunks put block boundaries inside every partition,
+    # and more partitions than messages leave some of them empty
+    partitions = data.draw(st.integers(1, 3 * total), label="partitions")
     chunk = data.draw(st.sampled_from([1, 2, 5, distance._CHUNK]), label="chunk")
     bound = data.draw(st.integers(1, n), label="known_lower_bound")
     with mock.patch.object(distance, "_CHUNK", chunk):
@@ -194,3 +201,59 @@ def test_budget_is_a_rule_of_q_and_k():
     assert distance._check_budget(4, 31, 1 << 62) == (1 << 62) - 1
     with pytest.raises(ValueError, match=r"needs 2\^63 - 1 codewords"):
         distance._check_budget(2, 63, 1 << 70)
+
+
+def test_partition_count_costs_nothing():
+    # no code loops over partitions: the block that holds the first message
+    # at the bound is found by arithmetic
+    basis = uuv_14_7().basis
+    start = time.perf_counter()
+    r = exact_min_distance(GF2, basis, partitions=10**8)
+    stopped = exact_min_distance(GF2, basis, partitions=10**8, known_lower_bound=4)
+    assert time.perf_counter() - start < 1.0
+    assert r == exact_min_distance(GF2, basis, partitions=1)
+    # with more partitions than messages, every message is a block of its own
+    weights = reference.message_weights(GF2, basis)
+    first = next(i for i, w in enumerate(weights) if 0 < w <= 4)
+    assert (stopped.value, stopped.enumerated) == (4, first)
+
+
+def _packed_weights(field, words):
+    planes = distance._pack(field, words).transpose(1, 0, 2)
+    return distance._weights(planes)
+
+
+@pytest.mark.parametrize("field", [GF2, GF4, GF16, GF256])
+def test_packed_weight_is_the_count_of_nonzero_symbols(field):
+    rng = np.random.default_rng(field.order)
+    for n in (1, 63, 64, 65, 127, 128, 129):
+        words = rng.integers(0, field.order, size=(40, n), dtype=dtype_for(field))
+        words[rng.random(words.shape) < 0.5] = 0
+        words[0] = 0
+        packed = distance._pack(field, words)
+        assert _packed_weights(field, words).tolist() == np.count_nonzero(words, axis=1).tolist()
+        sums = (packed ^ packed[::-1]).transpose(1, 0, 2)
+        expected = np.count_nonzero(words ^ words[::-1], axis=1)
+        assert distance._weights(sums).tolist() == expected.tolist()
+        assert not distance._weights((packed ^ packed).transpose(1, 0, 2)).any()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    field=st.sampled_from([GF2, GF4, GF16, GF256]),
+    k=st.integers(1, 20),
+    n=st.integers(0, 130),
+    trials=st.integers(1, 40_000),
+    seed=st.integers(0, 2**64 - 1),
+    basis_seed=st.integers(0, 2**32 - 1),
+)
+@example(field=GF2, k=20, n=129, trials=40_000, seed=7, basis_seed=1)  # runs 8, 8, 4
+@example(field=GF4, k=19, n=64, trials=16_385, seed=2**64 - 1, basis_seed=2)  # 4, ..., 4, 3
+@example(field=GF16, k=19, n=65, trials=20_000, seed=0, basis_seed=3)  # 2, ..., 2, 1
+@example(field=GF256, k=20, n=130, trials=1, seed=12345, basis_seed=4)
+def test_sampled_matches_the_row_multiple_reference(field, k, n, trials, seed, basis_seed):
+    # k up to 20 gives every field more than one row run; 40,000 trials take
+    # more than one draw of 2^14 messages
+    basis = np.random.default_rng(basis_seed).integers(0, field.order, size=(k, n))
+    r = sampled_weight_upper_bound(field, basis, trials, seed)
+    assert r.value == reference.sampled_min_weight(field, basis, trials, seed)

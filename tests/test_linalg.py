@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cycledual import Poly
+from cycledual import Poly, field_create
+from cycledual.gf import dtype_for
 from cycledual.linalg import scalar_mul, shifted_rows
 
 from conftest import GF2, GF4
@@ -37,6 +38,20 @@ def test_shifted_rows():
     assert shifted_rows(g, 4).tolist() == [[2, 0, 1, 0], [0, 2, 0, 1]]
     assert shifted_rows(g, 4).dtype == np.uint8
     assert shifted_rows(Poly(GF2, (1, 1)), 1).shape == (0, 1)
+
+
+@pytest.mark.parametrize("field", [GF2, GF4, field_create(4)])
+def test_shifted_rows_matches_per_row_conversion(field):
+    rng = np.random.default_rng(field.order)
+    for rows in range(71):  # length - deg g
+        low = rng.integers(0, field.order, size=rng.integers(0, 12)).tolist()
+        g = Poly(field, low + [int(rng.integers(1, field.order))])
+        length = g.degree + rows
+        expected = np.zeros((rows, length), dtype=dtype_for(field))
+        for i in range(rows):
+            expected[i, i : i + len(g.coeffs)] = np.array(g.coeffs)
+        got = shifted_rows(g, length)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
 
 
 def test_frobenius_array():
