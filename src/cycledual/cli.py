@@ -28,12 +28,12 @@ from .construct import (
     build_family,
     family_parameters,
 )
-from .cyclic import root_context
-from .cyclo import KINDS, all_cosets, minimal_polynomial
+from .cyclic import _extension_degree, root_context
+from .cyclo import KINDS, all_cosets, minimal_polynomials
 from .distance import DEFAULT_BUDGET, exact_min_distance, sampled_weight_upper_bound
 from .distance import _check_budget
 from .gf import field_create
-from .poly import Poly, x_pow_n_minus_1
+from .poly import product, x_pow_n_minus_1
 
 __all__ = ["main"]
 
@@ -274,19 +274,16 @@ def _cmd_factor(args: argparse.Namespace) -> int:
     if n < 1 or n % 2 == 0:
         raise ValueError("n must be odd and positive")
     field = field_create(q.bit_length() - 1)
-    ctx = root_context(field, n)  # raises when the extension is infeasible
+    _extension_degree(field, n)  # raises when the extension is infeasible
     if n > MAX_INNER_LENGTH:
         raise ValueError(f"length n = {n} exceeds MAX_INNER_LENGTH = {MAX_INNER_LENGTH}")
-    lines = []
-    product = Poly.one(field)
-    for rep, orbit in sorted(all_cosets(n, q).items()):
-        mp = minimal_polynomial(orbit, ctx.beta, ctx.emb)
-        product = product * mp
-        lines.append(f"{{{','.join(str(i) for i in orbit)}}}: {mp.to_string()}")
-    if product != x_pow_n_minus_1(field, n):
+    ctx = root_context(field, n)
+    orbits = [orbit for _, orbit in sorted(all_cosets(n, q).items())]
+    mps = minimal_polynomials(orbits, ctx.powers, ctx.emb)
+    if product(field, mps) != x_pow_n_minus_1(field, n):
         raise VerificationError("coset factorization does not multiply back to x^n - 1")
-    for line in lines:
-        print(line)
+    for orbit, mp in zip(orbits, mps):
+        print(f"{{{','.join(str(i) for i in orbit)}}}: {mp.to_string()}")
     return 0
 
 

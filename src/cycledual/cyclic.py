@@ -30,7 +30,7 @@ from .cyclo import (
     complement,
     coset,
     is_dual_containing_set,
-    minimal_polynomial,
+    minimal_polynomials,
     set_map,
 )
 from .gf import (
@@ -40,7 +40,7 @@ from .gf import (
     extension_with_embedding,
     nth_root_of_unity,
 )
-from .poly import Poly, _monic_reversal, conjugate_poly, x_pow_n_minus_1
+from .poly import Poly, _monic_reversal, conjugate_poly, product, x_pow_n_minus_1
 
 __all__ = ["RootContext", "root_context", "CyclicCode", "hermitian_base"]
 
@@ -48,19 +48,20 @@ __all__ = ["RootContext", "root_context", "CyclicCode", "hermitian_base"]
 @dataclass(frozen=True)
 class RootContext:
     """Extension field hosting the canonical primitive n-th root of unity
-    beta, held as its int value."""
+    beta, held as its int value, with powers[j] = beta^j for 0 <= j < n."""
 
     m: int
     ext: Field
     emb: Embedding
     beta: int
     beta_exponent: int
+    powers: tuple[int, ...]
 
 
-@lru_cache(maxsize=None)
-def root_context(field: Field, n: int) -> RootContext:
-    if n < 1 or n % 2 == 0:
-        raise ValueError("length n must be odd and positive")
+def _extension_degree(field: Field, n: int) -> int:
+    """The multiplicative order m of |field| modulo n: GF(|field|^m) is the
+    smallest extension holding the n-th roots of unity.  Raises ValueError
+    when that extension exceeds GF(2^EXTENSION_MAX_S)."""
     m = 1
     pw = field.order % n
     while pw != 1 % n:
@@ -70,24 +71,36 @@ def root_context(field: Field, n: int) -> RootContext:
             raise ValueError(
                 f"extension degree for n={n} exceeds the 2^{EXTENSION_MAX_S} limit"
             )
-    ext, emb = extension_with_embedding(field, m)
-    beta = nth_root_of_unity(ext, n).value
-    return RootContext(m, ext, emb, beta, (ext.order - 1) // n)
+    return m
 
 
 @lru_cache(maxsize=None)
-def _coset_minimal_polynomial(field: Field, n: int, rep: int) -> Poly:
-    ctx = root_context(field, n)
-    return minimal_polynomial(coset(n, field.order, rep), ctx.beta, ctx.emb)
+def root_context(field: Field, n: int) -> RootContext:
+    if n < 1 or n % 2 == 0:
+        raise ValueError("length n must be odd and positive")
+    m = _extension_degree(field, n)
+    ext, emb = extension_with_embedding(field, m)
+    beta = nth_root_of_unity(ext, n).value
+    powers = [1]
+    for _ in range(n - 1):
+        powers.append(ext.mul(powers[-1], beta))
+    # the walk returns to 1 exactly at step n, so beta has order n
+    if 1 in powers[1:] or ext.mul(powers[-1], beta) != 1:
+        raise RuntimeError(f"internal: beta does not have multiplicative order {n}")
+    return RootContext(m, ext, emb, beta, (ext.order - 1) // n, tuple(powers))
 
 
 def _generator(field: Field, n: int, T: DefiningSet) -> Poly:
     """The monic polynomial with roots beta^i for i in the coset-closed T:
     the product of the minimal polynomials of T's cosets."""
-    g = Poly.one(field)
-    for rep in sorted({min(coset(n, field.order, i)) for i in T}):
-        g = g * _coset_minimal_polynomial(field, n, rep)
-    return g
+    cosets = []
+    seen: set[int] = set()
+    for i in T:
+        if i not in seen:
+            cosets.append(coset(n, field.order, i))
+            seen.update(cosets[-1])
+    ctx = root_context(field, n)
+    return product(field, minimal_polynomials(cosets, ctx.powers, ctx.emb))
 
 
 def hermitian_base(field: Field) -> int:
@@ -158,7 +171,7 @@ class CyclicCode:
         # g(beta^(q i)) = g(beta^i)^q, so one representative decides the orbit
         members: set[int] = set()
         for rep, orbit in all_cosets(n, field.order).items():
-            if g.eval(ctx.ext.pow(ctx.beta, rep), ctx.emb).value == 0:
+            if g.eval(ctx.powers[rep], ctx.emb).value == 0:
                 members.update(orbit)
         T = DefiningSet(n, field.order, frozenset(members))
         return cls(field, n, g, T)

@@ -9,12 +9,14 @@ Multiplication and division share one numpy kernel over the field's
 log/antilog tables (:func:`cycledual.gf.log_exp`, fields up to
 GF(2^TABLE_MAX_S)): ``_add_scaled`` adds c times a coefficient array B,
 shifted, in one vector operation, a plain xor when c = 1 and otherwise
-``exp[log B + log c]``.  A product takes B to be the longer operand and makes
-one such step per nonzero coefficient c of the shorter one.  Long division
-keeps its sequential loop over the quotient coefficients; B is the divisor
-and each step updates the remainder once.  The monic reversal and the q-th
-power of dual generators are one table lookup each.  Results come back as
-tuples of plain Python ints.
+``exp[log B + log c]``.  :func:`product` multiplies any number of factors in
+one accumulator array, which becomes a tuple only once, at the end; for each
+factor it takes B to be the longer operand and makes one such step per
+nonzero coefficient c of the shorter one.  ``Poly.__mul__`` is its
+two-factor case.  Long division keeps its sequential loop over the quotient
+coefficients; B is the divisor and each step updates the remainder once.
+The monic reversal and the q-th power of dual generators are one table
+lookup each.  Results come back as tuples of plain Python ints.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from .gf import Embedding, Field, FieldElement, dtype_for, log_exp
 
-__all__ = ["Poly", "x_pow_n_minus_1", "dual_generator", "conjugate_poly"]
+__all__ = ["Poly", "product", "x_pow_n_minus_1", "dual_generator", "conjugate_poly"]
 
 Coeff = Union[int, FieldElement]
 
@@ -108,22 +110,7 @@ class Poly:
     __sub__ = __add__
 
     def __mul__(self, other: "Poly") -> "Poly":
-        self._check(other)
-        f = self.field
-        log, exp = log_exp(f)
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly(f)
-        if len(a) > len(b):
-            a, b = b, a
-        arr_b = np.array(b, dtype=dtype_for(f))
-        log_b = log[arr_b]
-        out = np.zeros(len(a) + len(b) - 1, dtype=arr_b.dtype)
-        for i, c in enumerate(a):
-            if c:
-                _add_scaled(out, i, arr_b, log_b, exp, int(log[c]))
-        # the leading coefficient is the nonzero product of the two leads
-        return Poly._trusted(f, tuple(out.tolist()))
+        return product(self.field, (self, other))
 
     def divrem(self, other: "Poly") -> tuple["Poly", "Poly"]:
         """Quotient and remainder with deg(remainder) < deg(other)."""
@@ -257,6 +244,39 @@ def _add_scaled(
         out[i : i + len(arr_b)] ^= arr_b
     else:
         out[i : i + len(arr_b)] ^= exp[log_b + log_c]
+
+
+def product(field: Field, polys: Iterable[Poly]) -> Poly:
+    """The product of polys over field; Poly.one(field) when there are none.
+
+    The running product stays one coefficient array from the first factor to
+    the last.  Each factor is one kernel product: the longer operand is B,
+    gathered into the log domain once, and the shorter one contributes one
+    ``_add_scaled`` step per nonzero coefficient."""
+    log, exp = log_exp(field)
+    dtype = dtype_for(field)
+    acc = None
+    for p in polys:
+        if not isinstance(p, Poly) or p.field != field:
+            raise ValueError("field mismatch")
+        if acc is None:
+            acc = np.array(p.coeffs, dtype=dtype)
+        elif not acc.size or not p.coeffs:
+            acc = acc[:0]
+        else:
+            if len(p.coeffs) > acc.size:
+                a, arr_b = acc.tolist(), np.array(p.coeffs, dtype=dtype)
+            else:
+                a, arr_b = p.coeffs, acc
+            log_b = log[arr_b]
+            acc = np.zeros(len(a) + len(arr_b) - 1, dtype=dtype)
+            for i, c in enumerate(a):
+                if c:
+                    _add_scaled(acc, i, arr_b, log_b, exp, int(log[c]))
+    if acc is None:
+        return Poly.one(field)
+    # every factor is trimmed, so the leading coefficient is a nonzero product
+    return Poly._trusted(field, tuple(acc.tolist()))
 
 
 def x_pow_n_minus_1(field: Field, n: int) -> Poly:

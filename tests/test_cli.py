@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from cycledual import cli, linalg, read_certificate, write_certificate
+from cycledual import cli, cyclic, linalg, read_certificate, write_certificate
 from cycledual.cli import main
 
 
@@ -489,3 +489,15 @@ def test_factor_over_size_limit_exits_2(capsys):
     assert rc == 2
     assert out == ""
     assert "length n = 131071 exceeds MAX_INNER_LENGTH = 8191" in err
+
+
+def test_factor_checks_the_cap_before_building_the_extension(capsys, monkeypatch):
+    # n = 2^16 + 1 needs GF(2^32), which is feasible but costly to build
+    def refuse(*args):
+        raise AssertionError("the extension was built before the size check")
+
+    monkeypatch.setattr(cyclic, "extension_with_embedding", refuse)
+    rc, out, err = run(capsys, "factor", "--q", "2", "--n", "65537")
+    assert rc == 2
+    assert out == ""
+    assert "length n = 65537 exceeds MAX_INNER_LENGTH = 8191" in err

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycledual import (
     DefiningSet,
@@ -12,10 +14,14 @@ from cycledual import (
     complement,
     coset,
     extension_with_embedding,
+    field_create,
     gcd_lemma,
     is_dual_containing_set,
     minimal_polynomial,
+    minimal_polynomials,
     nth_root_of_unity,
+    product,
+    root_context,
     set_map,
     x_pow_n_minus_1,
 )
@@ -188,6 +194,50 @@ def test_minimal_polynomial_product(field, n):
         assert mp.is_monic and mp.degree == len(orb)
         product = product * mp
     assert product == x_pow_n_minus_1(field, n)
+
+
+# (q, n, degree of the extension GF(2^e) hosting the n-th roots of unity);
+# GF(2^18) lies past the log/antilog table limit
+BATCH_CASES = [(2, 1, 1), (4, 63, 6), (256, 255, 8), (16, 1285, 16), (2, 1387, 18)]
+
+
+@pytest.mark.parametrize("q,n,e", BATCH_CASES)
+def test_minimal_polynomials_match_the_single_coset_form(q, n, e):
+    field = field_create(q.bit_length() - 1)
+    ctx = root_context(field, n)
+    assert ctx.ext.s == e
+    orbits = [orb for _, orb in sorted(all_cosets(n, q).items())]
+    mps = minimal_polynomials(orbits, ctx.powers, ctx.emb)
+    assert mps == [minimal_polynomial(orb, ctx.beta, ctx.emb) for orb in orbits]
+    assert product(field, mps) == x_pow_n_minus_1(field, n)
+
+
+def test_minimal_polynomials_reject_roots_that_are_not_a_coset():
+    ctx = root_context(GF2, 7)
+    assert minimal_polynomials([(1, 2, 4)], ctx.powers, ctx.emb) == [Poly(GF2, (1, 1, 0, 1))]
+    for roots in [(1,), (1, 2), (3, 5)]:  # proper subsets of {1, 2, 4} and {3, 5, 6}
+        with pytest.raises(ValueError, match="coset/base mismatch"):
+            minimal_polynomials([(0,), roots], ctx.powers, ctx.emb)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_minimal_polynomials_catch_a_tampered_powers_table(data):
+    q, n, _ = data.draw(st.sampled_from(BATCH_CASES[1:4]), label="case")
+    field = field_create(q.bit_length() - 1)
+    ctx = root_context(field, n)
+    powers = list(ctx.powers)
+    j = data.draw(st.integers(0, n - 1), label="j")
+    powers[j] = data.draw(
+        st.integers(0, ctx.ext.order - 1).filter(lambda v: v != powers[j]), label="beta^j"
+    )
+    orbits = list(all_cosets(n, q).values())
+    try:
+        mps = minimal_polynomials(orbits, powers, ctx.emb)
+    except ValueError as exc:
+        assert str(exc) == "coset/base mismatch"
+    else:
+        assert product(field, mps) != x_pow_n_minus_1(field, n)
 
 
 def test_defining_set_serialization():

@@ -1,6 +1,6 @@
 """The largest cells of the north-star ladder come out byte-identical: the
 certificate hashes were captured from the schoolbook polynomial arithmetic,
-and the ``factor`` hash is the benchmark's golden."""
+and the ``factor`` hashes are the benchmark's goldens."""
 
 import hashlib
 import json
@@ -30,7 +30,16 @@ def test_large_cell_certificate_is_unchanged(kind, s, m):
     assert _sha256(dumps(build_family(kind, s, m, 1))) == CERTIFICATE_SHA256[kind, s, m]
 
 
-def test_factor_q16_matches_benchmark_golden(capsys):
-    golden = json.loads(GOLDENS.read_text(encoding="utf-8"))["ops"]["factor.q16"]
-    assert main(["factor", "--q", "16", "--n", "4095"]) == golden["rc"]
+def _check_factor_golden(q, capsys):
+    golden = json.loads(GOLDENS.read_text(encoding="utf-8"))["ops"][f"factor.q{q}"]
+    assert main(["factor", "--q", str(q), "--n", "4095"]) == golden["rc"]
     assert _sha256(capsys.readouterr().out) == golden["stdout_sha256"]
+
+
+def test_factor_q16_matches_benchmark_golden(capsys):
+    _check_factor_golden(16, capsys)
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_factor_matches_benchmark_golden(q, capsys):
+    _check_factor_golden(q, capsys)

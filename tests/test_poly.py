@@ -13,6 +13,7 @@ from cycledual import (
     extension_with_embedding,
     field_create,
     nth_root_of_unity,
+    product,
     x_pow_n_minus_1,
 )
 from cycledual import gf
@@ -199,6 +200,27 @@ def test_kernel_matches_reference(data):
     else:
         a = data.draw(_poly(field, 300), label="a")
     _check_against_reference(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_product_matches_reference_fold(data):
+    field = data.draw(st.sampled_from(KERNEL_FIELDS), label="field")
+    # lengths 0 and 1 give the zero polynomial and constants
+    factors = data.draw(st.lists(_poly(field, 70), max_size=6), label="factors")
+    expected = Poly.one(field)
+    for p in factors:
+        expected = reference.poly_mul(expected, p)
+    result = product(field, iter(factors))
+    assert result == expected
+    assert _plain_ints(result)
+
+
+def test_product_of_nothing_is_one_and_fields_must_match():
+    for field in KERNEL_FIELDS:
+        assert product(field, []) == Poly.one(field)
+    with pytest.raises(ValueError, match="field mismatch"):
+        product(GF2, [P(GF2, 1, 1), P(GF4, 1, 1)])
 
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=lambda f: f"GF(2^{f.s})")
