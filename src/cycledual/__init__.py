@@ -55,7 +55,7 @@ from .gf import (
     field_create,
     nth_root_of_unity,
 )
-from .poly import Poly, conjugate_poly, dual_generator, x_pow_n_minus_1
+from .poly import Poly, conjugate_poly, dual_generator, product, x_pow_n_minus_1
 
 __version__ = "0.1.0"
 
@@ -98,6 +98,7 @@ __all__ = [
     "minimal_polynomial",
     "nth_root_of_unity",
     "paper_floor",
+    "product",
     "read_certificate",
     "repeated_root_generator",
     "root_context",

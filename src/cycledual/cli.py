@@ -29,7 +29,7 @@ from .construct import (
     family_parameters,
 )
 from .cyclic import _extension_degree, root_context
-from .cyclo import KINDS, all_cosets, minimal_polynomials
+from .cyclo import KINDS, all_cosets, minimal_polynomial
 from .distance import DEFAULT_BUDGET, exact_min_distance, sampled_weight_upper_bound
 from .distance import _check_budget
 from .gf import field_create
@@ -279,7 +279,7 @@ def _cmd_factor(args: argparse.Namespace) -> int:
         raise ValueError(f"length n = {n} exceeds MAX_INNER_LENGTH = {MAX_INNER_LENGTH}")
     ctx = root_context(field, n)
     orbits = [orbit for _, orbit in sorted(all_cosets(n, q).items())]
-    mps = minimal_polynomials(orbits, ctx.powers, ctx.emb)
+    mps = [minimal_polynomial(orbit, ctx.beta, ctx.emb, ctx.powers) for orbit in orbits]
     if product(field, mps) != x_pow_n_minus_1(field, n):
         raise VerificationError("coset factorization does not multiply back to x^n - 1")
     for orbit, mp in zip(orbits, mps):

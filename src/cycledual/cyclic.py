@@ -15,7 +15,7 @@ built by the construct module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -30,7 +30,7 @@ from .cyclo import (
     complement,
     coset,
     is_dual_containing_set,
-    minimal_polynomials,
+    minimal_polynomial,
     set_map,
 )
 from .gf import (
@@ -48,14 +48,27 @@ __all__ = ["RootContext", "root_context", "CyclicCode", "hermitian_base"]
 @dataclass(frozen=True)
 class RootContext:
     """Extension field hosting the canonical primitive n-th root of unity
-    beta, held as its int value, with powers[j] = beta^j for 0 <= j < n."""
+    beta, held as its int value."""
 
+    n: int
     m: int
     ext: Field
     emb: Embedding
     beta: int
     beta_exponent: int
-    powers: tuple[int, ...]
+
+    @cached_property
+    def powers(self) -> tuple[int, ...]:
+        """beta^j for 0 <= j < n, walked with n - 1 scalar products on first
+        use; a context that never reads it stays as cheap as its field."""
+        ext, beta = self.ext, self.beta
+        powers = [1]
+        for _ in range(self.n - 1):
+            powers.append(ext.mul(powers[-1], beta))
+        # the walk returns to 1 exactly at step n, so beta has order n
+        if 1 in powers[1:] or ext.mul(powers[-1], beta) != 1:
+            raise RuntimeError(f"internal: beta does not have multiplicative order {self.n}")
+        return tuple(powers)
 
 
 def _extension_degree(field: Field, n: int) -> int:
@@ -81,26 +94,21 @@ def root_context(field: Field, n: int) -> RootContext:
     m = _extension_degree(field, n)
     ext, emb = extension_with_embedding(field, m)
     beta = nth_root_of_unity(ext, n).value
-    powers = [1]
-    for _ in range(n - 1):
-        powers.append(ext.mul(powers[-1], beta))
-    # the walk returns to 1 exactly at step n, so beta has order n
-    if 1 in powers[1:] or ext.mul(powers[-1], beta) != 1:
-        raise RuntimeError(f"internal: beta does not have multiplicative order {n}")
-    return RootContext(m, ext, emb, beta, (ext.order - 1) // n, tuple(powers))
+    return RootContext(n, m, ext, emb, beta, (ext.order - 1) // n)
 
 
 def _generator(field: Field, n: int, T: DefiningSet) -> Poly:
     """The monic polynomial with roots beta^i for i in the coset-closed T:
     the product of the minimal polynomials of T's cosets."""
-    cosets = []
+    ctx = root_context(field, n)
+    mps = []
     seen: set[int] = set()
     for i in T:
         if i not in seen:
-            cosets.append(coset(n, field.order, i))
-            seen.update(cosets[-1])
-    ctx = root_context(field, n)
-    return product(field, minimal_polynomials(cosets, ctx.powers, ctx.emb))
+            orbit = coset(n, field.order, i)
+            seen.update(orbit)
+            mps.append(minimal_polynomial(orbit, ctx.beta, ctx.emb, ctx.powers))
+    return product(field, mps)
 
 
 def hermitian_base(field: Field) -> int:

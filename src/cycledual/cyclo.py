@@ -6,13 +6,12 @@ A defining set is a subset of Z_n tagged with the coset base q (the alphabet
 order; q^2-cyclotomic work simply uses that square as the base).  Sets
 serialize as comma-separated decimal residues in ascending order.
 
-Minimal polynomials read their roots from a table of the powers of beta,
-indexed by residue: :func:`minimal_polynomials` expands prod (x - beta^j)
-over each coset of a batch with scalar extension arithmetic and pulls the
-coefficients back to the base field.  The pipeline passes the table that
-:func:`cycledual.cyclic.root_context` builds once per (field, n), so no root
-costs more than one lookup; :func:`minimal_polynomial` builds the roots of
-its single coset from one power of beta and Frobenius steps.
+:func:`minimal_polynomial` expands prod (x - beta^j) over a coset with
+scalar extension arithmetic and pulls the coefficients back to the base
+field.  Given the table of beta's powers that
+:func:`cycledual.cyclic.root_context` builds once per (field, n), it reads
+each root from the table, so no root costs more than one lookup; without
+it, the roots come from one power of beta and Frobenius steps.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .gf import Embedding, Field, FieldElement
 from .poly import Poly
@@ -39,7 +38,6 @@ __all__ = [
     "is_dual_containing_set",
     "gcd_lemma",
     "minimal_polynomial",
-    "minimal_polynomials",
 ]
 
 EUCLIDEAN = "euclidean"
@@ -221,14 +219,19 @@ def _order(ext: Field, beta: int) -> int:
 
 
 def minimal_polynomial(
-    coset_residues: Iterable[int], beta: Union[int, FieldElement], emb: Embedding
+    coset_residues: Iterable[int],
+    beta: Union[int, FieldElement],
+    emb: Embedding,
+    powers: Optional[Sequence[int]] = None,
 ) -> Poly:
     """Expand prod_{j in coset} (x - beta^j) in the extension and pull the
     coefficients back to the base field.  beta is an int or a FieldElement
-    of the embedding's extension.
+    of the embedding's extension, of order n.
 
-    The roots follow the coset, beta^(j q) = (beta^j)^q, from one power of
-    beta; :func:`minimal_polynomials` expands them."""
+    powers, if given, is the table of beta^j for 0 <= j < n as ints (see
+    :func:`cycledual.cyclic.root_context`), and each root is read from it.
+    Otherwise the roots follow the coset, beta^(j q) = (beta^j)^q, from one
+    power of beta."""
     ext = emb.ext
     if isinstance(beta, FieldElement) and beta.field != ext:
         raise ValueError("field mismatch: beta must live in the embedding's extension")
@@ -241,40 +244,29 @@ def minimal_polynomial(
         raise ValueError("coset residues must lie in 0..n-1")
     if members != set(coset(n, emb.base.order, min(members))):
         raise ValueError("not a single cyclotomic coset")
-    j = min(members)
-    root = ext.pow(beta, j)
-    roots = {}
-    for _ in members:
-        roots[j] = root
-        j, root = j * emb.base.order % n, ext.frobenius(root, emb.base.s)
-    return minimal_polynomials([members], roots, emb)[0]
+    if powers is not None:
+        if len(powers) != n or powers[1 % n] != beta:
+            raise ValueError("powers must be the table of beta^j for 0 <= j < n")
+        return _expand([powers[j] for j in members], emb)
+    roots = [ext.pow(beta, min(members))]
+    for _ in range(len(members) - 1):
+        roots.append(ext.frobenius(roots[-1], emb.base.s))
+    return _expand(roots, emb)
 
 
-def minimal_polynomials(
-    cosets: Iterable[Iterable[int]],
-    powers: Union[Sequence[int], Mapping[int, int]],
-    emb: Embedding,
-) -> list[Poly]:
-    """The minimal polynomial of each coset, in order: prod_{j in coset}
-    (x - powers[j]) expanded in the extension, its coefficients pulled back
-    to the base field.  powers maps a residue j to beta^j as an int of the
-    embedding's extension; a dict or a full table of beta's powers will do.
-
-    Each product is a plain list of extension values built with scalar
-    ``ext.mul``; no polynomial over the extension is formed."""
+def _expand(roots: Iterable[int], emb: Embedding) -> Poly:
+    """prod (x - root) over roots in the extension, as a plain list of
+    extension values built with scalar ``ext.mul``, its coefficients pulled
+    back to the base field."""
     ext = emb.ext
-    out = []
-    for members in cosets:
-        prod = [1]
-        for j in members:
-            root = powers[j]
-            # (x + root) * prod, low degree first
-            prod = [ext.mul(root, c) ^ lower for c, lower in zip(prod + [0], [0] + prod)]
-        pulled = []
-        for c in prod:
-            try:
-                pulled.append(emb.pullback(c).value)
-            except ValueError:
-                raise ValueError("coset/base mismatch") from None
-        out.append(Poly(emb.base, pulled))
-    return out
+    prod = [1]
+    for root in roots:
+        # (x + root) * prod, low degree first
+        prod = [ext.mul(root, c) ^ lower for c, lower in zip(prod + [0], [0] + prod)]
+    pulled = []
+    for c in prod:
+        try:
+            pulled.append(emb.pullback(c).value)
+        except ValueError:
+            raise ValueError("coset/base mismatch") from None
+    return Poly(emb.base, pulled)

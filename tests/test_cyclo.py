@@ -18,13 +18,13 @@ from cycledual import (
     gcd_lemma,
     is_dual_containing_set,
     minimal_polynomial,
-    minimal_polynomials,
     nth_root_of_unity,
     product,
     root_context,
     set_map,
     x_pow_n_minus_1,
 )
+from cycledual import gf
 
 from conftest import GF2, GF4
 
@@ -198,32 +198,43 @@ def test_minimal_polynomial_product(field, n):
 
 # (q, n, degree of the extension GF(2^e) hosting the n-th roots of unity);
 # GF(2^18) lies past the log/antilog table limit
-BATCH_CASES = [(2, 1, 1), (4, 63, 6), (256, 255, 8), (16, 1285, 16), (2, 1387, 18)]
+TABLE_CASES = [(2, 1, 1), (4, 63, 6), (256, 255, 8), (16, 1285, 16), (2, 1387, 18)]
 
 
-@pytest.mark.parametrize("q,n,e", BATCH_CASES)
-def test_minimal_polynomials_match_the_single_coset_form(q, n, e):
+@pytest.mark.parametrize("q,n,e", TABLE_CASES)
+def test_minimal_polynomial_from_the_powers_table_matches_the_frobenius_roots(q, n, e):
     field = field_create(q.bit_length() - 1)
     ctx = root_context(field, n)
     assert ctx.ext.s == e
     orbits = [orb for _, orb in sorted(all_cosets(n, q).items())]
-    mps = minimal_polynomials(orbits, ctx.powers, ctx.emb)
+    mps = [minimal_polynomial(orb, ctx.beta, ctx.emb, ctx.powers) for orb in orbits]
     assert mps == [minimal_polynomial(orb, ctx.beta, ctx.emb) for orb in orbits]
     assert product(field, mps) == x_pow_n_minus_1(field, n)
 
 
-def test_minimal_polynomials_reject_roots_that_are_not_a_coset():
+def test_minimal_polynomial_rejects_table_roots_that_are_not_a_coset():
     ctx = root_context(GF2, 7)
-    assert minimal_polynomials([(1, 2, 4)], ctx.powers, ctx.emb) == [Poly(GF2, (1, 1, 0, 1))]
-    for roots in [(1,), (1, 2), (3, 5)]:  # proper subsets of {1, 2, 4} and {3, 5, 6}
+    assert minimal_polynomial((1, 2, 4), ctx.beta, ctx.emb, ctx.powers) == Poly(GF2, (1, 1, 0, 1))
+    # a GF(2) cubic with root beta is beta's minimal polynomial, whose roots
+    # are exactly beta, beta^2 and beta^4: any other value for beta^2 fails
+    for j in (0, 3, 5, 6):
+        powers = list(ctx.powers)
+        powers[2] = ctx.powers[j]
         with pytest.raises(ValueError, match="coset/base mismatch"):
-            minimal_polynomials([(0,), roots], ctx.powers, ctx.emb)
+            minimal_polynomial((1, 2, 4), ctx.beta, ctx.emb, powers)
+
+
+def test_minimal_polynomial_rejects_a_table_of_another_root():
+    ctx = root_context(GF2, 7)
+    for powers in [ctx.powers[:6], ctx.powers + (1,), ctx.powers[3:] + ctx.powers[:3]]:
+        with pytest.raises(ValueError, match="powers must be the table"):
+            minimal_polynomial((1, 2, 4), ctx.beta, ctx.emb, powers)
 
 
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
-def test_minimal_polynomials_catch_a_tampered_powers_table(data):
-    q, n, _ = data.draw(st.sampled_from(BATCH_CASES[1:4]), label="case")
+def test_minimal_polynomial_catches_a_tampered_powers_table(data):
+    q, n, _ = data.draw(st.sampled_from(TABLE_CASES[1:4]), label="case")
     field = field_create(q.bit_length() - 1)
     ctx = root_context(field, n)
     powers = list(ctx.powers)
@@ -231,13 +242,40 @@ def test_minimal_polynomials_catch_a_tampered_powers_table(data):
     powers[j] = data.draw(
         st.integers(0, ctx.ext.order - 1).filter(lambda v: v != powers[j]), label="beta^j"
     )
-    orbits = list(all_cosets(n, q).values())
     try:
-        mps = minimal_polynomials(orbits, powers, ctx.emb)
+        mps = [
+            minimal_polynomial(orb, ctx.beta, ctx.emb, powers)
+            for orb in all_cosets(n, q).values()
+        ]
     except ValueError as exc:
-        assert str(exc) == "coset/base mismatch"
+        assert str(exc) in {
+            "coset/base mismatch",
+            "powers must be the table of beta^j for 0 <= j < n",
+        }
     else:
         assert product(field, mps) != x_pow_n_minus_1(field, n)
+
+
+def test_root_context_builds_the_powers_table_on_first_use(monkeypatch):
+    # n = 2^31 - 1 needs GF(2^31): the context itself takes a handful of
+    # products, while a table would take 2^31; the counter stops a walk early
+    calls = 0
+    field_mul = gf.Field.mul
+
+    def mul(field, a, b):
+        nonlocal calls
+        calls += 1
+        if calls > 10_000:
+            raise AssertionError("root_context walked the powers of beta")
+        return field_mul(field, a, b)
+
+    monkeypatch.setattr(gf.Field, "mul", mul)
+    ctx = root_context(GF2, 2**31 - 1)
+    assert "powers" not in vars(ctx)
+    monkeypatch.undo()
+    ctx = root_context(GF2, 63)
+    assert ctx.powers[1] == ctx.beta and len(ctx.powers) == 63
+    assert vars(ctx)["powers"] is ctx.powers
 
 
 def test_defining_set_serialization():
