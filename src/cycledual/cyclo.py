@@ -7,8 +7,10 @@ order; q^2-cyclotomic work simply uses that square as the base).  Sets
 serialize as comma-separated decimal residues in ascending order.
 
 :func:`minimal_polynomial` expands prod (x - beta^j) over a coset with
-scalar extension arithmetic and pulls the coefficients back to the base
-field.  Given the table of beta's powers that
+scalar extension arithmetic, O(|coset|^2) ``Field.mul`` calls (one table
+lookup each up to GF(2^16), shift-and-add beyond), and pulls each
+coefficient back to the base field with one lookup in the embedding's
+inverse table.  Given the table of beta's powers that
 :func:`cycledual.cyclic.root_context` builds once per (field, n), it reads
 each root from the table, so no root costs more than one lookup; without
 it, the roots come from one power of beta and Frobenius steps.
@@ -257,16 +259,15 @@ def minimal_polynomial(
 def _expand(roots: Iterable[int], emb: Embedding) -> Poly:
     """prod (x - root) over roots in the extension, as a plain list of
     extension values built with scalar ``ext.mul``, its coefficients pulled
-    back to the base field."""
-    ext = emb.ext
+    back to the base field with one ``emb.inverse`` lookup each; a
+    coefficient outside the base field is a coset/base mismatch."""
+    mul = emb.ext.mul
     prod = [1]
     for root in roots:
         # (x + root) * prod, low degree first
-        prod = [ext.mul(root, c) ^ lower for c, lower in zip(prod + [0], [0] + prod)]
-    pulled = []
-    for c in prod:
-        try:
-            pulled.append(emb.pullback(c).value)
-        except ValueError:
-            raise ValueError("coset/base mismatch") from None
-    return Poly(emb.base, pulled)
+        prod = [mul(root, c) ^ lower for c, lower in zip(prod + [0], [0] + prod)]
+    inverse = emb.inverse
+    try:  # base values, and monic: nothing for Poly's checks to catch
+        return Poly._trusted(emb.base, tuple([inverse[c] for c in prod]))
+    except KeyError:
+        raise ValueError("coset/base mismatch") from None

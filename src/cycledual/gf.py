@@ -22,14 +22,19 @@ Canonical choices (so that independent runs agree bit for bit):
 
 The size limits live here, together: code alphabets (``field_create``) go up
 to GF(2^16), extension fields hosting roots of unity up to GF(2^32), and the
-log/antilog tables behind vectorised arithmetic (``log_exp``, shared by
-:mod:`cycledual.poly` and :mod:`cycledual.linalg`) up to GF(2^16), which
-admits every alphabet.
+log/antilog tables up to GF(2^16), which admits every alphabet.  Each field
+has one pair of tables, built on first use (a product or a vector kernel,
+never the constructor) with a vectorised doubling walk over the powers of
+its primitive element.  The vectorised arithmetic of :mod:`cycledual.poly` and
+:mod:`cycledual.linalg` reads them as numpy arrays (``log_exp``), and scalar
+``Field.mul`` as Python lists, one lookup per product.  Extension fields
+beyond GF(2^16) multiply by shift-and-add, one step per bit.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import repeat
 from typing import Union
 
 import numpy as np
@@ -119,7 +124,7 @@ def _prime_factors(n: int) -> tuple[int, ...]:
 class Field:
     """The finite field GF(2^s), elements represented as s-bit integers."""
 
-    __slots__ = ("s", "modulus", "order", "_factors", "_primitive")
+    __slots__ = ("s", "modulus", "order", "_factors", "_primitive", "_log", "_exp")
 
     def __init__(self, s: int, modulus: int | None = None):
         if not 1 <= s <= EXTENSION_MAX_S:
@@ -137,6 +142,9 @@ class Field:
         self.order = 1 << s
         self._factors: tuple[int, ...] | None = None
         self._primitive: int | None = None
+        # Python-list copies of log_exp's tables, made by the first product
+        self._log: list[int] | None = None
+        self._exp: list[int] | None = None
 
     # -- raw integer arithmetic -------------------------------------------
 
@@ -144,6 +152,19 @@ class Field:
         return a ^ b
 
     def mul(self, a: int, b: int) -> int:
+        log = self._log
+        if log is not None:
+            return self._exp[log[a] + log[b]]
+        if self.s > TABLE_MAX_S:
+            return self._mul_loop(a, b)
+        log = self._scalar_tables()
+        return self._exp[log[a] + log[b]]
+
+    def _mul_loop(self, a: int, b: int) -> int:
+        """Shift-and-add product, one step per bit of b: ``mul`` beyond
+        GF(2^TABLE_MAX_S), and ``pow`` and the table build before the tables
+        exist.  It does not go through ``mul``, so a count of ``mul`` calls
+        sees only the products that callers asked for."""
         r = 0
         while b:
             if b & 1:
@@ -154,15 +175,32 @@ class Field:
                 a ^= self.modulus
         return r
 
+    def _scalar_tables(self) -> list[int]:
+        """Make the field's tables for scalar ``mul`` from :func:`log_exp`'s
+        arrays, with their layout, as lists: plain ints index faster there.
+        The two periods of ``exp`` share their int objects."""
+        log, exp = log_exp(self)
+        q1 = self.order - 1
+        self._exp = exp[:q1].tolist() * 2
+        self._exp.extend(repeat(0, 2 * q1 + 1))
+        self._log = log.tolist()
+        return self._log
+
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             a = self.inv(a)
             e = -e
+        # one lookup once a product has built the tables; before that (so
+        # that multiplicative_order and primitive_element build none) and
+        # beyond them, square-and-multiply
+        log = self._log
+        if log is not None and a:
+            return self._exp[log[a] * e % (self.order - 1)]
         r = 1
         while e:
             if e & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
+                r = self._mul_loop(r, a)
+            a = self._mul_loop(a, a)
             e >>= 1
         return r
 
@@ -345,6 +383,10 @@ def log_exp(field: Field) -> tuple[np.ndarray, np.ndarray]:
     primitive element twice and need no modulo.  ``log[0]`` is 2(q-1), and
     every sum involving it lands in the zero-filled tail of ``exp``.  Fields
     beyond GF(2^TABLE_MAX_S) raise ValueError before anything is allocated.
+
+    The powers come from a doubling walk: with the first 2^k of them known,
+    the next 2^k are those times gamma^(2^k), one vector product.  No step
+    calls ``Field.mul``.
     """
     tabs = _tables.get(field)
     if tabs is None:
@@ -353,18 +395,38 @@ def log_exp(field: Field) -> tuple[np.ndarray, np.ndarray]:
                 f"{field!r} exceeds the 2^{TABLE_MAX_S} limit of table arithmetic"
             )
         q1 = field.order - 1
-        gamma = field.primitive_element()
+        powers = np.empty(field.order, dtype=np.uint32)
+        powers[0] = 1
+        step = field.primitive_element()  # gamma^k for the k powers known
+        k = 1
+        while k < q1:
+            powers[k : 2 * k] = _times(field, powers[:k], step)
+            step = field._mul_loop(step, step)
+            k *= 2
+        powers = powers[:q1]
         log = np.empty(field.order, dtype=np.int32)
         log[0] = 2 * q1
+        log[powers] = np.arange(q1, dtype=np.int32)
         exp = np.zeros(4 * q1 + 1, dtype=dtype_for(field))
-        v = 1
-        for i in range(q1):
-            exp[i] = exp[i + q1] = v
-            log[v] = i
-            v = field.mul(v, gamma)
+        exp[:q1] = exp[q1 : 2 * q1] = powers
         tabs = (log, exp)
         _tables[field] = tabs
     return tabs
+
+
+def _times(field: Field, vals: np.ndarray, c: int) -> np.ndarray:
+    """vals * c elementwise (vals uint32, s <= TABLE_MAX_S), shift-and-add
+    over the bits of c."""
+    out = np.zeros_like(vals)
+    modulus = np.uint32(field.modulus)
+    while True:
+        if c & 1:
+            out ^= vals
+        c >>= 1
+        if not c:
+            return out
+        vals = vals << 1
+        vals ^= (vals >> field.s) * modulus
 
 
 def _eval_binary_poly(ext: Field, bits: int, x: int) -> int:
@@ -380,15 +442,17 @@ class Embedding:
 
     The full image table is stored so pullbacks are exact lookups; an element
     of the extension lies in the embedded subfield iff it appears there.
+    ``table`` maps each base value to its image, and ``inverse`` maps each
+    image back to its base value, both as ints.
     """
 
-    __slots__ = ("base", "ext", "table", "_inverse")
+    __slots__ = ("base", "ext", "table", "inverse")
 
     def __init__(self, base: Field, ext: Field, table: tuple[int, ...]):
         self.base = base
         self.ext = ext
         self.table = table
-        self._inverse = {img: v for v, img in enumerate(table)}
+        self.inverse = {img: v for v, img in enumerate(table)}
 
     def apply(self, value: Union[int, FieldElement]) -> FieldElement:
         if isinstance(value, FieldElement):
@@ -402,7 +466,7 @@ class Embedding:
     def in_image(self, value: Union[int, FieldElement]) -> bool:
         if isinstance(value, FieldElement):
             value = value.value
-        return value in self._inverse
+        return value in self.inverse
 
     def pullback(self, value: Union[int, FieldElement]) -> FieldElement:
         if isinstance(value, FieldElement):
@@ -410,7 +474,7 @@ class Embedding:
                 raise ValueError("field mismatch")
             value = value.value
         try:
-            return self.base.element(self._inverse[value])
+            return self.base.element(self.inverse[value])
         except KeyError:
             raise ValueError("element not in embedded subfield") from None
 

@@ -1,5 +1,11 @@
 """Slow, obviously-correct references for the tests to compare against.
 
+A carry-less multiply followed by reduction modulo the field's polynomial is
+the reference for ``Field.mul``, both its table lookups and its shift-and-add
+loop; the walk over the powers of the primitive element, one such product
+per step, is the reference for the doubling walk that builds
+``cycledual.gf.log_exp``'s tables.
+
 Schoolbook polynomial multiply and long division, one ``Field.mul`` per
 coefficient pair, are the reference for the numpy kernel of cycledual.poly;
 the monic reversal and the coefficient-wise q-th power, one ``Field.mul`` or
@@ -34,12 +40,45 @@ import numpy as np
 from cycledual import CyclicCode, Field, Poly
 from cycledual.construct import _uuv_basis
 from cycledual.cyclo import HERMITIAN, KINDS
-from cycledual.gf import dtype_for, log_exp
+from cycledual.gf import _gf2_mod, dtype_for, log_exp
 from cycledual.linalg import as_array, scalar_mul, shifted_rows
 
 FULL_COMPARE_LIMIT = 1 << 20
 
 _frob_tables: dict[tuple[Field, int], np.ndarray] = {}
+
+
+# -- scalars in GF(2^s) ----------------------------------------------------------
+
+
+def gf_mul(field: Field, a: int, b: int) -> int:
+    """a * b: the carry-less product of the two bit polynomials, reduced
+    modulo the field's polynomial."""
+    product = 0
+    i = 0
+    while b >> i:
+        if b >> i & 1:
+            product ^= a << i
+        i += 1
+    return _gf2_mod(product, field.modulus)
+
+
+def log_exp_tables(field: Field) -> tuple[np.ndarray, np.ndarray]:
+    """The (log, exp) tables of ``log_exp``, walked one product at a time:
+    exp repeats the powers of the primitive element twice, then 2(q - 1) + 1
+    zeros, and log[0] = 2(q - 1) points into that tail.  The primitive
+    element comes from a fresh field, which has built no tables."""
+    q1 = field.order - 1
+    gamma = Field(field.s, field.modulus).primitive_element()
+    log = np.empty(field.order, dtype=np.int32)
+    log[0] = 2 * q1
+    exp = np.zeros(4 * q1 + 1, dtype=dtype_for(field))
+    v = 1
+    for i in range(q1):
+        exp[i] = exp[i + q1] = v
+        log[v] = i
+        v = gf_mul(field, v, gamma)
+    return log, exp
 
 
 # -- polynomials over GF(2^s) ----------------------------------------------------

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from cycledual import cli, cyclic, linalg, read_certificate, write_certificate
+from cycledual import Poly, cli, cyclic, linalg, read_certificate, write_certificate
 from cycledual.cli import main
 
 
@@ -501,3 +501,27 @@ def test_factor_checks_the_cap_before_building_the_extension(capsys, monkeypatch
     assert rc == 2
     assert out == ""
     assert "length n = 65537 exceeds MAX_INNER_LENGTH = 8191" in err
+
+
+def _change_a_coefficient(mp):
+    return Poly(mp.field, (mp.coeffs[0] ^ 1, *mp.coeffs[1:]))
+
+
+def _drop_a_root(mp):
+    quotient, _ = mp.divrem(Poly(mp.field, (1, 1)))  # only {0}'s x + 1 is split off
+    return quotient
+
+
+@pytest.mark.parametrize("corrupt", [_change_a_coefficient, _drop_a_root])
+def test_factor_rejects_a_corrupted_factor(capsys, monkeypatch, corrupt):
+    build = cli.minimal_polynomial
+
+    def corrupted(orbit, *args):
+        mp = build(orbit, *args)
+        return corrupt(mp) if tuple(orbit) == (0,) else mp
+
+    monkeypatch.setattr(cli, "minimal_polynomial", corrupted)
+    rc, out, err = run(capsys, "factor", "--q", "4", "--n", "63")
+    assert rc == 1
+    assert out == ""
+    assert err == "check failed: coset factorization does not multiply back to x^n - 1\n"

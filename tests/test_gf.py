@@ -1,10 +1,15 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
 from cycledual import (
     Field,
     FieldElement,
     extension_with_embedding,
     field_create,
+    gf,
     nth_root_of_unity,
 )
 from cycledual.gf import default_modulus, is_irreducible
@@ -201,3 +206,117 @@ def test_field_equality_and_hash():
     assert hash(field_create(2)) == hash(Field(2, 0b111))
     e = FieldElement(field_create(2), 3)
     assert e == FieldElement(Field(2), 3)
+
+
+@pytest.mark.parametrize(
+    "s,m",
+    [(2, 6), (4, 3), (8, 2), (2, 13)],
+    ids=["gf4-gf2^12", "gf16-gf2^12", "gf256-gf2^16", "gf4-gf2^26"],
+)
+def test_extension_embedding_is_a_ring_map(s, m):
+    # GF(2^12) and GF(2^16) multiply by table, GF(2^26) by shift-and-add
+    base = field_create(s)
+    ext, emb = extension_with_embedding(base, m)
+    assert ext.s == s * m
+    table = emb.table
+    for a in base.elements():
+        for b in base.elements():
+            assert table[a ^ b] == table[a] ^ table[b]
+            assert table[base.mul(a, b)] == ext.mul(table[a], table[b])
+    assert all(ext.frobenius(img, s) == img for img in table)
+    assert len(set(table)) == base.order
+
+
+# -- scalar products: log/antilog tables up to GF(2^16), shift-and-add beyond --
+
+TABLE_DEGREES = range(1, gf.TABLE_MAX_S + 1)
+LOOP_DEGREES = (17, 26, 32)
+
+
+def loop_field(s):
+    """GF(2^s) past the tables, the cached extension of GF(2): constructing
+    such a field checks its modulus by trial division, about a second."""
+    return extension_with_embedding(field_create(1), s)[0]
+
+
+@pytest.mark.parametrize("s", range(1, 7))
+def test_table_mul_matches_reference_exhaustively(s):
+    f = field_create(s)
+    for a in f.elements():
+        assert [f.mul(a, b) for b in f.elements()] == [
+            reference.gf_mul(f, a, b) for b in f.elements()
+        ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_table_mul_matches_reference(data):
+    f = field_create(data.draw(st.sampled_from(TABLE_DEGREES), label="s"))
+    element = st.one_of(st.just(0), st.just(1), st.integers(0, f.order - 1))
+    a, b = data.draw(element, label="a"), data.draw(element, label="b")
+    assert f.mul(a, b) == reference.gf_mul(f, a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_loop_mul_beyond_the_tables_matches_reference(data):
+    f = loop_field(data.draw(st.sampled_from(LOOP_DEGREES), label="s"))
+    element = st.one_of(st.just(0), st.just(1), st.integers(0, f.order - 1))
+    a, b = data.draw(element, label="a"), data.draw(element, label="b")
+    assert f.mul(a, b) == reference.gf_mul(f, a, b)
+    assert f._log is None and f not in gf._tables
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_pow_agrees_before_and_after_the_tables(data):
+    s = data.draw(st.sampled_from((*TABLE_DEGREES, *LOOP_DEGREES)), label="s")
+    if s in LOOP_DEGREES:
+        fresh = used = loop_field(s)
+    else:
+        fresh, used = Field(s), Field(s)
+        used.mul(1, 1)  # builds the tables
+    a = data.draw(st.integers(0, fresh.order - 1), label="a")
+    e = data.draw(st.integers(0, 3 * fresh.order), label="e")
+    expected = 1
+    for bit in bin(e)[2:]:
+        expected = reference.gf_mul(fresh, expected, expected)
+        if bit == "1":
+            expected = reference.gf_mul(fresh, expected, a)
+    assert fresh.pow(a, e) == used.pow(a, e) == expected
+    assert fresh._log is None
+    if a:
+        assert used.mul(a, used.inv(a)) == 1
+
+
+@pytest.mark.parametrize("s", TABLE_DEGREES)
+def test_log_exp_matches_the_walk_one_product_at_a_time(s):
+    log, exp = gf.log_exp(field_create(s))
+    ref_log, ref_exp = reference.log_exp_tables(field_create(s))
+    assert log.dtype == ref_log.dtype and exp.dtype == ref_exp.dtype
+    assert np.array_equal(log, ref_log) and np.array_equal(exp, ref_exp)
+
+
+def test_tables_are_built_by_the_first_product_only(monkeypatch):
+    calls = []
+    build = gf.log_exp
+
+    def counting(field):
+        calls.append(field)
+        return build(field)
+
+    monkeypatch.setattr(gf, "log_exp", counting)
+    # the largest degree-10 modulus: no other test uses this field
+    modulus = max(c for c in range((1 << 10) + 1, 1 << 11, 2) if is_irreducible(c))
+    f = Field(10, modulus)
+    monkeypatch.delitem(gf._tables, f, raising=False)
+    gamma = f.primitive_element()
+    assert f.multiplicative_order(gamma) == f.order - 1
+    assert f.multiplicative_order(f.pow(gamma, 3)) == (f.order - 1) // 3
+    assert calls == [] and f._log is None and f not in gf._tables
+    assert f.mul(gamma, gamma) == reference.gf_mul(f, gamma, gamma)
+    assert calls == [f] and f in gf._tables
+    for a in (0, 1, gamma, f.order - 1):
+        assert f.mul(a, 5) == reference.gf_mul(f, a, 5)
+    assert f.pow(gamma, 5) == f.mul(f.mul(gamma, gamma), f.pow(gamma, 3))
+    assert calls == [f]
