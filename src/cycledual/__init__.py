@@ -14,13 +14,11 @@ from .construct import (
     DistanceSummary,
     PaperFloor,
     SelfDualCertificate,
-    UUVCode,
     VerificationError,
     build_family,
     family_parameters,
     paper_floor,
     repeated_root_generator,
-    uuv_construct,
     verify_self_dual,
     verify_van_lint_equivalence,
 )
@@ -45,17 +43,15 @@ from .distance import (
     DistanceReport,
     exact_min_distance,
     sampled_weight_upper_bound,
-    weight,
 )
 from .gf import (
     Embedding,
     Field,
-    FieldElement,
     extension_with_embedding,
     field_create,
     nth_root_of_unity,
 )
-from .poly import Poly, conjugate_poly, dual_generator, product, x_pow_n_minus_1
+from .poly import Poly, conjugate_poly, product, x_pow_n_minus_1
 
 __version__ = "0.1.0"
 
@@ -69,14 +65,12 @@ __all__ = [
     "EUCLIDEAN",
     "Embedding",
     "Field",
-    "FieldElement",
     "HERMITIAN",
     "KINDS",
     "PaperFloor",
     "Poly",
     "RootContext",
     "SelfDualCertificate",
-    "UUVCode",
     "VerificationError",
     "all_cosets",
     "bch_bound",
@@ -85,7 +79,6 @@ __all__ = [
     "complement",
     "conjugate_poly",
     "coset",
-    "dual_generator",
     "dumps",
     "exact_min_distance",
     "extension_with_embedding",
@@ -104,10 +97,8 @@ __all__ = [
     "root_context",
     "sampled_weight_upper_bound",
     "set_map",
-    "uuv_construct",
     "verify_self_dual",
     "verify_van_lint_equivalence",
-    "weight",
     "write_certificate",
     "x_pow_n_minus_1",
 ]

@@ -33,8 +33,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .cyclic import CyclicCode, _conjugation_power, _dual_from_check, root_context
 from .cyclo import (
     EUCLIDEAN,
@@ -49,8 +47,6 @@ from .poly import Poly, x_pow_n_minus_1
 __all__ = [
     "MAX_INNER_LENGTH",
     "VerificationError",
-    "UUVCode",
-    "uuv_construct",
     "repeated_root_generator",
     "verify_self_dual",
     "verify_van_lint_equivalence",
@@ -72,44 +68,6 @@ class VerificationError(Exception):
     """A recorded mathematical check failed (or an internal self-check fired)."""
 
 
-class UUVCode:
-    """The [u|u+v] code of a dual-containing cyclic code C: basis rows are
-    [u|u] for the rows of C's generator matrix and [0|v] for the dual's."""
-
-    __slots__ = ("inner", "dual_code", "kind", "basis")
-
-    def __init__(self, inner: CyclicCode, dual_code: CyclicCode, kind: str, basis: np.ndarray):
-        self.inner = inner
-        self.dual_code = dual_code
-        self.kind = kind
-        self.basis = basis
-
-    @property
-    def n(self) -> int:
-        return self.inner.n
-
-    @property
-    def length(self) -> int:
-        return 2 * self.inner.n
-
-    @property
-    def dimension(self) -> int:
-        return self.basis.shape[0]
-
-    def __repr__(self) -> str:
-        return f"UUVCode([{self.length}, {self.dimension}] {self.kind})"
-
-
-def _uuv_basis(inner: CyclicCode, dual_code: CyclicCode) -> np.ndarray:
-    gm = inner.generator_matrix()
-    top = np.hstack([gm, gm])
-    if dual_code.k == 0:
-        return top
-    dm = dual_code.generator_matrix()
-    bottom = np.hstack([np.zeros_like(dm), dm])
-    return np.vstack([top, bottom])
-
-
 def verify_self_dual(g: Poly, length: int, kind: str) -> bool:
     """True iff the cyclic code of the given length generated by g is
     self-dual: g equals its own dual generator (Euclidean) or the q-conjugate
@@ -120,17 +78,6 @@ def verify_self_dual(g: Poly, length: int, kind: str) -> bool:
         return False
     h, rem = x_pow_n_minus_1(g.field, length).divrem(g)
     return rem.is_zero and _dual_from_check(h, q) == g
-
-
-def uuv_construct(code: CyclicCode, kind: str) -> UUVCode:
-    """Build the [u|u+v] code of a dual-containing cyclic code after running
-    the recorded checks on it."""
-    dual_code, _, _, checks = pipeline_checks(code, kind)
-    if not checks["dual_containing"]:
-        raise ValueError("self-dual construction needs a dual-containing code")
-    if not all(checks.values()):
-        raise VerificationError("constructed [u|u+v] code failed a recorded check")
-    return UUVCode(code, dual_code, kind, _uuv_basis(code, dual_code))
 
 
 def repeated_root_generator(code: CyclicCode, kind: str) -> Poly:

@@ -6,14 +6,12 @@ A defining set is a subset of Z_n tagged with the coset base q (the alphabet
 order; q^2-cyclotomic work simply uses that square as the base).  Sets
 serialize as comma-separated decimal residues in ascending order.
 
-:func:`minimal_polynomial` expands prod (x - beta^j) over a coset with
-scalar extension arithmetic, O(|coset|^2) ``Field.mul`` calls (one table
-lookup each up to GF(2^16), shift-and-add beyond), and pulls each
-coefficient back to the base field with one lookup in the embedding's
-inverse table.  Given the table of beta's powers that
-:func:`cycledual.cyclic.root_context` builds once per (field, n), it reads
-each root from the table, so no root costs more than one lookup; without
-it, the roots come from one power of beta and Frobenius steps.
+:func:`minimal_polynomial` reads each root beta^j of a coset from the
+table of beta's powers that :func:`cycledual.cyclic.root_context` builds
+once per (field, n), expands prod (x - beta^j) with scalar extension
+arithmetic, O(|coset|^2) ``Field.mul`` calls (one table lookup each up to
+GF(2^16), shift-and-add beyond), and pulls each coefficient back to the
+base field with one lookup in the embedding's inverse table.
 """
 
 from __future__ import annotations
@@ -21,9 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence
 
-from .gf import Embedding, Field, FieldElement
+from .gf import Embedding, Field
 from .poly import Poly
 
 __all__ = [
@@ -221,23 +219,16 @@ def _order(ext: Field, beta: int) -> int:
 
 
 def minimal_polynomial(
-    coset_residues: Iterable[int],
-    beta: Union[int, FieldElement],
-    emb: Embedding,
-    powers: Optional[Sequence[int]] = None,
+    coset_residues: Iterable[int], beta: int, emb: Embedding, powers: Sequence[int]
 ) -> Poly:
     """Expand prod_{j in coset} (x - beta^j) in the extension and pull the
-    coefficients back to the base field.  beta is an int or a FieldElement
-    of the embedding's extension, of order n.
-
-    powers, if given, is the table of beta^j for 0 <= j < n as ints (see
-    :func:`cycledual.cyclic.root_context`), and each root is read from it.
-    Otherwise the roots follow the coset, beta^(j q) = (beta^j)^q, from one
-    power of beta."""
+    coefficients back to the base field.  beta is an element of the
+    embedding's extension of order n, and powers is the table of beta^j for
+    0 <= j < n (see :func:`cycledual.cyclic.root_context`), from which each
+    root is read."""
     ext = emb.ext
-    if isinstance(beta, FieldElement) and beta.field != ext:
-        raise ValueError("field mismatch: beta must live in the embedding's extension")
-    beta = ext.element(beta).value
+    if not 0 <= beta < ext.order:
+        raise ValueError(f"value {beta} out of range for {ext!r}")
     members = frozenset(int(j) for j in coset_residues)
     if not members:
         raise ValueError("empty coset")
@@ -246,14 +237,9 @@ def minimal_polynomial(
         raise ValueError("coset residues must lie in 0..n-1")
     if members != set(coset(n, emb.base.order, min(members))):
         raise ValueError("not a single cyclotomic coset")
-    if powers is not None:
-        if len(powers) != n or powers[1 % n] != beta:
-            raise ValueError("powers must be the table of beta^j for 0 <= j < n")
-        return _expand([powers[j] for j in members], emb)
-    roots = [ext.pow(beta, min(members))]
-    for _ in range(len(members) - 1):
-        roots.append(ext.frobenius(roots[-1], emb.base.s))
-    return _expand(roots, emb)
+    if len(powers) != n or powers[1 % n] != beta:
+        raise ValueError("powers must be the table of beta^j for 0 <= j < n")
+    return _expand([powers[j] for j in members], emb)
 
 
 def _expand(roots: Iterable[int], emb: Embedding) -> Poly:

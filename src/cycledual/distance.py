@@ -30,7 +30,6 @@ from .gf import Field, dtype_for
 __all__ = [
     "DEFAULT_BUDGET",
     "DistanceReport",
-    "weight",
     "exact_min_distance",
     "sampled_weight_upper_bound",
 ]
@@ -50,13 +49,6 @@ class DistanceReport:
     exact: bool
     enumerated: int
     seed: int | None = None
-
-
-def weight(word) -> int:
-    """Number of nonzero coordinates."""
-    if isinstance(word, np.ndarray):
-        return int(np.count_nonzero(word))
-    return sum(1 for c in word if int(c) != 0)
 
 
 def _check_budget(q: int, k: int, budget: int) -> int:

@@ -6,10 +6,7 @@ in the polynomial basis, so GF(4) is {0, 1, 2, 3} with 2 = x and 3 = x + 1.
 Addition is xor; multiplication reduces modulo an irreducible binary
 polynomial stored the same way (x^2 + x + 1 is 0b111 = 7).
 
-:class:`Field` operates on raw ints, and the pipeline (cyclic, construct,
-cli) handles only ints.  :class:`FieldElement` is a convenience at the public
-boundary of gf, poly and cyclo: it binds a value to its owning field and
-overloads the arithmetic operators, catching cross-field mixups.
+:class:`Field` operates on raw ints, and so does every caller.
 
 Canonical choices (so that independent runs agree bit for bit):
 
@@ -35,13 +32,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import repeat
-from typing import Union
 
 import numpy as np
 
 __all__ = [
     "Field",
-    "FieldElement",
     "Embedding",
     "field_create",
     "extension_with_embedding",
@@ -130,12 +125,13 @@ class Field:
         if not 1 <= s <= EXTENSION_MAX_S:
             raise ValueError(f"field degree s={s} outside supported range 1..{EXTENSION_MAX_S}")
         if modulus is None:
+            # irreducible by the fixed table, or by default_modulus's own search
             modulus = default_modulus(s)
-        if _gf2_degree(modulus) != s:
+        elif _gf2_degree(modulus) != s:
             raise ValueError(
                 f"modulus degree mismatch: got degree {_gf2_degree(modulus)}, need {s}"
             )
-        if not is_irreducible(modulus):
+        elif not is_irreducible(modulus):
             raise ValueError("modulus not irreducible")
         self.s = s
         self.modulus = modulus
@@ -212,33 +208,10 @@ class Field:
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
 
-    def frobenius(self, a: int, k: int) -> int:
-        """a ** (2**k); the identity whenever k is a multiple of s."""
-        if k < 0:
-            raise ValueError("frobenius exponent must be nonnegative")
-        for _ in range(k % self.s):
-            a = self.mul(a, a)
-        return a
-
     # -- structure ---------------------------------------------------------
 
     def elements(self) -> range:
         return range(self.order)
-
-    def element(self, value: Union[int, "FieldElement"]) -> "FieldElement":
-        if isinstance(value, FieldElement):
-            if value.field != self:
-                raise ValueError("field mismatch")
-            return value
-        return FieldElement(self, value)
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
 
     def group_factors(self) -> tuple[int, ...]:
         """Prime factors of the multiplicative group order 2^s - 1."""
@@ -285,67 +258,6 @@ class Field:
 
     def __repr__(self) -> str:
         return f"GF(2^{self.s}, 0x{self.modulus:x})"
-
-
-class FieldElement:
-    """A field element bound to its owning field.
-
-    Supports +, -, *, /, ** and frobenius; mixing elements of different
-    fields raises ``ValueError``.
-    """
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: Field, value: int):
-        value = int(value)
-        if not 0 <= value < field.order:
-            raise ValueError(f"value {value} out of range for {field!r}")
-        self.field = field
-        self.value = value
-
-    def _other(self, other: "FieldElement") -> int:
-        if not isinstance(other, FieldElement) or other.field != self.field:
-            raise ValueError("field mismatch")
-        return other.value
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.field, self.value ^ self._other(other))
-
-    __sub__ = __add__
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.field, self.field.mul(self.value, self._other(other)))
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.field, self.field.div(self.value, self._other(other)))
-
-    def __pow__(self, e: int) -> "FieldElement":
-        return FieldElement(self.field, self.field.pow(self.value, e))
-
-    def __neg__(self) -> "FieldElement":
-        return self  # characteristic two
-
-    def frobenius(self, k: int) -> "FieldElement":
-        return FieldElement(self.field, self.field.frobenius(self.value, k))
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FieldElement)
-            and self.field == other.field
-            and self.value == other.value
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.value))
-
-    def __repr__(self) -> str:
-        return f"{self.field!r}:{self.value:x}"
 
 
 @lru_cache(maxsize=None)
@@ -440,10 +352,9 @@ def _eval_binary_poly(ext: Field, bits: int, x: int) -> int:
 class Embedding:
     """A ring embedding of GF(2^s) into GF(2^(s*m)).
 
-    The full image table is stored so pullbacks are exact lookups; an element
-    of the extension lies in the embedded subfield iff it appears there.
     ``table`` maps each base value to its image, and ``inverse`` maps each
-    image back to its base value, both as ints.
+    image back to its base value, both as ints; an element of the extension
+    lies in the embedded subfield iff it is a key of ``inverse``.
     """
 
     __slots__ = ("base", "ext", "table", "inverse")
@@ -453,30 +364,6 @@ class Embedding:
         self.ext = ext
         self.table = table
         self.inverse = {img: v for v, img in enumerate(table)}
-
-    def apply(self, value: Union[int, FieldElement]) -> FieldElement:
-        if isinstance(value, FieldElement):
-            if value.field != self.base:
-                raise ValueError("field mismatch")
-            value = value.value
-        return self.ext.element(self.table[value])
-
-    __call__ = apply
-
-    def in_image(self, value: Union[int, FieldElement]) -> bool:
-        if isinstance(value, FieldElement):
-            value = value.value
-        return value in self.inverse
-
-    def pullback(self, value: Union[int, FieldElement]) -> FieldElement:
-        if isinstance(value, FieldElement):
-            if value.field != self.ext:
-                raise ValueError("field mismatch")
-            value = value.value
-        try:
-            return self.base.element(self.inverse[value])
-        except KeyError:
-            raise ValueError("element not in embedded subfield") from None
 
     def __repr__(self) -> str:
         return f"Embedding({self.base!r} -> {self.ext!r})"
@@ -527,11 +414,11 @@ def extension_with_embedding(base: Field, m: int) -> tuple[Field, Embedding]:
     return _extension_with_embedding(base, m)
 
 
-def nth_root_of_unity(ext: Field, n: int) -> FieldElement:
+def nth_root_of_unity(ext: Field, n: int) -> int:
     """The canonical primitive n-th root of unity gamma^((2^s-1)/n)."""
     if n < 1:
         raise ValueError("n must be positive")
     if (ext.order - 1) % n != 0:
         raise ValueError(f"no primitive n-th root: {n} does not divide {ext.order - 1}")
     gamma = ext.primitive_element()
-    return ext.element(ext.pow(gamma, (ext.order - 1) // n))
+    return ext.pow(gamma, (ext.order - 1) // n)

@@ -8,6 +8,8 @@ checks use no matrices: they are polynomial identities (see
 :mod:`cycledual.construct`).
 """
 
+# kept as a module of its own because the benchmark reaches it: perfbench/tracing.py LAYERS
+
 from __future__ import annotations
 
 import numpy as np

@@ -6,10 +6,19 @@ loop; the walk over the powers of the primitive element, one such product
 per step, is the reference for the doubling walk that builds
 ``cycledual.gf.log_exp``'s tables.
 
+Repeated squaring with that multiply is the reference Frobenius map a^(2^k).
+
 Schoolbook polynomial multiply and long division, one ``Field.mul`` per
 coefficient pair, are the reference for the numpy kernel of cycledual.poly;
 the monic reversal and the coefficient-wise q-th power, one ``Field.mul`` or
-``Field.frobenius`` per coefficient, for its table lookups.
+Frobenius map per coefficient, for its table lookups.  A message times the
+generator modulo x^n - 1 (``encode``) and the remainder by the generator
+(``contains``) are the brute-force span and membership of a cyclic code.
+
+A coset's roots walked by Frobenius steps from one power of beta, multiplied
+out with the schoolbook product, are the reference for
+``cycledual.cyclo.minimal_polynomial``, which reads its roots from the table
+of beta's powers.
 
 The weight of every message's codeword, enumerated with itertools, is the
 reference for the exhaustive table walk of cycledual.distance; the seeded
@@ -17,7 +26,9 @@ messages' codewords as xors of unpacked row multiples, one per digit, are the
 reference for its sampled row-run tables.
 
 Dense GF(2^s) linear algebra is the reference for the polynomial checks in
-cycledual.construct and cycledual.cyclic.
+cycledual.construct and cycledual.cyclic, on the [u|u+v] basis of
+``uuv_basis``: rows [u|u] for the inner code's generator matrix and [0|v]
+for its dual's.
 
 Every recorded fact is re-derived here from explicit basis matrices: the
 dual's rows reduced against the code's row echelon form, G G^T = 0 for
@@ -37,8 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cycledual import CyclicCode, Field, Poly
-from cycledual.construct import _uuv_basis
+from cycledual import CyclicCode, Embedding, Field, Poly, x_pow_n_minus_1
 from cycledual.cyclo import HERMITIAN, KINDS
 from cycledual.gf import _gf2_mod, dtype_for, log_exp
 from cycledual.linalg import as_array, scalar_mul, shifted_rows
@@ -61,6 +71,13 @@ def gf_mul(field: Field, a: int, b: int) -> int:
             product ^= a << i
         i += 1
     return _gf2_mod(product, field.modulus)
+
+
+def frobenius(field: Field, a: int, k: int) -> int:
+    """a^(2^k) by k mod s squarings; the identity whenever s divides k."""
+    for _ in range(k % field.s):
+        a = gf_mul(field, a, a)
+    return a
 
 
 def log_exp_tables(field: Field) -> tuple[np.ndarray, np.ndarray]:
@@ -129,7 +146,52 @@ def monic_reversal(h: Poly) -> Poly:
 def conjugate_poly(p: Poly, q: int) -> Poly:
     """Every coefficient raised to the q-th power, q a power of two."""
     k = q.bit_length() - 1
-    return Poly(p.field, [p.field.frobenius(c, k) for c in p.coeffs])
+    return Poly(p.field, [frobenius(p.field, c, k) for c in p.coeffs])
+
+
+def minimal_polynomial(coset_residues, beta: int, emb: Embedding) -> Poly:
+    """prod (x - beta^j) over one q-cyclotomic coset, q = |base|, with the
+    roots beta^(j q) = (beta^j)^q walked from the smallest member; the
+    schoolbook product runs in the extension, and each coefficient must lie
+    in the embedded base field."""
+    ext = emb.ext
+    root = ext.pow(beta, min(coset_residues))
+    prod = Poly(ext, (1,))
+    for _ in coset_residues:
+        prod = poly_mul(prod, Poly(ext, (root, 1)))
+        root = frobenius(ext, root, emb.base.s)
+    return Poly(emb.base, [emb.inverse[c] for c in prod.coeffs])
+
+
+# -- cyclic codes, by their polynomials ------------------------------------------
+
+
+def encode(code: CyclicCode, message) -> tuple[int, ...]:
+    """The codeword m(x) g(x) mod x^n - 1 of a message of length k, as n
+    coefficients."""
+    msg = list(message)
+    if len(msg) != code.k:
+        raise ValueError(f"message length {len(msg)} != dimension {code.k}")
+    product = poly_mul(Poly(code.field, msg), code.g)
+    word = poly_divrem(product, x_pow_n_minus_1(code.field, code.n))[1]
+    return tuple(word.coeffs) + (0,) * (code.n - len(word.coeffs))
+
+
+def contains(code: CyclicCode, word) -> bool:
+    """g divides the word; for the zero code deg g = n exceeds deg w, so w is
+    its own remainder."""
+    vals = list(word)
+    if len(vals) != code.n:
+        raise ValueError(f"word length {len(vals)} != code length {code.n}")
+    return poly_divrem(Poly(code.field, vals), code.g)[1].is_zero
+
+
+def uuv_basis(inner: CyclicCode, dual: CyclicCode) -> np.ndarray:
+    """The [u|u+v] basis: [u|u] for the rows of the inner code's generator
+    matrix, then [0|v] for the rows of its dual's."""
+    gm = shifted_rows(inner.g, inner.n)
+    dm = shifted_rows(dual.g, dual.n)  # no rows when the dual is the zero code
+    return np.vstack([np.hstack([gm, gm]), np.hstack([np.zeros_like(dm), dm])])
 
 
 # -- codeword weights ----------------------------------------------------------
@@ -185,7 +247,7 @@ def frobenius_array(field: Field, arr, k: int) -> np.ndarray:
     table = _frob_tables.get((field, k % field.s))
     if table is None:
         table = np.array(
-            [field.frobenius(v, k) for v in range(field.order)], dtype=dtype_for(field)
+            [frobenius(field, v, k) for v in range(field.order)], dtype=dtype_for(field)
         )
         _frob_tables[(field, k % field.s)] = table
     return table[np.asarray(arr)]
@@ -450,11 +512,11 @@ def pipeline_checks(
     if not checks["dual_containing"]:
         return checks
     dual = inner.dual(kind)
-    basis = _uuv_basis(inner, dual)
+    basis = uuv_basis(inner, dual)
     field, n = inner.field, inner.n
     checks["self_dual"] = verify_self_dual(field, basis, kind)
     if outer_generator is None:
-        outer_generator = inner.g * inner.g * (dual.g // inner.g)
+        outer_generator = inner.g * inner.g * poly_divrem(dual.g, inner.g)[0]
     checks["van_lint_equivalence"] = verify_van_lint_equivalence(
         field, basis, n, outer_generator
     )

@@ -24,7 +24,6 @@ from cycledual import (
     paper_floor,
     repeated_root_generator,
     sampled_weight_upper_bound,
-    uuv_construct,
     verify_self_dual,
     verify_van_lint_equivalence,
     write_certificate,
@@ -61,11 +60,12 @@ def test_criterion_1():
     assert (cert.n_outer, cert.k_outer) == (14, 7)
     assert cert.self_dual and cert.van_lint_equivalence
     inner = CyclicCode.from_defining_set(cert.field, cert.n_inner, cert.defining_set)
-    U = uuv_construct(inner, "euclidean")
+    dual = inner.dual("euclidean")
+    basis = reference.uuv_basis(inner, dual)
     assert verify_self_dual(cert.outer_generator, cert.n_outer, "euclidean")
-    assert verify_van_lint_equivalence(inner.g, U.dual_code.g, inner.n, cert.outer_generator)
-    assert reference.verify_self_dual(cert.field, U.basis, "euclidean")
-    report = exact_min_distance(cert.field, U.basis)
+    assert verify_van_lint_equivalence(inner.g, dual.g, inner.n, cert.outer_generator)
+    assert reference.verify_self_dual(cert.field, basis, "euclidean")
+    report = exact_min_distance(cert.field, basis)
     assert (report.value, report.enumerated) == (4, 127)
     assert cert.floor_min == 4
     assert report.value >= cert.floor_min
@@ -77,8 +77,8 @@ def test_criterion_2():
     assert (cert.n_outer, cert.k_outer) == (14, 7)
     assert cert.all_checks_pass
     inner = CyclicCode.from_defining_set(cert.field, cert.n_inner, cert.defining_set)
-    U = uuv_construct(inner, "euclidean")
-    report = exact_min_distance(cert.field, U.basis)
+    basis = reference.uuv_basis(inner, inner.dual("euclidean"))
+    report = exact_min_distance(cert.field, basis)
     assert report.enumerated == 4**7 - 1 == 16383
     assert cert.floor_min == 4
     assert report.value >= cert.floor_min
@@ -91,8 +91,8 @@ def test_criterion_3():
     assert cert.all_checks_pass
     assert cert.floor_min == 6
     inner = CyclicCode.from_defining_set(cert.field, cert.n_inner, cert.defining_set)
-    U = uuv_construct(inner, "euclidean")
-    report = sampled_weight_upper_bound(cert.field, U.basis, trials=10**6, seed=20240901)
+    basis = reference.uuv_basis(inner, inner.dual("euclidean"))
+    report = sampled_weight_upper_bound(cert.field, basis, trials=10**6, seed=20240901)
     assert report.enumerated == 10**6
     assert report.value >= 6  # anything smaller would falsify the distance floor
 
@@ -120,12 +120,12 @@ def test_criterion_5():
             for code in divisor_codes(field, n):
                 if not code.is_dual_containing("euclidean"):
                     continue
-                U = uuv_construct(code, "euclidean")
+                dual = code.dual("euclidean")
                 g_out = repeated_root_generator(code, "euclidean")
-                assert verify_van_lint_equivalence(code.g, U.dual_code.g, n, g_out)
+                assert verify_van_lint_equivalence(code.g, dual.g, n, g_out)
                 full = field.order**code.n <= FULL_SET_LIMIT
                 assert reference.verify_van_lint_equivalence(
-                    field, U.basis, n, g_out, full=full
+                    field, reference.uuv_basis(code, dual), n, g_out, full=full
                 ), (field, n, code.T)
                 checked += 1
     assert checked >= 12
@@ -239,8 +239,8 @@ def test_criterion_10():
     for args in (("euclidean", 1, 3, 1), ("euclidean", 2, 3, 9)):
         cert = build_family(*args)
         inner = CyclicCode.from_defining_set(cert.field, cert.n_inner, cert.defining_set)
-        U = uuv_construct(inner, "euclidean")
+        basis = reference.uuv_basis(inner, inner.dual("euclidean"))
         reports = [
-            exact_min_distance(cert.field, U.basis, partitions=p) for p in (1, 2, 4, 8)
+            exact_min_distance(cert.field, basis, partitions=p) for p in (1, 2, 4, 8)
         ]
         assert all(r == reports[0] for r in reports)

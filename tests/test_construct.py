@@ -13,7 +13,6 @@ from cycledual import (
     family_parameters,
     paper_floor,
     repeated_root_generator,
-    uuv_construct,
     verify_self_dual,
     verify_van_lint_equivalence,
     x_pow_n_minus_1,
@@ -32,6 +31,11 @@ def hamming():
 
 def whole_space(field, n):
     return CyclicCode.from_defining_set(field, n, DefiningSet(n, field.order, frozenset()))
+
+
+def uuv_basis(code, kind):
+    """The reference [u|u+v] basis of a code and its dual of the given kind."""
+    return reference.uuv_basis(code, code.dual(kind))
 
 
 def test_interleave_permutation_n3():
@@ -87,31 +91,35 @@ def test_pipeline_evaluates_no_polynomial(monkeypatch, tmp_path, capsys):
 
 
 def test_uuv_hamming():
-    U = uuv_construct(hamming(), "euclidean")
-    assert (U.length, U.dimension) == (14, 7)
-    assert reference.verify_self_dual(GF2, U.basis, "euclidean")
+    basis = uuv_basis(hamming(), "euclidean")
+    assert basis.shape == (7, 14)
+    assert reference.verify_self_dual(GF2, basis, "euclidean")
+    assert verify_self_dual(repeated_root_generator(hamming(), "euclidean"), 14, "euclidean")
 
 
 def test_uuv_whole_space_n1():
-    U = uuv_construct(whole_space(GF2, 1), "euclidean")
-    assert (U.length, U.dimension) == (2, 1)
-    assert U.basis.tolist() == [[1, 1]]  # the code {00, 11}
-    assert reference.verify_self_dual(GF2, U.basis, "euclidean")
+    basis = uuv_basis(whole_space(GF2, 1), "euclidean")
+    assert basis.tolist() == [[1, 1]]  # the code {00, 11}
+    assert reference.verify_self_dual(GF2, basis, "euclidean")
 
 
 def test_uuv_hermitian_2115():
     inner = CyclicCode.from_defining_set(GF4, 21, bch_defining_set(21, 4, 2))
     assert inner.k == 15
-    U = uuv_construct(inner, "hermitian")
-    assert (U.length, U.dimension) == (42, 21)
-    assert reference.verify_self_dual(GF4, U.basis, "hermitian")
+    basis = uuv_basis(inner, "hermitian")
+    assert basis.shape == (21, 42)
+    assert reference.verify_self_dual(GF4, basis, "hermitian")
     assert verify_self_dual(repeated_root_generator(inner, "hermitian"), 42, "hermitian")
 
 
 def test_uuv_requires_dual_containing():
+    # the zero code's dual is the whole space: no [u|u+v] code, no outer
+    # generator, and every check reads false, by polynomials and by matrices
     zero = CyclicCode.from_generator(GF2, 7, Poly(GF2, [1] + [0] * 6 + [1]))
-    with pytest.raises(ValueError, match="dual-containing"):
-        uuv_construct(zero, "euclidean")
+    dual, g2, g_out, checks = pipeline_checks(zero, "euclidean")
+    assert (dual, g2, g_out) == (None, None, None)
+    assert checks == reference.pipeline_checks(zero, "euclidean")
+    assert not any(checks.values())
 
 
 def test_repeated_root_generator_examples():
@@ -157,20 +165,20 @@ def test_van_lint_n3_gf4_exhaustive():
     for code in divisor_codes(GF4, 3):
         if not code.is_dual_containing("euclidean"):
             continue
-        U = uuv_construct(code, "euclidean")
+        basis = uuv_basis(code, "euclidean")
         g_out = repeated_root_generator(code, "euclidean")
         assert van_lint(code, "euclidean", g_out)
-        assert reference.verify_van_lint_equivalence(GF4, U.basis, 3, g_out, full=True)
+        assert reference.verify_van_lint_equivalence(GF4, basis, 3, g_out, full=True)
         count += 1
     assert count == 3  # {} and the two conjugate singleton defining sets
 
 
 def test_van_lint_detects_wrong_generator():
-    U = uuv_construct(hamming(), "euclidean")
+    basis = uuv_basis(hamming(), "euclidean")
     wrong = Poly(GF2, (1, 1)) * Poly(GF2, (1, 1, 0, 1)) * Poly(GF2, (1, 0, 1, 1))
     assert wrong.degree == 7
     assert not van_lint(hamming(), "euclidean", wrong)
-    assert not reference.verify_van_lint_equivalence(GF2, U.basis, 7, wrong)
+    assert not reference.verify_van_lint_equivalence(GF2, basis, 7, wrong)
     # wrong degree, or not a divisor of x^14 - 1, fail before any division
     assert not van_lint(hamming(), "euclidean", Poly(GF2, ()))
     assert not van_lint(hamming(), "euclidean", Poly(GF2, (1,) * 8))
@@ -192,8 +200,8 @@ def test_verify_self_dual_cases():
     with pytest.raises(ValueError, match="kind must be"):
         verify_self_dual(g, 14, "unitary")
     # the dense reference on explicit bases
-    U = uuv_construct(hamming(), "euclidean")
-    assert reference.verify_self_dual(GF2, U.basis, "euclidean") is True
+    basis = uuv_basis(hamming(), "euclidean")
+    assert reference.verify_self_dual(GF2, basis, "euclidean") is True
     assert reference.verify_self_dual(GF2, [[1, 1]], "euclidean") is True
     # odd-length code cannot be self-dual: dimension test fails
     assert reference.verify_self_dual(GF2, hamming().generator_matrix(), "euclidean") is False
@@ -206,18 +214,18 @@ def test_verify_self_dual_cases():
 def test_check_code_automorphism():
     check_code_automorphism = reference.check_code_automorphism
     cyclic_shift_permutation = reference.cyclic_shift_permutation
-    U = uuv_construct(hamming(), "euclidean")
+    basis = uuv_basis(hamming(), "euclidean")
     identity = CoordinatePermutation(tuple(range(14)))
-    assert check_code_automorphism(GF2, U.basis, identity) is True
+    assert check_code_automorphism(GF2, basis, identity) is True
 
     perm = interleave_permutation(7)
-    permuted = np.stack([perm.apply(row) for row in U.basis])
+    permuted = np.stack([perm.apply(row) for row in basis])
     shift = cyclic_shift_permutation(14)
     # the interleaved code is cyclic, the raw (u|u+v) order is not
     assert check_code_automorphism(GF2, permuted, shift) is True
-    assert check_code_automorphism(GF2, U.basis, shift) is False
+    assert check_code_automorphism(GF2, basis, shift) is False
     with pytest.raises(ValueError, match="size mismatch"):
-        check_code_automorphism(GF2, U.basis, cyclic_shift_permutation(10))
+        check_code_automorphism(GF2, basis, cyclic_shift_permutation(10))
 
 
 def test_paper_floor_spot_values():
@@ -301,12 +309,12 @@ def test_uuv_basis_matches_definition():
     dual = inner.dual("euclidean")
     by_definition = set()
     for mu in product(range(2), repeat=inner.k):
-        u = inner.encode(mu)
+        u = reference.encode(inner, mu)
         for mv in product(range(2), repeat=dual.k):
-            v = dual.encode(mv)
+            v = reference.encode(dual, mv)
             by_definition.add(u + tuple(a ^ b for a, b in zip(u, v)))
-    U = uuv_construct(inner, "euclidean")
-    packed = {int(w) for w in reference.span_packed(GF2, U.basis)}
+    basis = reference.uuv_basis(inner, dual)
+    packed = {int(w) for w in reference.span_packed(GF2, basis)}
     assert packed == {sum(c << i for i, c in enumerate(w)) for w in by_definition}
     assert len(by_definition) == 2**7
 
@@ -350,15 +358,16 @@ def test_theorem_floor_against_exact_distances(field, ns):
                 continue
             if field.order**code.n - 1 > budget:
                 continue
-            U = uuv_construct(code, "euclidean")
-            dual = U.dual_code
+            dual = code.dual("euclidean")
             d_dual = (
                 exact_min_distance(field, dual.generator_matrix(), budget=budget).value
                 if dual.k
                 else 2 * code.n + 1
             )
             d_inner = exact_min_distance(field, code.generator_matrix(), budget=budget).value
-            d_outer = exact_min_distance(field, U.basis, budget=budget).value
+            d_outer = exact_min_distance(
+                field, reference.uuv_basis(code, dual), budget=budget
+            ).value
             assert d_outer >= min(d_dual, 2 * d_inner)
             checked += 1
     assert checked >= 4

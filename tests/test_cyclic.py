@@ -11,7 +11,7 @@ from cycledual import cyclic
 from cycledual.cyclo import complement, set_map
 from cycledual.poly import _monic_reversal
 from conftest import GF2, GF4, divisor_codes
-from reference import mat_mul, rank
+from reference import contains, encode, frobenius, mat_mul, rank
 
 
 def hamming():
@@ -56,7 +56,7 @@ def test_from_generator():
 
 
 def test_from_generator_normalizes_monic():
-    g = Poly(GF4, (1, 1)).scale(2)
+    g = Poly(GF4, (2, 2))  # 2 (x + 1)
     c = CyclicCode.from_generator(GF4, 3, g)
     assert c.g == Poly(GF4, (1, 1))
 
@@ -175,23 +175,29 @@ def test_generator_matrix():
         zero.generator_matrix()
 
 
+# encode and contains are the tests' brute-force span and membership
+# (reference.py); these pin them to the generator matrix and to known words
+
+
 def test_encode_examples():
     c = hamming()
-    assert c.encode((1, 0, 0, 0)) == (1, 1, 0, 1, 0, 0, 0)
-    assert c.encode((0, 1, 0, 0)) == (0, 1, 1, 0, 1, 0, 0)
+    assert encode(c, (1, 0, 0, 0)) == (1, 1, 0, 1, 0, 0, 0)
+    assert encode(c, (0, 1, 0, 0)) == (0, 1, 1, 0, 1, 0, 0)
     expected = (Poly(GF2, (1, 1, 1, 1)) * c.g).coeffs
-    assert c.encode((1, 1, 1, 1)) == expected + (0,) * (7 - len(expected))
+    assert encode(c, (1, 1, 1, 1)) == expected + (0,) * (7 - len(expected))
+    for i, row in enumerate(c.generator_matrix()):
+        assert encode(c, [int(j == i) for j in range(c.k)]) == tuple(row.tolist())
     with pytest.raises(ValueError, match="length"):
-        c.encode((1, 0, 0))
+        encode(c, (1, 0, 0))
 
 
 def test_contains_examples():
     c = hamming()
-    assert c.contains((1, 1, 0, 1, 0, 0, 0)) is True
-    assert c.contains((1,) * 7) is True  # all-ones word
-    assert c.contains((1, 0, 0, 0, 0, 0, 0)) is False
+    assert contains(c, (1, 1, 0, 1, 0, 0, 0)) is True
+    assert contains(c, (1,) * 7) is True  # all-ones word
+    assert contains(c, (1, 0, 0, 0, 0, 0, 0)) is False
     with pytest.raises(ValueError, match="length"):
-        c.contains((1, 0))
+        contains(c, (1, 0))
 
 
 def test_encode_lands_in_code():
@@ -201,7 +207,7 @@ def test_encode_lands_in_code():
     for code in (hamming(), CyclicCode.from_defining_set(GF4, 15, bch_defining_set(15, 4, 2))):
         for _ in range(25):
             msg = [rng.randrange(code.field.order) for _ in range(code.k)]
-            assert code.contains(code.encode(msg))
+            assert contains(code, encode(code, msg))
 
 
 def _brute_force_dual(field, code, kind):
@@ -215,7 +221,7 @@ def _brute_force_dual(field, code, kind):
         for row in rows:
             acc = 0
             for a, b in zip(row, vec):
-                acc ^= field.mul(a, field.frobenius(b, conj_k))
+                acc ^= field.mul(a, frobenius(field, b, conj_k))
             if acc:
                 break
         else:
@@ -235,7 +241,7 @@ def test_dual_matches_brute_force(field, n, kind):
         d = code.dual(kind)
         got = set()
         for msg in product(range(field.order), repeat=d.k):
-            got.add(tuple(int(c) for c in d.encode(msg)))
+            got.add(encode(d, msg))
         assert got == expected, (n, kind, code.T)
 
 

@@ -26,6 +26,7 @@ from cycledual import (
 )
 from cycledual import gf
 
+import reference
 from conftest import GF2, GF4
 
 
@@ -158,24 +159,26 @@ def test_gcd_lemma_agrees_with_integer_gcd():
 def test_minimal_polynomial_mod7():
     ext, emb = extension_with_embedding(GF2, 3)
     beta = nth_root_of_unity(ext, 7)
-    assert minimal_polynomial((1, 2, 4), beta, emb) == Poly(GF2, (1, 1, 0, 1))
-    assert minimal_polynomial((0,), beta, emb) == Poly(GF2, (1, 1))
-    assert minimal_polynomial((3, 5, 6), beta, emb) == Poly(GF2, (1, 0, 1, 1))
+    powers = [ext.pow(beta, j) for j in range(7)]
+    assert minimal_polynomial((1, 2, 4), beta, emb, powers) == Poly(GF2, (1, 1, 0, 1))
+    assert minimal_polynomial((0,), beta, emb, powers) == Poly(GF2, (1, 1))
+    assert minimal_polynomial((3, 5, 6), beta, emb, powers) == Poly(GF2, (1, 0, 1, 1))
     with pytest.raises(ValueError, match="not a single"):
-        minimal_polynomial((1, 2), beta, emb)
-    with pytest.raises(ValueError, match="field mismatch"):
-        minimal_polynomial((0,), GF2.one, emb)
+        minimal_polynomial((1, 2), beta, emb, powers)
+    assert reference.minimal_polynomial((3, 5, 6), beta, emb) == Poly(GF2, (1, 0, 1, 1))
 
 
-def test_minimal_polynomial_takes_beta_as_int_or_element():
+def test_minimal_polynomial_takes_beta_as_an_int():
+    # beta is an int of the extension; a value outside it is rejected
     ext, emb = extension_with_embedding(GF4, 3)
     beta = nth_root_of_unity(ext, 21)
+    powers = [ext.pow(beta, j) for j in range(21)]
     for orb in all_cosets(21, 4).values():
-        assert minimal_polynomial(orb, beta.value, emb) == minimal_polynomial(orb, beta, emb)
-    with pytest.raises(ValueError, match="out of range"):
-        minimal_polynomial((0,), ext.order, emb)
-    with pytest.raises(ValueError, match="field mismatch"):
-        minimal_polynomial((0,), GF4.element(2), emb)
+        expected = reference.minimal_polynomial(orb, beta, emb)
+        assert minimal_polynomial(orb, beta, emb, powers) == expected
+    for bad in (ext.order, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            minimal_polynomial((0,), bad, emb, powers)
 
 
 @pytest.mark.parametrize("field", [GF2, GF4])
@@ -188,9 +191,10 @@ def test_minimal_polynomial_product(field, n):
         m += 1
     ext, emb = extension_with_embedding(field, m)
     beta = nth_root_of_unity(ext, n)
+    powers = [ext.pow(beta, j) for j in range(n)]
     product = Poly.one(field)
     for _, orb in sorted(all_cosets(n, field.order).items()):
-        mp = minimal_polynomial(orb, beta, emb)
+        mp = minimal_polynomial(orb, beta, emb, powers)
         assert mp.is_monic and mp.degree == len(orb)
         product = product * mp
     assert product == x_pow_n_minus_1(field, n)
@@ -208,7 +212,7 @@ def test_minimal_polynomial_from_the_powers_table_matches_the_frobenius_roots(q,
     assert ctx.ext.s == e
     orbits = [orb for _, orb in sorted(all_cosets(n, q).items())]
     mps = [minimal_polynomial(orb, ctx.beta, ctx.emb, ctx.powers) for orb in orbits]
-    assert mps == [minimal_polynomial(orb, ctx.beta, ctx.emb) for orb in orbits]
+    assert mps == [reference.minimal_polynomial(orb, ctx.beta, ctx.emb) for orb in orbits]
     assert product(field, mps) == x_pow_n_minus_1(field, n)
 
 

@@ -16,8 +16,6 @@ from cycledual import (
     exact_min_distance,
     field_create,
     sampled_weight_upper_bound,
-    uuv_construct,
-    weight,
 )
 from cycledual.gf import dtype_for
 
@@ -32,14 +30,19 @@ def hamming():
 
 
 def uuv_14_7():
-    return uuv_construct(hamming(), "euclidean")
+    code = hamming()
+    return reference.uuv_basis(code, code.dual("euclidean"))
 
 
 def test_weight():
-    assert weight([0] * 7) == 0
-    assert weight((1, 1, 0, 1, 0, 0, 0)) == 3
-    assert weight([GF4.element(2), GF4.element(3), GF4.zero, GF4.one]) == 3
-    assert weight(np.array([0, 2, 0, 1], dtype=np.uint8)) == 2
+    # the weight of a word is its count of nonzero symbols, packed or not
+    for field, word, w in [
+        (GF2, [0] * 7, 0),
+        (GF2, (1, 1, 0, 1, 0, 0, 0), 3),
+        (GF4, [2, 3, 0, 1], 3),
+        (GF4, np.array([0, 2, 0, 1], dtype=np.uint8), 2),
+    ]:
+        assert _packed_weights(field, np.array([word], dtype=dtype_for(field))).tolist() == [w]
 
 
 def test_exact_hamming():
@@ -49,7 +52,7 @@ def test_exact_hamming():
 
 
 def test_exact_uuv():
-    r = exact_min_distance(GF2, uuv_14_7().basis)
+    r = exact_min_distance(GF2, uuv_14_7())
     assert (r.value, r.enumerated) == (4, 127)
 
 
@@ -65,13 +68,13 @@ def test_exact_budget_error():
 
 
 def test_partition_determinism():
-    basis = uuv_14_7().basis
+    basis = uuv_14_7()
     reports = [exact_min_distance(GF2, basis, partitions=p) for p in (1, 2, 4, 8)]
     assert all(r == reports[0] for r in reports)
 
 
 def test_early_exit_with_known_bound():
-    basis = uuv_14_7().basis
+    basis = uuv_14_7()
     r = exact_min_distance(GF2, basis, known_lower_bound=4)
     assert r.value == 4 and r.exact and r.enumerated <= 127
 
@@ -82,7 +85,7 @@ def test_dependent_rows_rejected():
 
 
 def test_sampled_consistency_and_determinism():
-    basis = uuv_14_7().basis
+    basis = uuv_14_7()
     a = sampled_weight_upper_bound(GF2, basis, 10000, seed=42)
     b = sampled_weight_upper_bound(GF2, basis, 10000, seed=42)
     assert a == b
@@ -184,7 +187,7 @@ def test_early_stop_counts_keep_chunk_and_partition_boundaries():
     # count already reaches d = 4, so each count is that block's length
     cert = build_family("euclidean", 2, 3, 9)
     inner = CyclicCode.from_defining_set(cert.field, cert.n_inner, cert.defining_set)
-    basis = uuv_construct(inner, "euclidean").basis
+    basis = reference.uuv_basis(inner, inner.dual("euclidean"))
     counts = [
         exact_min_distance(cert.field, basis, partitions=p, known_lower_bound=4).enumerated
         for p in (1, 2, 3, 4)
@@ -206,7 +209,7 @@ def test_budget_is_a_rule_of_q_and_k():
 def test_partition_count_costs_nothing():
     # no code loops over partitions: the block that holds the first message
     # at the bound is found by arithmetic
-    basis = uuv_14_7().basis
+    basis = uuv_14_7()
     start = time.perf_counter()
     r = exact_min_distance(GF2, basis, partitions=10**8)
     stopped = exact_min_distance(GF2, basis, partitions=10**8, known_lower_bound=4)

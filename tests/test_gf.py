@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 import reference
 from cycledual import (
     Field,
-    FieldElement,
     extension_with_embedding,
     field_create,
     gf,
@@ -35,15 +34,46 @@ def test_field_create_custom_modulus():
 def test_field_create_rejects_reducible():
     with pytest.raises(ValueError, match="not irreducible"):
         field_create(4, 0b10101)  # x^4 + x^2 + 1 = (x^2 + x + 1)^2
+    with pytest.raises(ValueError, match="not irreducible"):
+        Field(26, (1 << 26) | 1)  # x^26 + 1 = (x^13 + 1)^2
 
 
 def test_field_create_rejects_degree_mismatch():
     with pytest.raises(ValueError, match="degree mismatch"):
         field_create(4, 0b1011)
+    with pytest.raises(ValueError, match="degree mismatch"):
+        Field(26, default_modulus(25))
     with pytest.raises(ValueError):
         field_create(0)
     with pytest.raises(ValueError):
         field_create(17)
+
+
+def test_every_fixed_default_modulus_is_irreducible():
+    # the constructor trusts these: it tests only a modulus that its caller passed
+    for s, mod in gf._DEFAULT_MODULI.items():
+        assert mod.bit_length() - 1 == s and is_irreducible(mod), s
+        assert default_modulus(s) == mod
+
+
+def test_default_field_tests_irreducibility_only_in_the_search(monkeypatch):
+    s = 26
+    calls = []
+    check = gf.is_irreducible
+
+    def counting(modulus):
+        calls.append(modulus)
+        return check(modulus)
+
+    monkeypatch.setattr(gf, "is_irreducible", counting)
+    f = Field(s)
+    # each odd candidate once, up to the one the search stops at: no second
+    # trial division of the result in the constructor
+    assert calls == list(range((1 << s) + 1, f.modulus + 1, 2))
+    assert check(f.modulus)
+    calls.clear()
+    assert Field(s, f.modulus).modulus == f.modulus
+    assert calls == [f.modulus]  # a modulus from the caller is tested
 
 
 def test_default_modulus_search_degrees_without_table_entry():
@@ -64,24 +94,6 @@ def test_arith_examples():
     assert f8.div(6, 4) == 4
     with pytest.raises(ValueError, match="division by zero"):
         f8.div(1, 0)
-
-
-def test_field_element_operators_and_mismatch():
-    f4 = field_create(2)
-    f8 = field_create(3)
-    w = f4.element(2)
-    assert (w + w).value == 0
-    assert (w * w).value == 3
-    assert (w / w).value == 1
-    assert (w**3).value == 1
-    assert -w == w
-    assert int(w) == 2 and bool(w) and not bool(f4.zero)
-    with pytest.raises(ValueError, match="field mismatch"):
-        w + f8.element(2)
-    with pytest.raises(ValueError, match="field mismatch"):
-        w * f8.element(1)
-    with pytest.raises(ValueError):
-        f4.element(4)
 
 
 @pytest.mark.parametrize("s", [1, 2, 3, 4])
@@ -107,23 +119,29 @@ def test_inverse_law(s):
 
 
 def test_frobenius_examples():
+    frobenius = reference.frobenius
     f4 = field_create(2)
-    assert f4.frobenius(2, 1) == 3  # w^2 = w + 1
+    assert frobenius(f4, 2, 1) == 3  # w^2 = w + 1
     for s in (1, 2, 3, 4):
         f = field_create(s)
-        assert all(f.frobenius(1, k) == 1 for k in range(6))
-        assert all(f.frobenius(a, s) == a for a in f.elements())
-    f16 = field_create(4)
-    assert all(f16.frobenius(a, 4) == a for a in f16.elements())
+        assert all(frobenius(f, 1, k) == 1 for k in range(6))
+        assert all(frobenius(f, a, s) == a for a in f.elements())
+        for k in range(2 * s + 1):
+            assert all(frobenius(f, a, k) == f.pow(a, 1 << k) for a in f.elements())
 
 
 @pytest.mark.parametrize("s", [1, 2, 3, 4])
 def test_frobenius_is_a_ring_map(s):
     f = field_create(s)
+
+    def square(a):
+        return f.pow(a, 2)
+
     for a in f.elements():
+        assert square(a) == reference.frobenius(f, a, 1)
         for b in f.elements():
-            assert f.frobenius(f.add(a, b), 1) == f.add(f.frobenius(a, 1), f.frobenius(b, 1))
-            assert f.frobenius(f.mul(a, b), 1) == f.mul(f.frobenius(a, 1), f.frobenius(b, 1))
+            assert square(f.add(a, b)) == f.add(square(a), square(b))
+            assert square(f.mul(a, b)) == f.mul(square(a), square(b))
 
 
 def test_extension_prime_subfield():
@@ -131,14 +149,14 @@ def test_extension_prime_subfield():
     ext, emb = extension_with_embedding(f2, 3)
     assert ext.order == 8
     assert emb.table == (0, 1)
-    assert emb.apply(1).value == 1
+    assert emb.inverse == {0: 0, 1: 1}
 
 
 def test_extension_gf4_into_gf64():
     f4 = field_create(2)
     ext, emb = extension_with_embedding(f4, 3)
     assert ext.order == 64
-    w = emb.apply(2).value
+    w = emb.table[2]
     # image of w satisfies w^2 + w + 1 = 0 inside GF(64)
     assert ext.mul(w, w) ^ w ^ 1 == 0
     # full ring-homomorphism check over all 16 pairs
@@ -148,17 +166,17 @@ def test_extension_gf4_into_gf64():
             assert emb.table[f4.mul(a, b)] == ext.mul(emb.table[a], emb.table[b])
     # every image lands in the subfield: e^(2^2) = e
     for img in emb.table:
-        assert ext.frobenius(img, 2) == img
+        assert ext.pow(img, 4) == img
 
 
 def test_embedding_pullback():
     f4 = field_create(2)
     ext, emb = extension_with_embedding(f4, 3)
     for v in f4.elements():
-        assert emb.pullback(emb.apply(v)).value == v
-    outside = next(x for x in range(ext.order) if not emb.in_image(x))
-    with pytest.raises(ValueError, match="not in embedded subfield"):
-        emb.pullback(outside)
+        assert emb.inverse[emb.table[v]] == v
+    # the subfield is exactly the fixed points of e -> e^4
+    subfield = {x for x in range(ext.order) if ext.pow(x, 4) == x}
+    assert set(emb.inverse) == subfield and len(emb.inverse) == f4.order
 
 
 def test_extension_size_limit():
@@ -169,10 +187,10 @@ def test_extension_size_limit():
 
 def test_nth_root_of_unity():
     f8 = field_create(3)
-    assert nth_root_of_unity(f8, 1).value == 1
+    assert nth_root_of_unity(f8, 1) == 1
     beta = nth_root_of_unity(f8, 7)
-    assert (beta**7).value == 1
-    assert all((beta**k).value != 1 for k in range(1, 7))
+    assert f8.pow(beta, 7) == 1
+    assert all(f8.pow(beta, k) != 1 for k in range(1, 7))
     with pytest.raises(ValueError, match="no primitive n-th root"):
         nth_root_of_unity(f8, 5)
 
@@ -180,7 +198,7 @@ def test_nth_root_of_unity():
 @pytest.mark.parametrize("s,n", [(2, 3), (4, 15), (4, 5), (6, 63), (6, 21), (6, 9)])
 def test_nth_root_order_property(s, n):
     ext = field_create(s)
-    beta = nth_root_of_unity(ext, n).value
+    beta = nth_root_of_unity(ext, n)
     assert ext.pow(beta, n) == 1
     for p in (2, 3, 5, 7):
         if n % p == 0:
@@ -204,8 +222,7 @@ def test_field_equality_and_hash():
     assert field_create(2) == Field(2)
     assert field_create(2) != field_create(3)
     assert hash(field_create(2)) == hash(Field(2, 0b111))
-    e = FieldElement(field_create(2), 3)
-    assert e == FieldElement(Field(2), 3)
+    assert Field(3, 0b1011) != Field(3, 0b1101)
 
 
 @pytest.mark.parametrize(
@@ -223,7 +240,7 @@ def test_extension_embedding_is_a_ring_map(s, m):
         for b in base.elements():
             assert table[a ^ b] == table[a] ^ table[b]
             assert table[base.mul(a, b)] == ext.mul(table[a], table[b])
-    assert all(ext.frobenius(img, s) == img for img in table)
+    assert all(ext.pow(img, 1 << s) == img for img in table)
     assert len(set(table)) == base.order
 
 
@@ -235,7 +252,7 @@ LOOP_DEGREES = (17, 26, 32)
 
 def loop_field(s):
     """GF(2^s) past the tables, the cached extension of GF(2): constructing
-    such a field checks its modulus by trial division, about a second."""
+    such a field searches for its modulus by trial division, up to 0.4 s."""
     return extension_with_embedding(field_create(1), s)[0]
 
 

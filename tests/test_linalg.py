@@ -56,7 +56,8 @@ def test_shifted_rows_matches_per_row_conversion(field):
 
 def test_frobenius_array():
     arr = np.arange(4, dtype=np.uint8)
-    assert frobenius_array(GF4, arr, 1).tolist() == [GF4.frobenius(x, 1) for x in range(4)]
+    assert frobenius_array(GF4, arr, 1).tolist() == [0, 1, 3, 2]  # w^2 = w + 1
+    assert frobenius_array(GF4, arr, 2).tolist() == [0, 1, 2, 3]
 
 
 def test_mat_mul_small():
