@@ -235,7 +235,16 @@ def minimal_polynomial(
     n = _order(ext, beta)
     if any(j < 0 or j >= n for j in members):
         raise ValueError("coset residues must lie in 0..n-1")
-    if members != set(coset(n, emb.base.order, min(members))):
+    # one walk j -> j q mod n from the smallest member: each step lands in
+    # members and the orbit has len(members) elements.  n divides 2^k - 1,
+    # so q (a power of two) is invertible mod n and the walk returns.
+    q, start = emb.base.order, min(members)
+    size, j = 1, start * q % n
+    while j != start:
+        if j not in members:
+            raise ValueError("not a single cyclotomic coset")
+        size, j = size + 1, j * q % n
+    if size != len(members):
         raise ValueError("not a single cyclotomic coset")
     if len(powers) != n or powers[1 % n] != beta:
         raise ValueError("powers must be the table of beta^j for 0 <= j < n")

@@ -10,8 +10,9 @@ polynomial stored the same way (x^2 + x + 1 is 0b111 = 7).
 
 Canonical choices (so that independent runs agree bit for bit):
 
-* the default modulus for each degree comes from a fixed table, falling back
-  to the lexicographically smallest irreducible polynomial;
+* the default modulus of each degree comes from a fixed table: customary
+  ones for degrees 1-6 and 8, and the smallest irreducible polynomial (as
+  an integer) for every other degree up to 32;
 * the primitive element of a field is the smallest element (as an integer)
   of full multiplicative order;
 * a subfield embedding sends the base generator to the smallest root of the
@@ -80,7 +81,10 @@ def is_irreducible(modulus: int) -> bool:
     return True
 
 
-# Fixed moduli for the common degrees; anything else is searched.
+# The default modulus of every degree up to EXTENSION_MAX_S.  Degrees 1-6
+# and 8 take customary choices; every other degree takes the smallest
+# irreducible polynomial of that degree (as an integer), which the tests
+# check against a trial-division search.
 _DEFAULT_MODULI = {
     1: 0b11,          # x + 1
     2: 0b111,         # x^2 + x + 1
@@ -88,18 +92,43 @@ _DEFAULT_MODULI = {
     4: 0b10011,       # x^4 + x + 1
     5: 0b100101,      # x^5 + x^2 + 1
     6: 0b1000011,     # x^6 + x + 1
+    7: 0x83,          # x^7 + x + 1
     8: 0b100011101,   # x^8 + x^4 + x^3 + x^2 + 1
+    9: 0x203,         # x^9 + x + 1
+    10: 0x409,        # x^10 + x^3 + 1
+    11: 0x805,        # x^11 + x^2 + 1
+    12: 0x1009,       # x^12 + x^3 + 1
+    13: 0x201b,       # x^13 + x^4 + x^3 + x + 1
+    14: 0x4021,       # x^14 + x^5 + 1
+    15: 0x8003,       # x^15 + x + 1
+    16: 0x1002b,      # x^16 + x^5 + x^3 + x + 1
+    17: 0x20009,      # x^17 + x^3 + 1
+    18: 0x40009,      # x^18 + x^3 + 1
+    19: 0x80027,      # x^19 + x^5 + x^2 + x + 1
+    20: 0x100009,     # x^20 + x^3 + 1
+    21: 0x200005,     # x^21 + x^2 + 1
+    22: 0x400003,     # x^22 + x + 1
+    23: 0x800021,     # x^23 + x^5 + 1
+    24: 0x100001b,    # x^24 + x^4 + x^3 + x + 1
+    25: 0x2000009,    # x^25 + x^3 + 1
+    26: 0x400001b,    # x^26 + x^4 + x^3 + x + 1
+    27: 0x8000027,    # x^27 + x^5 + x^2 + x + 1
+    28: 0x10000003,   # x^28 + x + 1
+    29: 0x20000005,   # x^29 + x^2 + 1
+    30: 0x40000003,   # x^30 + x + 1
+    31: 0x80000009,   # x^31 + x^3 + 1
+    32: 0x10000008d,  # x^32 + x^7 + x^3 + x^2 + 1
 }
 
 
 def default_modulus(s: int) -> int:
-    """The canonical degree-s irreducible modulus."""
-    mod = _DEFAULT_MODULI.get(s)
-    if mod is None:
-        mod = next(
-            c for c in range((1 << s) + 1, 1 << (s + 1), 2) if is_irreducible(c)
-        )
-    return mod
+    """The canonical degree-s irreducible modulus, 1 <= s <= EXTENSION_MAX_S."""
+    try:
+        return _DEFAULT_MODULI[s]
+    except KeyError:
+        raise ValueError(
+            f"no default modulus of degree {s}: s must lie in 1..{EXTENSION_MAX_S}"
+        ) from None
 
 
 def _prime_factors(n: int) -> tuple[int, ...]:
@@ -125,7 +154,7 @@ class Field:
         if not 1 <= s <= EXTENSION_MAX_S:
             raise ValueError(f"field degree s={s} outside supported range 1..{EXTENSION_MAX_S}")
         if modulus is None:
-            # irreducible by the fixed table, or by default_modulus's own search
+            # irreducible: the tests check every entry of the fixed table
             modulus = default_modulus(s)
         elif _gf2_degree(modulus) != s:
             raise ValueError(

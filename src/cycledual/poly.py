@@ -5,16 +5,26 @@ zeros trimmed, so the zero polynomial has an empty coefficient tuple.  The
 serialized form is a comma-separated list of lowercase hex coefficients,
 low degree first: 1 + x + x^3 over GF(2) is "1,1,0,1".
 
-Multiplication and division share one numpy kernel over the field's
-log/antilog tables (:func:`cycledual.gf.log_exp`, fields up to
-GF(2^TABLE_MAX_S)): ``_add_scaled`` adds c times a coefficient array B,
-shifted, in one vector operation, a plain xor when c = 1 and otherwise
-``exp[log B + log c]``.  :func:`product` multiplies any number of factors in
-one accumulator array, which becomes a tuple only once, at the end; for each
-factor it takes B to be the longer operand and makes one such step per
-nonzero coefficient c of the shorter one.  ``Poly.__mul__`` is its
-two-factor case.  Long division keeps its sequential loop over the quotient
-coefficients; B is the divisor and each step updates the remainder once.
+Division runs one numpy kernel over the field's log/antilog tables
+(:func:`cycledual.gf.log_exp`, fields up to GF(2^TABLE_MAX_S)):
+``_add_scaled`` adds c times a coefficient array B, shifted, in one vector
+operation, a plain xor when c = 1 and otherwise ``exp[log B + log c]``.  Long
+division loops over the quotient coefficients; B is the divisor and each
+step updates the remainder once.
+
+:func:`product`, of which ``Poly.__mul__`` is the two-factor case, folds a
+short product factor by factor with the same kernel, one step per nonzero
+coefficient of the shorter operand.  A long product is a balanced
+product tree over one zero-padded coefficient matrix, each level
+multiplying every adjacent pair of rows at once: by the kernel, one step
+per column for all pairs, while the operands are short, and then through
+the FFT by Kronecker substitution over the s bit planes of the
+coefficients (von zur Gathen & Gerhard, Modern Computer Algebra, Ch. 8).
+The bit-plane convolutions come back as floats, are rounded and checked to
+lie within 1/4 of an integer, and their parities fold back into GF(2^s).
+``numpy.fft`` is reached only there, so a short product never loads it.
+The crossovers are measured; see :func:`product`.
+
 The monic reversal and the q-th power of dual generators are one table
 lookup each.  Results come back as tuples of plain Python ints.
 """
@@ -214,37 +224,143 @@ def _add_scaled(
         out[i : i + len(arr_b)] ^= exp[log_b + log_c]
 
 
+# Below _TREE_MIN_LENGTH coefficients a product is folded factor by factor;
+# from it on, a balanced tree whose levels take the FFT once the shorter
+# operand has _FFT_MIN_LENGTH coefficients per bit plane (see product).
+_TREE_MIN_LENGTH = 1024
+_FFT_MIN_LENGTH = 32
+# Longest transform: the rounded convolution sums stay below s * 2^22, far
+# inside float64's exact integers, and the rounding guard below checks them.
+_FFT_MAX_LENGTH = 1 << 22
+
+
 def product(field: Field, polys: Iterable[Poly]) -> Poly:
     """The product of polys over field; Poly.one(field) when there are none.
 
-    The running product stays one coefficient array from the first factor to
-    the last.  Each factor is one kernel product: the longer operand is B,
-    gathered into the log domain once, and the shorter one contributes one
-    ``_add_scaled`` step per nonzero coefficient."""
+    A product of fewer than ``_TREE_MIN_LENGTH`` = 1024 coefficients is
+    folded into one accumulator array, factor by factor: the longer operand
+    is B, and the shorter one contributes one ``_add_scaled`` step per
+    nonzero coefficient.  A longer product is a balanced product tree.  Its
+    factors are the rows of one zero-padded coefficient matrix, and each
+    level multiplies rows 2i and 2i + 1 for every i at once; an odd last row
+    waits for the next level.  A level whose shorter operand has at least
+    ``_FFT_MIN_LENGTH`` = 32 coefficients per bit plane of GF(2^s) takes the
+    FFT (``_fft_product``: Kronecker substitution over bit planes, with a
+    checked rounding); a shorter one, the kernel (``_columns``).
+
+    The crossovers are measured (2-vCPU VM, numpy 2.4).  The fold makes the
+    fewest kernel steps, one per nonzero coefficient of the factors, each
+    about 1.5 us; a tree level makes one step per column of its shorter
+    operand for all pairs at once, about 6 us, or one FFT of a near-fixed
+    number of steps whose size grows with s.  On the levels of the coset
+    factors of x^4095 - 1, kernel and FFT broke even near operand length 25
+    over GF(2), 50-100 over GF(4) and 100-200 over GF(16).  Below 1024
+    coefficients the fold won on every product of the ``ladder`` cells, up
+    to 2.5 times against the tree, and an FFT would not repay loading
+    ``numpy.fft`` (about 1.4 ms and 0.8 MB, once per process).  So short
+    products, such as most ``Poly.__mul__`` calls, never load it."""
     log, exp = log_exp(field)
-    dtype = dtype_for(field)
-    acc = None
+    rows = []
     for p in polys:
         if not isinstance(p, Poly) or p.field != field:
             raise ValueError("field mismatch")
-        if acc is None:
-            acc = np.array(p.coeffs, dtype=dtype)
-        elif not acc.size or not p.coeffs:
-            acc = acc[:0]
-        else:
-            if len(p.coeffs) > acc.size:
-                a, arr_b = acc.tolist(), np.array(p.coeffs, dtype=dtype)
-            else:
-                a, arr_b = p.coeffs, acc
-            log_b = log[arr_b]
-            acc = np.zeros(len(a) + len(arr_b) - 1, dtype=dtype)
-            for i, c in enumerate(a):
-                if c:
-                    _add_scaled(acc, i, arr_b, log_b, exp, int(log[c]))
-    if acc is None:
+        rows.append(p.coeffs)
+    if not rows:
         return Poly.one(field)
-    # every factor is trimmed, so the leading coefficient is a nonzero product
-    return Poly._trusted(field, tuple(acc.tolist()))
+    if not all(rows):
+        return Poly.zero(field)
+    dtype = dtype_for(field)
+    # lens[r] is the length of row r's polynomial: a product of nonzero
+    # polynomials has length la + lb - 1, so no level searches for zeros
+    lens = [len(c) for c in rows]
+    if sum(lens) - len(lens) + 1 < _TREE_MIN_LENGTH:
+        acc = np.array(rows[0], dtype=dtype)
+        for coeffs in rows[1:]:
+            if len(coeffs) > acc.size:  # B, the array, is the longer operand
+                coeffs, acc = acc.tolist(), np.array(coeffs, dtype=dtype)
+            log_acc = log[acc]
+            out = np.zeros(acc.size + len(coeffs) - 1, dtype=dtype)
+            for i, c in enumerate(coeffs):
+                if c:
+                    _add_scaled(out, i, acc, log_acc, exp, int(log[c]))
+            acc = out
+        return Poly._trusted(field, tuple(acc.tolist()))
+    width = max(lens)
+    m = np.array([c + (0,) * (width - len(c)) for c in rows], dtype=dtype)
+    while len(m) > 1:
+        pairs = len(m) // 2
+        la, lb = lens[0 : 2 * pairs : 2], lens[1 : 2 * pairs : 2]
+        a = m[0 : 2 * pairs : 2, : max(la)]
+        b = m[1 : 2 * pairs : 2, : max(lb)]
+        if min(a.shape[1], b.shape[1]) < _FFT_MIN_LENGTH * field.s:
+            out = _columns(a, b, log, exp)
+        else:
+            out = _fft_product(field, a, b)
+        lens = [x + y - 1 for x, y in zip(la, lb)] + lens[2 * pairs :]
+        if len(m) % 2:  # the odd last row waits for the next level
+            grown = np.zeros((pairs + 1, max(out.shape[1], lens[-1])), dtype=dtype)
+            grown[:pairs, : out.shape[1]] = out
+            grown[pairs, : lens[-1]] = m[-1, : lens[-1]]
+            out = grown
+        m = out
+    # every factor is nonzero, so is the product: its leading coefficient too
+    return Poly._trusted(field, tuple(m[0, : lens[0]].tolist()))
+
+
+def _columns(a: np.ndarray, b: np.ndarray, log: np.ndarray, exp: np.ndarray) -> np.ndarray:
+    """Row i of a times row i of b by the table kernel: one step per column
+    of the shorter operand for all pairs at once, ``exp[log B + log c]``."""
+    if a.shape[1] > b.shape[1]:
+        a, b = b, a
+    log_a, log_b = log[a][:, :, None], log[b]
+    out = np.zeros((len(a), a.shape[1] + b.shape[1] - 1), dtype=b.dtype)
+    for i in range(a.shape[1]):
+        out[:, i : i + b.shape[1]] ^= exp[log_b + log_a[:, i]]
+    return out
+
+
+def _fft_product(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row i of a times row i of b by Kronecker substitution over bit planes.
+
+    A coefficient is sum_i a_i y^i, y the root of the field's modulus, so a
+    product of polynomials is sum_e y^e sum_{i+j=e} A_i * B_j, where A_i is
+    the 0/1 polynomial of bit i of a's coefficients and * is convolution.
+    One real FFT of all planes of all rows per operand, the sums for each e
+    <= 2s - 2 in the frequency domain, and one inverse FFT give the
+    convolutions as floats; rounded, their parities are the GF(2)
+    coefficients of y^e, and y^e folds back into the field as
+    ``field.pow(2, e)``.  A transform longer than ``_FFT_MAX_LENGTH``, or a
+    value 1/4 or more from an integer, raises RuntimeError."""
+    width = a.shape[1] + b.shape[1] - 1
+    size = 1 << (width - 1).bit_length()
+    if size > _FFT_MAX_LENGTH:
+        raise RuntimeError(f"product of length {width} exceeds the FFT limit {_FFT_MAX_LENGTH}")
+    s = field.s
+    conv = np.fft.irfft(_plane_spectrum(a, b, s, size), size)
+    rounded = np.rint(conv)
+    conv -= rounded
+    if np.abs(conv, out=conv).max() >= 0.25:
+        raise RuntimeError("FFT product lost precision: a convolution is not near an integer")
+    bits = np.fmod(rounded[..., :width], 2).astype(a.dtype)
+    # y^e is bit e of a field value below s, field.pow(2, e) from s on
+    y_pow = [1 << e for e in range(s)] + [field.pow(2, e) for e in range(s, 2 * s - 1)]
+    bits *= np.array(y_pow, dtype=a.dtype)[:, None, None]
+    return np.bitwise_xor.reduce(bits, axis=0)
+
+
+def _plane_spectrum(a: np.ndarray, b: np.ndarray, s: int, size: int) -> np.ndarray:
+    """sum_{i+j=e} FA_i FB_j for e = 0 .. 2s - 2, FA_i the length-size real
+    FFT of bit plane i of a's rows.  Only the result outlives the call, and
+    the sums go in place: at these sizes fresh pages cost more than the
+    arithmetic."""
+    planes = np.arange(s, dtype=a.dtype)[:, None, None]
+    fa = np.fft.rfft((a >> planes) & 1, size)
+    fb = np.fft.rfft((b >> planes) & 1, size)
+    spec = np.zeros((2 * s - 1,) + fb.shape[1:], dtype=fb.dtype)
+    term = np.empty_like(fb)
+    for i in range(s):
+        spec[i : i + s] += np.multiply(fa[i], fb, out=term)
+    return spec
 
 
 def x_pow_n_minus_1(field: Field, n: int) -> Poly:

@@ -1,5 +1,9 @@
 """Slow, obviously-correct references for the tests to compare against.
 
+A search over the odd binary polynomials of degree s in increasing order,
+each tested by trial division, is the reference for the fixed table of
+default moduli in cycledual.gf past the customary degrees.
+
 A carry-less multiply followed by reduction modulo the field's polynomial is
 the reference for ``Field.mul``, both its table lookups and its shift-and-add
 loop; the walk over the powers of the primitive element, one such product
@@ -50,7 +54,7 @@ import numpy as np
 
 from cycledual import CyclicCode, Embedding, Field, Poly, x_pow_n_minus_1
 from cycledual.cyclo import HERMITIAN, KINDS
-from cycledual.gf import _gf2_mod, dtype_for, log_exp
+from cycledual.gf import _gf2_mod, dtype_for, is_irreducible, log_exp
 from cycledual.linalg import as_array, scalar_mul, shifted_rows
 
 FULL_COMPARE_LIMIT = 1 << 20
@@ -59,6 +63,12 @@ _frob_tables: dict[tuple[Field, int], np.ndarray] = {}
 
 
 # -- scalars in GF(2^s) ----------------------------------------------------------
+
+
+def smallest_irreducible(s: int) -> int:
+    """The smallest irreducible binary polynomial of degree s > 1 as an
+    integer: x divides every even candidate."""
+    return next(c for c in range((1 << s) + 1, 1 << (s + 1), 2) if is_irreducible(c))
 
 
 def gf_mul(field: Field, a: int, b: int) -> int:

@@ -168,6 +168,31 @@ def test_minimal_polynomial_mod7():
     assert reference.minimal_polynomial((3, 5, 6), beta, emb) == Poly(GF2, (1, 0, 1, 1))
 
 
+def test_minimal_polynomial_rejects_a_union_of_two_cosets():
+    ctx = root_context(GF2, 7)
+    for members in [(1, 2, 4, 3, 5, 6), (0, 1, 2, 4), (0, 3, 5, 6)]:
+        with pytest.raises(ValueError, match="not a single cyclotomic coset"):
+            minimal_polynomial(members, ctx.beta, ctx.emb, ctx.powers)
+
+
+def test_minimal_polynomial_rejects_a_set_not_closed_under_q():
+    ctx = root_context(GF4, 21)  # cosets mod 21 under 4: {1, 4, 16}, {3, 12, 6}, ...
+    for members in [(1, 4), (1, 4, 5), (3, 12, 9), (1, 2, 4)]:
+        with pytest.raises(ValueError, match="not a single cyclotomic coset"):
+            minimal_polynomial(members, ctx.beta, ctx.emb, ctx.powers)
+
+
+@settings(max_examples=200, deadline=None)
+@given(members=st.sets(st.integers(0, 20), min_size=1, max_size=8))
+def test_minimal_polynomial_accepts_exactly_the_cosets(members):
+    ctx = root_context(GF4, 21)
+    if members == set(coset(21, 4, min(members))):
+        assert minimal_polynomial(members, ctx.beta, ctx.emb, ctx.powers).degree == len(members)
+    else:
+        with pytest.raises(ValueError, match="not a single cyclotomic coset"):
+            minimal_polynomial(members, ctx.beta, ctx.emb, ctx.powers)
+
+
 def test_minimal_polynomial_takes_beta_as_an_int():
     # beta is an int of the extension; a value outside it is rejected
     ext, emb = extension_with_embedding(GF4, 3)

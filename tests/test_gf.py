@@ -56,7 +56,7 @@ def test_every_fixed_default_modulus_is_irreducible():
         assert default_modulus(s) == mod
 
 
-def test_default_field_tests_irreducibility_only_in_the_search(monkeypatch):
+def test_default_field_runs_no_irreducibility_test(monkeypatch):
     s = 26
     calls = []
     check = gf.is_irreducible
@@ -67,22 +67,26 @@ def test_default_field_tests_irreducibility_only_in_the_search(monkeypatch):
 
     monkeypatch.setattr(gf, "is_irreducible", counting)
     f = Field(s)
-    # each odd candidate once, up to the one the search stops at: no second
-    # trial division of the result in the constructor
-    assert calls == list(range((1 << s) + 1, f.modulus + 1, 2))
-    assert check(f.modulus)
-    calls.clear()
+    assert calls == []  # the fixed table is trusted; the tests check it
+    assert f.modulus == gf._DEFAULT_MODULI[s]
     assert Field(s, f.modulus).modulus == f.modulus
     assert calls == [f.modulus]  # a modulus from the caller is tested
 
 
-def test_default_modulus_search_degrees_without_table_entry():
-    for s in (7, 9, 10):
-        mod = default_modulus(s)
-        assert mod.bit_length() - 1 == s
-        assert is_irreducible(mod)
-        # lexicographically smallest: nothing below it is irreducible
-        assert all(not is_irreducible(c) for c in range((1 << s) + 1, mod))
+CUSTOMARY_DEGREES = (1, 2, 3, 4, 5, 6, 8)
+
+
+def test_default_moduli_past_the_customary_degrees_are_the_smallest_irreducibles():
+    assert sorted(gf._DEFAULT_MODULI) == list(range(1, gf.EXTENSION_MAX_S + 1))
+    for s in range(1, gf.EXTENSION_MAX_S + 1):
+        if s not in CUSTOMARY_DEGREES:
+            assert default_modulus(s) == reference.smallest_irreducible(s), s
+    assert default_modulus(12) == 0x1009
+    assert default_modulus(16) == 0x1002B
+    assert default_modulus(32) == 0x10000008D
+    for s in (0, gf.EXTENSION_MAX_S + 1):
+        with pytest.raises(ValueError, match="no default modulus"):
+            default_modulus(s)
 
 
 def test_arith_examples():

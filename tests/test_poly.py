@@ -1,4 +1,9 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +22,9 @@ from cycledual import (
     product,
     x_pow_n_minus_1,
 )
-from cycledual import gf
+from cycledual import gf, poly
+from cycledual.cyclo import all_cosets, minimal_polynomial
+from cycledual.cyclic import root_context
 from cycledual.poly import _monic_reversal
 
 from conftest import GF2, GF4, divisor_codes
@@ -217,6 +224,136 @@ def test_product_matches_reference_fold(data):
     result = product(field, iter(factors))
     assert result == expected
     assert _plain_ints(result)
+
+
+def _fft_length(field):
+    """A length from which two factors, multiplied together in some level,
+    take the FFT there: the product is long enough for the tree, and the
+    shorter operand for the FFT."""
+    return max(poly._FFT_MIN_LENGTH * field.s, poly._TREE_MIN_LENGTH // 2 + 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_product_tree_through_the_fft_matches_reference_fold(data):
+    field = data.draw(st.sampled_from(KERNEL_FIELDS), label="field")
+    t = _fft_length(field)
+    # two factors of at least t coefficients meet in some level of the tree,
+    # where both operands are that long: that level goes through the FFT
+    long = data.draw(st.lists(_long_poly(field, t), min_size=2, max_size=3), label="long")
+    short = data.draw(st.lists(_poly(field, 2 * field.s + 8), max_size=5), label="short")
+    factors = data.draw(st.permutations(long + short), label="factors")
+    expected = Poly.one(field)
+    for p in factors:
+        expected = reference.poly_mul(expected, p)
+    with mock.patch.object(poly, "_fft_product", wraps=poly._fft_product) as fft:
+        result = product(field, factors)
+    assert result == expected
+    assert _plain_ints(result)
+    assert fft.called or expected.is_zero
+
+
+@st.composite
+def _long_poly(draw, field, t):
+    """A nonzero polynomial of t to t + 40 coefficients, drawn from a seeded
+    generator: Hypothesis draws lists this long slowly."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    size = t + draw(st.integers(0, 40))
+    coeffs = [rng.randrange(field.order) for _ in range(size - 1)]
+    return Poly(field, coeffs + [rng.randrange(1, field.order)])
+
+
+def test_product_of_the_1375_minimal_polynomials_mod_4095_over_gf16():
+    field = field_create(4)
+    ctx = root_context(field, 4095)
+    orbits = [orb for _, orb in sorted(all_cosets(4095, 16).items())]
+    mps = [minimal_polynomial(orb, ctx.beta, ctx.emb, ctx.powers) for orb in orbits]
+    assert len(mps) == 1375
+    with mock.patch.object(poly, "_fft_product", wraps=poly._fft_product) as fft:
+        assert product(field, mps) == x_pow_n_minus_1(field, 4095)
+    assert fft.called
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=lambda f: f"GF(2^{f.s})")
+def test_fft_rounding_guard(field, monkeypatch):
+    t = _fft_length(field)
+    a = Poly(field, [(3 * i + 1) % field.order for i in range(t)] + [1])
+    b = Poly(field, [(7 * i + 2) % field.order for i in range(t + 5)] + [field.order - 1])
+    expected = reference.poly_mul(a, b)
+    irfft = np.fft.irfft
+
+    def perturbed(by):
+        return lambda *args, **kwargs: irfft(*args, **kwargs) + by
+
+    monkeypatch.setattr(np.fft, "irfft", perturbed(0.2))  # rounds back
+    assert a * b == expected
+    monkeypatch.setattr(np.fft, "irfft", perturbed(0.3))
+    with pytest.raises(RuntimeError, match="lost precision"):
+        a * b
+    monkeypatch.setattr(np.fft, "irfft", perturbed(-0.3))
+    with pytest.raises(RuntimeError, match="lost precision"):
+        a * b
+
+
+def test_fft_transform_length_is_capped(monkeypatch):
+    a = Poly(GF4, [1] * 600)
+    assert (a * a).degree == 1198
+    monkeypatch.setattr(poly, "_FFT_MAX_LENGTH", 1024)
+    with pytest.raises(RuntimeError, match="exceeds the FFT limit 1024"):
+        a * a
+    monkeypatch.setattr(poly, "_FFT_MAX_LENGTH", 2048)
+    assert a * a == reference.poly_mul(a, a)
+
+
+@pytest.mark.parametrize(
+    "s,lengths,through_fft",
+    [
+        (1, (512, 512), False),  # 1023 coefficients: folded
+        (1, (512, 513), True),  # 1024: one pair in the tree
+        (1, (40,) * 32, True),  # 16 pairs of 40 coefficients
+        (1, (31,) * 40, False),  # 20 pairs, operands shorter than 32
+        (4, (127,) * 16, False),  # GF(16): operands shorter than 4 * 32
+        (4, (128,) * 16, True),
+    ],
+)
+def test_fft_only_past_both_crossovers(s, lengths, through_fft):
+    field = field_create(s)
+    factors = [
+        Poly(field, [(i * j + 1) % field.order for i in range(length - 1)] + [1])
+        for j, length in enumerate(lengths)
+    ]
+    with mock.patch.object(poly, "_fft_product", wraps=poly._fft_product) as fft:
+        assert product(field, factors).degree == sum(lengths) - len(lengths)
+    # the first level is the one with len(lengths) / 2 pairs
+    first_level = [call for call in fft.call_args_list if len(call.args[1]) == len(lengths) // 2]
+    assert bool(first_level) == through_fft
+
+
+def test_fold_steps_over_the_shorter_operand():
+    long = Poly(GF4, [3] * 300)
+    with mock.patch.object(poly, "_add_scaled", wraps=poly._add_scaled) as step:
+        assert P(GF4, 1, 2) * long == reference.poly_mul(P(GF4, 1, 2), long)
+        assert long * P(GF4, 0, 0, 1) == reference.poly_mul(long, P(GF4, 0, 0, 1))
+    assert step.call_count == 3  # one per nonzero coefficient of the short factors
+
+
+def test_short_products_do_not_load_numpy_fft():
+    # numpy loads numpy.fft on first use: importing the CLI and building a
+    # small code must leave it out of the process
+    script = (
+        "import sys\n"
+        "from cycledual.cli import main\n"
+        "argv = ['construct', '--kind', 'euclidean', '--s', '1', '--m', '3', '--mu', '1']\n"
+        "assert main(argv) == 0\n"
+        "print('numpy.fft' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_product_of_nothing_is_one_and_fields_must_match():
