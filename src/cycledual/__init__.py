@@ -18,9 +18,6 @@ from .construct import (
     build_family,
     family_parameters,
     paper_floor,
-    repeated_root_generator,
-    verify_self_dual,
-    verify_van_lint_equivalence,
 )
 from .cyclic import CyclicCode, RootContext, hermitian_base, root_context
 from .cyclo import (
@@ -93,12 +90,9 @@ __all__ = [
     "paper_floor",
     "product",
     "read_certificate",
-    "repeated_root_generator",
     "root_context",
     "sampled_weight_upper_bound",
     "set_map",
-    "verify_self_dual",
-    "verify_van_lint_equivalence",
     "write_certificate",
     "x_pow_n_minus_1",
 ]

@@ -98,12 +98,15 @@ def _reverify(cert: SelfDualCertificate) -> list[str]:
 
     # an exact distance must lie between floor_min and the Singleton bound.
     # A sampled value is only an upper bound on d: it may exceed the
-    # Singleton bound, but it cannot be below floor_min
+    # Singleton bound, but it is the weight of a codeword, so it cannot
+    # exceed the length, and it cannot be below floor_min
     if cert.distance is not None:
         d = cert.distance.value
         singleton = cert.n_outer - cert.k_outer + 1
         if d < 1 or (cert.distance.exact and d > singleton):
             failures.append(f"distance_value: {d} outside 1..{singleton} (Singleton bound)")
+        elif d > cert.n_outer:
+            failures.append(f"distance_value: {d} above the code length {cert.n_outer}")
         elif d < cert.floor_min:
             failures.append(f"distance_value: {d} below floor_min {cert.floor_min}")
 
@@ -241,6 +244,7 @@ def _divisors(n: int) -> list[int]:
 def _cmd_table(args: argparse.Namespace) -> int:
     if args.m_max < 1:
         raise ValueError("m-max must be positive")
+    family_parameters(args.kind, args.s, 1, 1)  # a bad s exits 2 before the header
     print("# s m mu n k floor paper_floor")
     for m in range(1, args.m_max + 1, 2):
         exponent = args.s * m if args.kind == "euclidean" else 2 * args.s * m

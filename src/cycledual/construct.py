@@ -12,8 +12,9 @@ g1 g2 generates the dual.  Every one of those claims is re-verified here at
 construction time rather than assumed.
 
 The four recorded checks are identities on g1, the dual generator and
-G = g1^2 g2, computed with polynomial arithmetic only.  G is the one derived
-from the inner code, and x^(2n) - 1 is divided by it once per pipeline:
+G = g1^2 g2, computed with polynomial arithmetic only, and pipeline_checks
+is the one place that decides them.  G is the one derived from the inner
+code, and x^(2n) - 1 is divided by it once per pipeline:
 
 - dual_containing: the defining-set predicate, cross-checked against g1
   dividing the dual generator;
@@ -47,9 +48,6 @@ from .poly import Poly, x_pow_n_minus_1
 __all__ = [
     "MAX_INNER_LENGTH",
     "VerificationError",
-    "repeated_root_generator",
-    "verify_self_dual",
-    "verify_van_lint_equivalence",
     "FamilyParams",
     "family_parameters",
     "PaperFloor",
@@ -68,51 +66,12 @@ class VerificationError(Exception):
     """A recorded mathematical check failed (or an internal self-check fired)."""
 
 
-def verify_self_dual(g: Poly, length: int, kind: str) -> bool:
-    """True iff the cyclic code of the given length generated by g is
-    self-dual: g equals its own dual generator (Euclidean) or the q-conjugate
-    of it (Hermitian).  That forces g to divide x^length - 1 and to have
-    degree length / 2."""
-    q = _conjugation_power(g.field, kind)
-    if g.is_zero:
-        return False
-    h, rem = x_pow_n_minus_1(g.field, length).divrem(g)
-    return rem.is_zero and _dual_from_check(h, q) == g
-
-
-def repeated_root_generator(code: CyclicCode, kind: str) -> Poly:
-    """g1^2 g2, the generator of the interleaved repeated-root cyclic code,
-    where g1 generates the code and g1 g2 generates its dual."""
-    g_out = pipeline_checks(code, kind)[2]
-    if g_out is None:
-        raise ValueError("containment violated: dual generator is not a multiple of g1")
-    return g_out
-
-
 def _word(p: Poly, n: int) -> list[int]:
     """The coefficients of p as a word of length n.  The only divisor of
     x^n - 1 of degree n is x^n - 1 itself, which generates the zero code."""
     if p.degree >= n:
         return [0] * n
     return list(p.coeffs) + [0] * (n - len(p.coeffs))
-
-
-def verify_van_lint_equivalence(
-    g1: Poly, g_dual: Poly, n: int, outer_generator: Poly
-) -> bool:
-    """Check that interleaving the [u|u+v] code of the length-n cyclic codes
-    generated by g1 (for u) and g_dual (for v) gives exactly the
-    repeated-root cyclic code of length 2n generated by outer_generator.
-
-    The dimensions must agree, outer_generator must divide x^(2n) - 1, and it
-    must divide the interleaved seed rows [g1|g1] and [0|g_dual].  Every other
-    basis row interleaves to a seed times x^(t(n+1)) mod x^(2n) - 1, which the
-    ideal absorbs, so membership plus equal dimension forces equality.
-    """
-    if (n - g1.degree) + (n - g_dual.degree) != 2 * n - outer_generator.degree:
-        return False
-    divides = (x_pow_n_minus_1(g1.field, 2 * n) % outer_generator).is_zero
-    return divides and _seeds_in_ideal(g1, g_dual, n, outer_generator)
 
 
 def _interleave(x: list[int], y: list[int]) -> list[int]:
@@ -127,7 +86,10 @@ def _interleave(x: list[int], y: list[int]) -> list[int]:
 
 
 def _seeds_in_ideal(g1: Poly, g_dual: Poly, n: int, outer_generator: Poly) -> bool:
-    """outer_generator divides the interleaved seed rows [g1|g1] and [0|g_dual]."""
+    """outer_generator divides the interleaved seed rows [g1|g1] and [0|g_dual].
+    Every other [u|u+v] basis row interleaves to a seed times x^(t(n+1))
+    mod x^(2n) - 1, which the ideal absorbs, so when outer_generator divides
+    x^(2n) - 1 and the dimensions agree, membership forces equality."""
     field = g1.field
     g1_word = _word(g1, n)
     for row in (_interleave(g1_word, g1_word), _interleave([0] * n, _word(g_dual, n))):

@@ -9,16 +9,16 @@ One weight loop serves both methods; it reads blocks of codeword weights.
 Exhaustive enumeration feeds it every nonzero message in lexicographic order
 from a table walk: one table holds the sums of every combination of the last
 L rows, and each value of the high digits costs one xor of that table with
-the high digits' word.  So d is exact and independent of how the messages are
-partitioned.  The sampled method feeds it seeded messages for a reproducible
-upper bound; it splits the rows into runs of g, tabulates each run's q^g
-combinations, and sums one table entry per run.  The exhaustive budget
-depends on q and k alone.
+the high digits' word.  So d is exact, and the one walk serves every
+partition count: neither d nor the message count depends on it.  The
+sampled method feeds it seeded messages for a reproducible upper bound; it
+splits the rows into runs of g, tabulates each run's q^g combinations, and
+sums one table entry per run.  The exhaustive budget depends on q and k
+alone.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -35,7 +35,6 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 1 << 26
-_CHUNK = 1 << 13  # early-stop block length, counted from each partition's start
 _WALK_ENTRIES = 1 << 16  # most combinations in the exhaustive low-digit table
 _GROUP_ENTRIES = 1 << 8  # most combinations in one sampled row-run table
 _TABLE_BYTES = 1 << 24  # cap on the exhaustive table, and on all sampled tables
@@ -130,32 +129,13 @@ def _digits_per_table(q: int, k: int, entries: int, table_bytes) -> int:
 # -- the weight loop and its two sources -----------------------------------------
 
 
-def _least_weight(blocks, stop: int | None = None, block_end=None):
-    """(least weight, messages seen) over consecutive blocks of codeword
-    weights.  At the first message (counted from 1) whose weight is at most
-    ``stop``, the walk is cut after message ``block_end(that message)``."""
-    best, seen, end = math.inf, 0, None
+def _least_weight(blocks):
+    """(least weight, messages seen) over consecutive blocks of codeword weights."""
+    best, seen = math.inf, 0
     for weights in blocks:
-        if stop is not None and end is None:
-            hits = np.flatnonzero(weights <= stop)
-            if len(hits):
-                end = block_end(seen + 1 + int(hits[0]))
-        if end is not None:
-            weights = weights[: end - seen]
         best = min(best, int(weights.min()))
         seen += len(weights)
-        if seen == end:
-            break
     return best, seen
-
-
-def _block_end(total: int, partitions: int, first: int) -> int:
-    """The last message of the block that holds message ``first``, when
-    messages 1..total are split into contiguous partitions and each partition
-    into blocks of _CHUNK counted from its start."""
-    j = (first * partitions - 1) // total  # the partition that holds it
-    start = 1 + total * j // partitions
-    return min(start + ((first - start) // _CHUNK + 1) * _CHUNK - 1, total * (j + 1) // partitions)
 
 
 def _table_walk(multiples: np.ndarray):
@@ -237,23 +217,18 @@ def exact_min_distance(
     basis,
     budget: int = DEFAULT_BUDGET,
     partitions: int = 1,
-    known_lower_bound: int | None = None,
 ) -> DistanceReport:
     """Exact minimum weight by enumerating all q^k - 1 nonzero messages.
 
-    ``partitions`` splits the message index space into contiguous ranges
-    whose minima are reduced; the result is identical for any count.  When
-    ``known_lower_bound`` is supplied, enumeration stops as soon as the
-    running minimum reaches it (a matching lower bound proves minimality).
+    ``partitions`` must be positive and changes nothing else: one
+    lexicographic walk over every message serves any count, so the report
+    is the same for each.
     """
     basis = _basis(field, basis)
     if partitions < 1:
         raise ValueError("partitions must be positive")
-    k, q = basis.shape[0], field.order
-    total = _check_budget(q, k, budget)
-    block_end = functools.partial(_block_end, total, partitions)
-    blocks = _table_walk(_packed_multiples(field, basis))
-    best, seen = _least_weight(blocks, known_lower_bound, block_end)
+    _check_budget(field.order, basis.shape[0], budget)
+    best, seen = _least_weight(_table_walk(_packed_multiples(field, basis)))
     if best == 0:
         raise ValueError("basis rows are linearly dependent")
     return DistanceReport("exhaustive", best, True, seen)

@@ -22,13 +22,11 @@ from cycledual import (
     gcd_lemma,
     is_dual_containing_set,
     paper_floor,
-    repeated_root_generator,
     sampled_weight_upper_bound,
-    verify_self_dual,
-    verify_van_lint_equivalence,
     write_certificate,
 )
 from cycledual.cli import main
+from cycledual.construct import pipeline_checks
 
 import reference
 from conftest import GF2, GF4, divisor_codes
@@ -62,9 +60,10 @@ def test_criterion_1():
     inner = CyclicCode.from_defining_set(cert.field, cert.n_inner, cert.defining_set)
     dual = inner.dual("euclidean")
     basis = reference.uuv_basis(inner, dual)
-    assert verify_self_dual(cert.outer_generator, cert.n_outer, "euclidean")
-    assert verify_van_lint_equivalence(inner.g, dual.g, inner.n, cert.outer_generator)
     assert reference.verify_self_dual(cert.field, basis, "euclidean")
+    assert reference.verify_van_lint_equivalence(
+        cert.field, basis, inner.n, cert.outer_generator, full=True
+    )
     report = exact_min_distance(cert.field, basis)
     assert (report.value, report.enumerated) == (4, 127)
     assert cert.floor_min == 4
@@ -120,9 +119,8 @@ def test_criterion_5():
             for code in divisor_codes(field, n):
                 if not code.is_dual_containing("euclidean"):
                     continue
-                dual = code.dual("euclidean")
-                g_out = repeated_root_generator(code, "euclidean")
-                assert verify_van_lint_equivalence(code.g, dual.g, n, g_out)
+                dual, _, g_out, checks = pipeline_checks(code, "euclidean")
+                assert checks["van_lint_equivalence"]
                 full = field.order**code.n <= FULL_SET_LIMIT
                 assert reference.verify_van_lint_equivalence(
                     field, reference.uuv_basis(code, dual), n, g_out, full=full

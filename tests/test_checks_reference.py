@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 import reference
 from cycledual import KINDS, Poly, all_cosets, field_create, hermitian_base
-from cycledual.construct import pipeline_checks, verify_van_lint_equivalence
+from cycledual.construct import pipeline_checks
 from cycledual.cyclic import CyclicCode
 from cycledual.cyclo import DefiningSet
 from cycledual.poly import x_pow_n_minus_1
 
-from conftest import GF2, GF4, divisor_codes
+from conftest import GF2, GF4, divisor_codes, van_lint_verdict
 
 GF16 = field_create(4)
 
@@ -107,6 +107,6 @@ def test_random_divisor_codes_match_reference(data):
         return
     assert all(got.values())
     wrong = data.draw(wrong_generators(code, kind, g_out))
-    ok = verify_van_lint_equivalence(code.g, dual.g, n, wrong)
+    ok = van_lint_verdict(code.g, dual.g, n, wrong)
     assert dict(got, van_lint_equivalence=ok) == reference.pipeline_checks(code, kind, wrong)
     assert not ok

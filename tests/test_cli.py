@@ -171,14 +171,21 @@ def test_verify_check_failing_in_the_rebuild_exits_1(tmp_path, capsys, monkeypat
 
 def test_distance_partitions_flag(tmp_path, capsys):
     path = build_cert(tmp_path, capsys)
-    outputs = []
-    for p in ("1", "4"):
+    outputs, files = [], []
+    for p in ("1", "4", "100000000"):
         rc, out, _ = run(
             capsys, "distance", str(path), "--method", "exhaustive", "--partitions", p
         )
         assert rc == 0
         outputs.append(out)
-    assert outputs[0] == outputs[1]
+        files.append(path.read_text())
+    assert outputs == [outputs[0]] * 3
+    assert outputs[0] == "d = 4 (exact, 127 codewords)\n"
+    assert files == [files[0]] * 3
+    rc, out, err = run(capsys, "distance", str(path), "--method", "exhaustive", "--partitions", "0")
+    assert (rc, out) == (2, "")
+    assert "partitions must be positive" in err
+    assert path.read_text() == files[0]
 
 
 def test_verify_syntax_damage_exits_2(tmp_path, capsys):
@@ -229,24 +236,27 @@ def test_verify_checks_recorded_distance(tmp_path, capsys):
     exact = path.read_text()
     sampled = exact.replace("exhaustive", "sampled").replace("exact = true", "exact = false")
     # 9 exceeds the Singleton bound 14 - 7 + 1 = 8; 3 is below floor_min 4,
-    # for an exact value and for a sampled upper bound alike
+    # for an exact value and for a sampled upper bound alike.  No codeword of
+    # length 14 weighs more than 14, so no sampled bound can
     for text, value, why in (
         (exact, 9, "outside 1..8 (Singleton bound)"),
         (exact, 0, "outside 1..8 (Singleton bound)"),
         (exact, 3, "below floor_min 4"),
         (sampled, 0, "outside 1..8 (Singleton bound)"),
         (sampled, 3, "below floor_min 4"),
+        (sampled, 15, "above the code length 14"),
+        (sampled, 999999, "above the code length 14"),
     ):
         path.write_text(text.replace("distance_value = 4", f"distance_value = {value}"))
         rc, out, _ = run(capsys, "verify", str(path))
-        assert rc == 1
-        assert f"distance_value: {value} {why}" in out
+        assert (rc, out) == (1, f"distance_value: {value} {why}\n")
     # a sampled value is only an upper bound on d, so one above the Singleton
-    # bound is weak but true
-    path.write_text(sampled.replace("distance_value = 4", "distance_value = 9"))
-    rc, out, _ = run(capsys, "verify", str(path))
-    assert rc == 0
-    assert "distance_value: 9 at least floor_min (sampled upper bound" in out
+    # bound is weak but true, up to the length 14: it is a codeword's weight
+    for value in (9, 14):
+        path.write_text(sampled.replace("distance_value = 4", f"distance_value = {value}"))
+        rc, out, _ = run(capsys, "verify", str(path))
+        assert rc == 0
+        assert f"distance_value: {value} at least floor_min (sampled upper bound" in out
 
 
 def test_verify_rejects_a_sampled_record_marked_exact(tmp_path, capsys):
@@ -446,6 +456,21 @@ def test_table_hermitian_mu_filter(capsys):
     assert rc == 0
     row = next(l for l in out.splitlines() if l.startswith("1 3 1 "))
     assert row.split() == ["1", "3", "1", "126", "63", "14", "7.94"]
+
+
+@pytest.mark.parametrize(
+    "kind,s,extra,message",
+    [
+        ("euclidean", "0", (), "s must be positive"),
+        ("euclidean", "0", ("--mu", "1"), "s must be positive"),
+        ("euclidean", "-1", (), "s must be positive"),
+        ("hermitian", "0", (), "s must be positive"),
+        ("hermitian", "9", (), "s=18 outside supported range 1..16"),
+    ],
+)
+def test_table_rejects_a_bad_s_before_the_header(capsys, kind, s, extra, message):
+    rc, out, err = run(capsys, "table", "--kind", kind, "--s", s, "--m-max", "3", *extra)
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_table_s2_mmax1_all_skipped(capsys):

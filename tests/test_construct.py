@@ -12,16 +12,13 @@ from cycledual import (
     exact_min_distance,
     family_parameters,
     paper_floor,
-    repeated_root_generator,
-    verify_self_dual,
-    verify_van_lint_equivalence,
     x_pow_n_minus_1,
 )
 from cycledual.cli import main
 from cycledual.construct import _interleave, pipeline_checks
 
 import reference
-from conftest import GF2, GF4, divisor_codes
+from conftest import GF2, GF4, divisor_codes, van_lint_verdict
 from reference import CoordinatePermutation, interleave_permutation
 
 
@@ -36,6 +33,15 @@ def whole_space(field, n):
 def uuv_basis(code, kind):
     """The reference [u|u+v] basis of a code and its dual of the given kind."""
     return reference.uuv_basis(code, code.dual(kind))
+
+
+def outer_generator(code, kind):
+    """G = g1^2 g2, the generator of the interleaved repeated-root code."""
+    return pipeline_checks(code, kind)[2]
+
+
+def verdict(code, kind, check):
+    return pipeline_checks(code, kind)[-1][check]
 
 
 def test_interleave_permutation_n3():
@@ -94,7 +100,7 @@ def test_uuv_hamming():
     basis = uuv_basis(hamming(), "euclidean")
     assert basis.shape == (7, 14)
     assert reference.verify_self_dual(GF2, basis, "euclidean")
-    assert verify_self_dual(repeated_root_generator(hamming(), "euclidean"), 14, "euclidean")
+    assert verdict(hamming(), "euclidean", "self_dual")
 
 
 def test_uuv_whole_space_n1():
@@ -109,7 +115,7 @@ def test_uuv_hermitian_2115():
     basis = uuv_basis(inner, "hermitian")
     assert basis.shape == (21, 42)
     assert reference.verify_self_dual(GF4, basis, "hermitian")
-    assert verify_self_dual(repeated_root_generator(inner, "hermitian"), 42, "hermitian")
+    assert verdict(inner, "hermitian", "self_dual")
 
 
 def test_uuv_requires_dual_containing():
@@ -123,17 +129,11 @@ def test_uuv_requires_dual_containing():
 
 
 def test_repeated_root_generator_examples():
-    g = repeated_root_generator(hamming(), "euclidean")
+    g = outer_generator(hamming(), "euclidean")
     assert g == Poly(GF2, (1, 1, 1, 1, 0, 0, 1, 1))  # (1+x+x^3)^2 (1+x)
-    assert repeated_root_generator(whole_space(GF2, 1), "euclidean") == Poly(GF2, (1, 1))
+    assert outer_generator(whole_space(GF2, 1), "euclidean") == Poly(GF2, (1, 1))
     c = CyclicCode.from_defining_set(GF4, 21, bch_defining_set(21, 4, 3))
-    assert repeated_root_generator(c, "euclidean").degree == 21  # 2*9 + 3
-
-
-def test_repeated_root_generator_rejects_non_containing():
-    zero = CyclicCode.from_generator(GF2, 7, Poly(GF2, [1] + [0] * 6 + [1]))
-    with pytest.raises(ValueError, match="containment violated"):
-        repeated_root_generator(zero, "euclidean")
+    assert outer_generator(c, "euclidean").degree == 21  # 2*9 + 3
 
 
 def test_pipeline_checks_raises_when_predicate_and_division_disagree(monkeypatch):
@@ -149,14 +149,13 @@ def test_pipeline_checks_raises_when_predicate_and_division_disagree(monkeypatch
             pipeline_checks(code, "euclidean")
 
 
-def van_lint(code, kind, outer_generator):
-    dual = code.dual(kind)
-    return verify_van_lint_equivalence(code.g, dual.g, code.n, outer_generator)
+def van_lint(code, kind, g_out):
+    return van_lint_verdict(code.g, code.dual(kind).g, code.n, g_out)
 
 
 def test_van_lint_hamming_and_trivial():
     for code in (hamming(), whole_space(GF2, 1)):
-        assert van_lint(code, "euclidean", repeated_root_generator(code, "euclidean"))
+        assert verdict(code, "euclidean", "van_lint_equivalence")
 
 
 def test_van_lint_n3_gf4_exhaustive():
@@ -166,8 +165,8 @@ def test_van_lint_n3_gf4_exhaustive():
         if not code.is_dual_containing("euclidean"):
             continue
         basis = uuv_basis(code, "euclidean")
-        g_out = repeated_root_generator(code, "euclidean")
-        assert van_lint(code, "euclidean", g_out)
+        _, _, g_out, checks = pipeline_checks(code, "euclidean")
+        assert checks["van_lint_equivalence"]
         assert reference.verify_van_lint_equivalence(GF4, basis, 3, g_out, full=True)
         count += 1
     assert count == 3  # {} and the two conjugate singleton defining sets
@@ -185,20 +184,16 @@ def test_van_lint_detects_wrong_generator():
     # x divides the only nonzero seed [0|1] of {(0|v)}, length 2, but it is a
     # unit mod x^2 - 1, and {00, 01} is not cyclic
     one, x = Poly(GF2, (1,)), Poly(GF2, (0, 1))
-    assert not verify_van_lint_equivalence(x_pow_n_minus_1(GF2, 1), one, 1, x)
+    assert not van_lint_verdict(x_pow_n_minus_1(GF2, 1), one, 1, x)
 
 
 def test_verify_self_dual_cases():
-    g = repeated_root_generator(hamming(), "euclidean")
-    assert verify_self_dual(g, 14, "euclidean") is True
-    assert verify_self_dual(Poly(GF2, (1, 1)), 2, "euclidean") is True  # {00, 11}
-    assert verify_self_dual(hamming().g, 14, "euclidean") is False  # wrong degree
-    assert verify_self_dual(Poly(GF2, (1, 1, 1)), 4, "euclidean") is False  # no divisor
-    assert verify_self_dual(Poly(GF2, ()), 2, "euclidean") is False
+    assert verdict(hamming(), "euclidean", "self_dual") is True
+    assert verdict(whole_space(GF2, 1), "euclidean", "self_dual") is True  # {00, 11}
     with pytest.raises(ValueError, match="square order"):
-        verify_self_dual(Poly(GF2, (1, 1)), 2, "hermitian")
+        pipeline_checks(whole_space(GF2, 1), "hermitian")
     with pytest.raises(ValueError, match="kind must be"):
-        verify_self_dual(g, 14, "unitary")
+        pipeline_checks(hamming(), "unitary")
     # the dense reference on explicit bases
     basis = uuv_basis(hamming(), "euclidean")
     assert reference.verify_self_dual(GF2, basis, "euclidean") is True
@@ -325,8 +320,7 @@ def test_van_lint_basis_sweep_larger_lengths():
         for code in divisor_codes(field, n):
             if not code.is_dual_containing("euclidean"):
                 continue
-            g_out = repeated_root_generator(code, "euclidean")
-            assert van_lint(code, "euclidean", g_out), (field, n, code.T)
+            assert verdict(code, "euclidean", "van_lint_equivalence"), (field, n, code.T)
             checked += 1
         assert checked >= 3
 

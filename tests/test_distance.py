@@ -1,6 +1,3 @@
-import time
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -69,14 +66,8 @@ def test_exact_budget_error():
 
 def test_partition_determinism():
     basis = uuv_14_7()
-    reports = [exact_min_distance(GF2, basis, partitions=p) for p in (1, 2, 4, 8)]
+    reports = [exact_min_distance(GF2, basis, partitions=p) for p in (1, 2, 4, 8, 10**8)]
     assert all(r == reports[0] for r in reports)
-
-
-def test_early_exit_with_known_bound():
-    basis = uuv_14_7()
-    r = exact_min_distance(GF2, basis, known_lower_bound=4)
-    assert r.value == 4 and r.exact and r.enumerated <= 127
 
 
 def test_dependent_rows_rejected():
@@ -128,23 +119,6 @@ def test_exact_vs_bch_bound_and_singleton(field):
 MAX_K = {GF2: 5, GF4: 5, GF16: 3}
 
 
-def _lexicographic_walk(weights, partitions, chunk, bound):
-    """(least weight, messages seen) when the messages 1..q^k-1, with the
-    given codeword weights, are walked in blocks of chunk counted from the
-    start of each contiguous partition, stopping after the block whose
-    minimum reaches bound."""
-    total = len(weights) - 1
-    best, seen = max(weights) + 1, 0
-    for j in range(partitions):
-        end = 1 + total * (j + 1) // partitions
-        for pos in range(1 + total * j // partitions, end, chunk):
-            block = weights[pos : min(pos + chunk, end)]
-            best, seen = min(best, *block), seen + len(block)
-            if best <= bound:
-                return best, seen
-    return best, seen
-
-
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_both_methods_against_brute_force(data):
@@ -165,35 +139,11 @@ def test_both_methods_against_brute_force(data):
         r = exact_min_distance(field, basis, partitions=partitions)
         assert (r.value, r.exact, r.enumerated) == (d, True, total)
 
-    # early stop: small chunks put block boundaries inside every partition,
-    # and more partitions than messages leave some of them empty
-    partitions = data.draw(st.integers(1, 3 * total), label="partitions")
-    chunk = data.draw(st.sampled_from([1, 2, 5, distance._CHUNK]), label="chunk")
-    bound = data.draw(st.integers(1, n), label="known_lower_bound")
-    with mock.patch.object(distance, "_CHUNK", chunk):
-        r = exact_min_distance(field, basis, partitions=partitions, known_lower_bound=bound)
-    assert (r.value, r.enumerated) == _lexicographic_walk(weights, partitions, chunk, bound)
-
     trials = data.draw(st.integers(1, 3000), label="trials")
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     s = sampled_weight_upper_bound(field, basis, trials, seed)
     assert s.value >= d and s.enumerated == trials
     assert sampled_weight_upper_bound(field, basis, trials, seed) == s
-
-
-def test_early_stop_counts_keep_chunk_and_partition_boundaries():
-    # criterion 2's [14, 7] code over GF(4): 4^7 - 1 = 16383 messages, two
-    # blocks of 2^13 at one partition.  The first block of every partition
-    # count already reaches d = 4, so each count is that block's length
-    cert = build_family("euclidean", 2, 3, 9)
-    inner = CyclicCode.from_defining_set(cert.field, cert.n_inner, cert.defining_set)
-    basis = reference.uuv_basis(inner, inner.dual("euclidean"))
-    counts = [
-        exact_min_distance(cert.field, basis, partitions=p, known_lower_bound=4).enumerated
-        for p in (1, 2, 3, 4)
-    ]
-    assert counts == [8192, 8191, 5461, 4095]
-    assert exact_min_distance(cert.field, basis).enumerated == 16383
 
 
 def test_budget_is_a_rule_of_q_and_k():
@@ -204,21 +154,6 @@ def test_budget_is_a_rule_of_q_and_k():
     assert distance._check_budget(4, 31, 1 << 62) == (1 << 62) - 1
     with pytest.raises(ValueError, match=r"needs 2\^63 - 1 codewords"):
         distance._check_budget(2, 63, 1 << 70)
-
-
-def test_partition_count_costs_nothing():
-    # no code loops over partitions: the block that holds the first message
-    # at the bound is found by arithmetic
-    basis = uuv_14_7()
-    start = time.perf_counter()
-    r = exact_min_distance(GF2, basis, partitions=10**8)
-    stopped = exact_min_distance(GF2, basis, partitions=10**8, known_lower_bound=4)
-    assert time.perf_counter() - start < 1.0
-    assert r == exact_min_distance(GF2, basis, partitions=1)
-    # with more partitions than messages, every message is a block of its own
-    weights = reference.message_weights(GF2, basis)
-    first = next(i for i, w in enumerate(weights) if 0 < w <= 4)
-    assert (stopped.value, stopped.enumerated) == (4, first)
 
 
 def _packed_weights(field, words):

@@ -2,7 +2,9 @@
 import *`` and tools that walk the exports never meet a stale name.  The
 names that the benchmark harness (perfbench/) and the README's library
 example reach are checked here too, so deleting one fails these tests
-rather than only a benchmark run."""
+rather than only a benchmark run.  The other way round, every exported
+function but one lemma is reached by some command, so no public check lives
+on beside the one that production runs."""
 
 import importlib
 import os
@@ -58,6 +60,53 @@ def test_names_the_benchmark_reaches_exist():
     )
     assert proc.returncode == 0, proc.stderr
     assert "d = 3 (exact, 15 codewords)" in proc.stdout  # the smoke [7, 4] Hamming code
+
+
+# Every command on small cells, under the tracer; prints the exported
+# functions that recorded no span.
+_COMMAND_SPANS = """
+import sys
+
+from tracing import Tracer
+
+tracer = Tracer()
+tracer.install()
+import cycledual
+from cycledual.cli import main
+
+commands = [
+    ["construct", "--kind", "euclidean", "--s", "1", "--m", "3", "--mu", "1", "--out", "e.txt"],
+    ["construct", "--kind", "hermitian", "--s", "1", "--m", "3", "--mu", "3", "--out", "h.txt"],
+    ["verify", "e.txt"],
+    ["verify", "h.txt"],
+    ["distance", "e.txt", "--method", "exhaustive"],
+    ["distance", "h.txt", "--method", "sampled", "--trials", "100"],
+    ["table", "--kind", "euclidean", "--s", "1", "--m-max", "3"],
+    ["factor", "--q", "4", "--n", "21"],
+]
+for argv in commands:
+    assert main(argv) == 0, argv
+spanned = {tracer.names[span[0]] for span in tracer.spans}
+for name in cycledual.__all__:
+    fn = getattr(cycledual, name)
+    if callable(fn) and not isinstance(fn, type):
+        if f"{fn.__module__.rsplit('.', 1)[1]}.{name}" not in spanned:
+            print("unreached", name, file=sys.stderr)
+"""
+
+
+def test_every_exported_function_is_reached_by_a_command(tmp_path):
+    # gcd_lemma is the paper's lemma, checked by acceptance criterion 7; every
+    # other exported function must be on some command's path, so no public
+    # check lives on beside the one that production runs
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "perfbench"), str(ROOT / "src")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _COMMAND_SPANS],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    unreached = [line for line in proc.stderr.splitlines() if line.startswith("unreached ")]
+    assert unreached == ["unreached gcd_lemma"]
 
 
 def test_readme_library_example_runs():
