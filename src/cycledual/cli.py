@@ -7,7 +7,8 @@ certificate's outer code), table (sweep a parameter grid), and factor
 (cyclotomic cosets and the matching irreducible factors of x^n - 1).
 
 Exit codes: 0 all requested checks passed, 1 a mathematical check failed,
-2 usage or parameter error.  CYCLEDUAL_BUDGET overrides the default
+2 usage or parameter error, 141 stdout was closed before the output was
+written (as when piped into ``head``).  CYCLEDUAL_BUDGET overrides the default
 exhaustive-enumeration budget.
 """
 
@@ -36,6 +37,8 @@ from .gf import field_create
 from .poly import product, x_pow_n_minus_1
 
 __all__ = ["main"]
+
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer whose reader left
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -244,6 +247,8 @@ def _divisors(n: int) -> list[int]:
 def _cmd_table(args: argparse.Namespace) -> int:
     if args.m_max < 1:
         raise ValueError("m-max must be positive")
+    if args.mu is not None and args.mu < 1:
+        raise ValueError("mu must be positive")
     family_parameters(args.kind, args.s, 1, 1)  # a bad s exits 2 before the header
     print("# s m mu n k floor paper_floor")
     for m in range(1, args.m_max + 1, 2):
@@ -307,13 +312,22 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _HANDLERS[args.command](args)
+        rc = _HANDLERS[args.command](args)
+        sys.stdout.flush()  # so that a closed stdout raises here
+        return rc
     except VerificationError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader left early (e.g. `| head`); send what is still buffered
+        # to devnull, so that the flush at exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -15,6 +15,13 @@ sampled method feeds it seeded messages for a reproducible upper bound; it
 splits the rows into runs of g, tabulates each run's q^g combinations, and
 sums one table entry per run.  The exhaustive budget depends on q and k
 alone.
+
+The sampled messages are the nonzero ones among consecutive k-digit rows of
+the raw stream of ``PCG64(seed)``: each digit is the top s bits of one u-bit
+unit of the raw 64-bit words, low unit first, u the width of ``dtype_for``.
+NEP 19 keeps a bit generator's raw stream the same across numpy versions;
+``Generator.integers`` has no such promise, though for q = 2^s it draws
+these same digits.
 """
 
 from __future__ import annotations
@@ -156,15 +163,17 @@ def _table_walk(multiples: np.ndarray):
         yield weights[1:] if high == 0 else weights
 
 
-def _sampled_blocks(field: Field, k: int, trials: int, seed: int):
-    """``trials`` seeded nonzero messages, from draws of 2^14 with zeros dropped."""
-    rng = np.random.default_rng(seed)
-    while trials > 0:
-        digits = rng.integers(0, field.order, size=(1 << 14, k), dtype=dtype_for(field))
-        keep = np.flatnonzero(digits.any(axis=1))[:trials]
-        if len(keep):
-            trials -= len(keep)
-            yield digits[keep]
+def _digits(bits: np.random.PCG64, field: Field, rows: int, k: int) -> np.ndarray:
+    """The next ``rows`` x k digits of the stream the module docstring
+    defines; ``rows`` is a multiple of 8, so that no raw word is split.  As q
+    divides 2^u, Lemire's method never rejects, and these are the digits
+    ``default_rng(seed).integers(0, q, dtype=dtype_for(field))`` draws."""
+    unit = np.dtype(dtype_for(field)).newbyteorder("<")
+    u = unit.itemsize * 8
+    raw = bits.random_raw(rows * k * u // 64).astype("<u8", copy=False)
+    digits = raw.view(unit).reshape(rows, k)
+    digits >>= u - field.s  # in place: no second buffer
+    return digits
 
 
 def _run_tables(field: Field, basis: np.ndarray, g: int) -> np.ndarray:
@@ -184,16 +193,35 @@ def _run_tables(field: Field, basis: np.ndarray, g: int) -> np.ndarray:
 
 
 def _run_indices(digits: np.ndarray, q: int, g: int) -> np.ndarray:
-    """Each run of g digits as one base-q index into its run's table, the last
-    run padded with zero digits: shape (trials, ceil(k/g))."""
+    """Each run of g digits as one base-q index into its run's table, the
+    first digit most significant and the last run padded with zero digits:
+    shape (trials, ceil(k/g))."""
     if g == 1:
         return digits
+    if q == 2 and g == 8:  # a run is one byte of bits
+        return np.packbits(digits, axis=1)
     k = digits.shape[1]
     index = np.zeros((len(digits), -(-k // g)), dtype=digits.dtype)  # q^g <= 256 fits
     for t in range(g):
         index *= q
         index[:, : len(range(t, k, g))] += digits[:, t::g]
     return index
+
+
+def _sampled_indices(field: Field, k: int, g: int, trials: int, seed: int):
+    """The run indices of ``trials`` seeded nonzero messages, in blocks.  The
+    messages are the nonzero ones among consecutive k-digit rows of one
+    stream, drawn at most 2^14 rows at a time and never many more than are
+    still needed; a message is zero exactly when all its run indices are."""
+    bits = np.random.PCG64(seed)
+    while trials > 0:
+        rows = min(1 << 14, -(-trials // 8) * 8)
+        index = _run_indices(_digits(bits, field, rows, k), field.order, g)
+        keep = index.any(axis=1)
+        index = index[:trials] if keep.all() else index[np.flatnonzero(keep)[:trials]]
+        if len(index):
+            trials -= len(index)
+            yield index
 
 
 def _sampled_weights(field: Field, basis: np.ndarray, trials: int, seed: int):
@@ -203,8 +231,7 @@ def _sampled_weights(field: Field, basis: np.ndarray, trials: int, seed: int):
     entry = field.s * -(-n // 64) * 8
     g = _digits_per_table(q, k, _GROUP_ENTRIES, lambda x: -(-k // x) * q**x * entry)
     tables = _run_tables(field, basis, g)
-    for digits in _sampled_blocks(field, k, trials, seed):
-        index = _run_indices(digits, q, g)
+    for index in _sampled_indices(field, k, g, trials, seed):
         words = np.take(tables[0], index[:, 0], axis=0)
         term = np.empty_like(words)
         for j in range(1, len(tables)):

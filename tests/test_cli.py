@@ -1,7 +1,12 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cycledual
 from cycledual import Poly, cli, cyclic, linalg, read_certificate, write_certificate
 from cycledual.cli import main
 
@@ -326,6 +331,14 @@ def test_distance_sampled(tmp_path, capsys):
     assert cert.distance.value >= 6
 
 
+def test_distance_rejects_a_negative_seed(tmp_path, capsys):
+    path = build_cert(tmp_path, capsys)
+    before = path.read_text()
+    rc, out, err = run(capsys, "distance", str(path), "--method", "sampled", "--seed", "-1")
+    assert (rc, out, err) == (2, "", "error: expected non-negative integer\n")
+    assert path.read_text() == before
+
+
 def test_distance_infeasible_exhaustive_exits_2(tmp_path, capsys):
     path = tmp_path / "c3.txt"
     run(
@@ -471,6 +484,39 @@ def test_table_hermitian_mu_filter(capsys):
 def test_table_rejects_a_bad_s_before_the_header(capsys, kind, s, extra, message):
     rc, out, err = run(capsys, "table", "--kind", kind, "--s", s, "--m-max", "3", *extra)
     assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("mu", ["0", "-1"])
+def test_table_rejects_a_bad_mu_before_the_header(capsys, mu):
+    rc, out, err = run(
+        capsys, "table", "--kind", "euclidean", "--s", "1", "--m-max", "3", "--mu", mu
+    )
+    assert (rc, out, err) == (2, "", "error: mu must be positive\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("table", "--kind", "euclidean", "--s", "1", "--m-max", "7"),
+        ("factor", "--q", "2", "--n", "4095"),
+    ],
+)
+def test_a_closed_stdout_exits_without_a_traceback(argv):
+    # the reader end is closed before the child starts, so its first write
+    # to stdout fails, as when `| head` has already read what it wanted
+    src = str(Path(cycledual.__file__).resolve().parents[1])
+    paths = (src, os.environ.get("PYTHONPATH"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    reader, writer = os.pipe()
+    os.close(reader)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cycledual.cli", *argv],
+            stdout=writer, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(writer)
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_BROKEN_PIPE, b"")
 
 
 def test_table_s2_mmax1_all_skipped(capsys):

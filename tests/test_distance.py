@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,8 +21,10 @@ from cycledual.gf import dtype_for
 
 from conftest import GF2, GF4, divisor_codes
 
+GF8 = field_create(3)
 GF16 = field_create(4)
 GF256 = field_create(8)
+GF512 = field_create(9)
 
 
 def hamming():
@@ -191,20 +194,56 @@ def test_packed_weight_is_the_count_of_nonzero_symbols(field):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    field=st.sampled_from([GF2, GF4, GF16, GF256]),
+    field=st.sampled_from([GF2, GF4, GF8, GF16, GF256, GF512]),
     k=st.integers(1, 20),
     n=st.integers(0, 130),
-    trials=st.integers(1, 40_000),
+    trials=st.one_of(st.integers(1, 20), st.integers(1, 40_000)),
     seed=st.integers(0, 2**64 - 1),
     basis_seed=st.integers(0, 2**32 - 1),
 )
 @example(field=GF2, k=20, n=129, trials=40_000, seed=7, basis_seed=1)  # runs 8, 8, 4
 @example(field=GF4, k=19, n=64, trials=16_385, seed=2**64 - 1, basis_seed=2)  # 4, ..., 4, 3
+@example(field=GF8, k=19, n=63, trials=20_003, seed=5, basis_seed=5)  # 2, ..., 2, 1: 6-bit runs
 @example(field=GF16, k=19, n=65, trials=20_000, seed=0, basis_seed=3)  # 2, ..., 2, 1
 @example(field=GF256, k=20, n=130, trials=1, seed=12345, basis_seed=4)
+@example(field=GF512, k=20, n=130, trials=16_391, seed=41, basis_seed=6)  # 16-bit units
+@example(field=GF2, k=1, n=5, trials=7, seed=0, basis_seed=7)  # half the messages are zero
+@example(field=GF2, k=2, n=9, trials=13, seed=2**64 - 1, basis_seed=8)
+@example(field=GF2, k=2, n=70, trials=30_001, seed=3, basis_seed=9)  # past one draw
+@example(field=GF8, k=1, n=3, trials=3, seed=7, basis_seed=10)
 def test_sampled_matches_the_row_multiple_reference(field, k, n, trials, seed, basis_seed):
-    # k up to 20 gives every field more than one row run; 40,000 trials take
-    # more than one draw of 2^14 messages
+    # k up to 20 gives every field of at most 16 elements more than one row
+    # run; 40,000 trials take more than one draw of 2^14 messages.  The
+    # reference draws 2^14 messages every time, so it also checks that drawing
+    # only the messages still needed does not change them
     basis = np.random.default_rng(basis_seed).integers(0, field.order, size=(k, n))
     r = sampled_weight_upper_bound(field, basis, trials, seed)
     assert r.value == reference.sampled_min_weight(field, basis, trials, seed)
+
+
+@pytest.mark.parametrize("s", range(1, 17))
+def test_digits_are_the_generator_integers(s):
+    # the top s bits of the raw units are what Generator.integers draws for
+    # q = 2^s, over consecutive draws of one stream
+    field = field_create(s)
+    for seed in (0, 7, 2**64 - 1):
+        for k in (1, 7, 127):
+            rng, bits = np.random.default_rng(seed), np.random.PCG64(seed)
+            for rows in (24, 8):
+                expected = rng.integers(0, 2**s, size=(rows, k), dtype=dtype_for(field))
+                digits = distance._digits(bits, field, rows, k)
+                assert digits.dtype == expected.dtype
+                assert np.array_equal(digits, expected)
+
+
+def test_few_trials_draw_only_the_messages_they_need():
+    # one draw of 2^14 messages of k = 3000 bytes would take 49 MB
+    k, n = 3000, 64
+    basis = np.random.default_rng(1).integers(0, 2, size=(k, n))
+    tracemalloc.start()
+    try:
+        sampled_weight_upper_bound(GF2, basis, trials=200, seed=7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (1 << 14) * k
