@@ -288,7 +288,7 @@ def _cmd_factor(args: argparse.Namespace) -> int:
         raise ValueError(f"length n = {n} exceeds MAX_INNER_LENGTH = {MAX_INNER_LENGTH}")
     ctx = root_context(field, n)
     orbits = [orbit for _, orbit in sorted(all_cosets(n, q).items())]
-    mps = [minimal_polynomial(orbit, ctx.beta, ctx.emb, ctx.powers) for orbit in orbits]
+    mps = minimal_polynomial(orbits, ctx.beta, ctx.emb, ctx.powers)
     if product(field, mps) != x_pow_n_minus_1(field, n):
         raise VerificationError("coset factorization does not multiply back to x^n - 1")
     for orbit, mp in zip(orbits, mps):

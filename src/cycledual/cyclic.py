@@ -99,14 +99,14 @@ def _generator(field: Field, n: int, T: DefiningSet) -> Poly:
     """The monic polynomial with roots beta^i for i in the coset-closed T:
     the product of the minimal polynomials of T's cosets."""
     ctx = root_context(field, n)
-    mps = []
+    orbits = []
     seen: set[int] = set()
     for i in T:
         if i not in seen:
             orbit = coset(n, field.order, i)
             seen.update(orbit)
-            mps.append(minimal_polynomial(orbit, ctx.beta, ctx.emb, ctx.powers))
-    return product(field, mps)
+            orbits.append(orbit)
+    return product(field, minimal_polynomial(orbits, ctx.beta, ctx.emb, ctx.powers))
 
 
 def hermitian_base(field: Field) -> int:

@@ -6,12 +6,14 @@ A defining set is a subset of Z_n tagged with the coset base q (the alphabet
 order; q^2-cyclotomic work simply uses that square as the base).  Sets
 serialize as comma-separated decimal residues in ascending order.
 
-:func:`minimal_polynomial` reads each root beta^j of a coset from the
-table of beta's powers that :func:`cycledual.cyclic.root_context` builds
-once per (field, n), expands prod (x - beta^j) with scalar extension
-arithmetic, O(|coset|^2) ``Field.mul`` calls (one table lookup each up to
-GF(2^16), shift-and-add beyond), and pulls each coefficient back to the
-base field with one lookup in the embedding's inverse table.
+:func:`minimal_polynomial` takes a sequence of cosets and expands all of
+them in one numpy pass: it reads the roots beta^j from the table of beta's
+powers that :func:`cycledual.cyclic.root_context` builds once per (field,
+n), one coset per column of an (L, N) matrix padded with the root 0 (L the
+largest coset size), expands the products as one (L + 1, N) coefficient
+matrix in L row steps (through the extension's log/antilog tables up to
+GF(2^16), by vectorised shift-and-add beyond), and pulls the coefficients
+back to the base field with one vector lookup.
 """
 
 from __future__ import annotations
@@ -19,9 +21,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Sequence
 
-from .gf import Embedding, Field
+import numpy as np
+
+from .gf import TABLE_MAX_S, Embedding, Field, log_exp
 from .poly import Poly
 
 __all__ = [
@@ -219,50 +224,108 @@ def _order(ext: Field, beta: int) -> int:
 
 
 def minimal_polynomial(
-    coset_residues: Iterable[int], beta: int, emb: Embedding, powers: Sequence[int]
-) -> Poly:
-    """Expand prod_{j in coset} (x - beta^j) in the extension and pull the
-    coefficients back to the base field.  beta is an element of the
-    embedding's extension of order n, and powers is the table of beta^j for
-    0 <= j < n (see :func:`cycledual.cyclic.root_context`), from which each
-    root is read."""
+    cosets: Iterable[Iterable[int]], beta: int, emb: Embedding, powers: Sequence[int]
+) -> list[Poly]:
+    """The minimal polynomial prod_{j in C} (x - beta^j) of each coset C, in
+    order, with its coefficients pulled back to the base field.  beta is an
+    element of the embedding's extension of order n, and powers is the table
+    of beta^j for 0 <= j < n (see :func:`cycledual.cyclic.root_context`), from
+    which each root is read.  The same coset may appear more than once."""
     ext = emb.ext
     if not 0 <= beta < ext.order:
         raise ValueError(f"value {beta} out of range for {ext!r}")
-    members = frozenset(int(j) for j in coset_residues)
-    if not members:
+    rows = [tuple(c) for c in cosets]
+    lengths = [len(row) for row in rows]
+    if 0 in lengths:
         raise ValueError("empty coset")
+    if not rows:
+        return []
     n = _order(ext, beta)
-    if any(j < 0 or j >= n for j in members):
+    try:  # a negative residue does not fit either
+        flat = np.fromiter(chain.from_iterable(rows), np.uint64, sum(lengths))
+    except OverflowError:
+        raise ValueError("coset residues must lie in 0..n-1") from None
+    if flat.max() >= n:
         raise ValueError("coset residues must lie in 0..n-1")
-    # one walk j -> j q mod n from the smallest member: each step lands in
-    # members and the orbit has len(members) elements.  n divides 2^k - 1,
-    # so q (a power of two) is invertible mod n and the walk returns.
-    q, start = emb.base.order, min(members)
-    size, j = 1, start * q % n
-    while j != start:
-        if j not in members:
-            raise ValueError("not a single cyclotomic coset")
-        size, j = size + 1, j * q % n
-    if size != len(members):
+    # one coset per column, so that reductions run along the short axis 0;
+    # residue n pads each column below its members
+    sizes = np.array(lengths)
+    width = max(lengths)
+    padded = np.full((len(rows), width), n, dtype=np.uint64)
+    padded[np.arange(width) < sizes[:, None]] = flat
+    residues = np.ascontiguousarray(padded.T)
+    if not _is_one_coset(residues, sizes, n, emb.base.order).all():
         raise ValueError("not a single cyclotomic coset")
     if len(powers) != n or powers[1 % n] != beta:
         raise ValueError("powers must be the table of beta^j for 0 <= j < n")
-    return _expand([powers[j] for j in members], emb)
+    # the padding reads the root 0, so column i holds x^(width - L_i) times
+    # its minimal polynomial
+    table = np.fromiter(chain(powers, (0,)), np.int64, n + 1)
+    coeffs = emb.pull_back(_expand(table[residues], ext))
+    if (coeffs < 0).any():
+        raise ValueError("coset/base mismatch")
+    coeffs = coeffs.T.ravel().tolist()
+    out = []
+    for i, size in enumerate(lengths):  # monic base values, past the padding's zeros
+        end = (i + 1) * (width + 1)
+        out.append(Poly._trusted(emb.base, tuple(coeffs[end - size - 1 : end])))
+    return out
 
 
-def _expand(roots: Iterable[int], emb: Embedding) -> Poly:
-    """prod (x - root) over roots in the extension, as a plain list of
-    extension values built with scalar ``ext.mul``, its coefficients pulled
-    back to the base field with one ``emb.inverse`` lookup each; a
-    coefficient outside the base field is a coset/base mismatch."""
-    mul = emb.ext.mul
-    prod = [1]
-    for root in roots:
-        # (x + root) * prod, low degree first
-        prod = [mul(root, c) ^ lower for c, lower in zip(prod + [0], [0] + prod)]
-    inverse = emb.inverse
-    try:  # base values, and monic: nothing for Poly's checks to catch
-        return Poly._trusted(emb.base, tuple([inverse[c] for c in prod]))
-    except KeyError:
-        raise ValueError("coset/base mismatch") from None
+def _is_one_coset(residues: np.ndarray, sizes: np.ndarray, n: int, q: int) -> np.ndarray:
+    """For each column of a residue matrix, padded with n below its L
+    members, whether they are one q-coset mod n: the walk j -> j q from the
+    first member returns to it at step L and not before, so it visits L
+    distinct residues, and each of them occurs in the column, which then
+    holds exactly these L.  The residues are below n < 2^32, so the
+    products fit in uint64."""
+    width = len(residues)
+    steps = np.array([pow(q, t, n) for t in range(width + 1)], dtype=np.uint64)
+    walk = steps[:, None] * residues[0] % n
+    t = np.arange(1, width + 1)[:, None]
+    returns = (walk[1:] == walk[0]) == (t == sizes)
+    visited = (residues[:, None] == walk[None, :width]).any(axis=0)
+    return (returns & visited | (t > sizes)).all(axis=0)
+
+
+def _expand(roots: np.ndarray, ext: Field) -> np.ndarray:
+    """prod_j (x - roots[j, i]) for each column i of an (L, N) matrix of
+    extension values, as an (L + 1, N) coefficient matrix, low degree first.
+
+    Row k accumulates the k-th elementary symmetric function of the roots
+    read so far, one root per step for all columns at once; the products
+    run through the extension's log/antilog tables up to GF(2^TABLE_MAX_S),
+    and by shift-and-add over the bits of the coefficients beyond."""
+    size, count = roots.shape
+    times = _table_times(roots, ext) if ext.s <= TABLE_MAX_S else _shift_times(roots, ext)
+    sym = np.zeros((size + 1, count), dtype=np.int64)
+    sym[0] = 1
+    for t in range(size):
+        sym[1 : t + 2] ^= times(sym[: t + 1], t)
+    return sym[::-1]
+
+
+def _table_times(roots: np.ndarray, ext: Field):
+    """values * roots[t], column by column, through the log/antilog tables."""
+    log, exp = log_exp(ext)
+    log_roots = log[roots]
+    return lambda values, t: exp[log[values] + log_roots[t]]
+
+
+def _shift_times(roots: np.ndarray, ext: Field):
+    """values * roots[t], column by column, as the xor of roots[t] x^b over
+    the set bits b of the values; the (s, L, N) multiples roots x^b are
+    reduced once, not per product."""
+    multiples = np.empty((ext.s,) + roots.shape, dtype=np.int64)
+    multiples[0] = roots
+    for b in range(1, ext.s):
+        shifted = multiples[b - 1] << 1
+        multiples[b] = shifted ^ (shifted >> ext.s) * ext.modulus
+
+    def times(values, t):
+        out = np.zeros_like(values)
+        for b in range(ext.s):
+            out ^= (values >> b & 1) * multiples[b, t]
+        return out
+
+    return times

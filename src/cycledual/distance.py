@@ -45,6 +45,7 @@ DEFAULT_BUDGET = 1 << 26
 _WALK_ENTRIES = 1 << 16  # most combinations in the exhaustive low-digit table
 _GROUP_ENTRIES = 1 << 8  # most combinations in one sampled row-run table
 _TABLE_BYTES = 1 << 24  # cap on the exhaustive table, and on all sampled tables
+_SAMPLED_BYTES = 1 << 29  # most bytes of one-row sampled tables; larger inputs are refused
 _PACK_SYMBOLS = 1 << 22  # row multiples are packed about this many symbols at a time
 
 
@@ -268,5 +269,13 @@ def sampled_weight_upper_bound(
     basis = _basis(field, basis)
     if trials < 1:
         raise ValueError("trials must be positive")
+    # runs of one row make the smallest tables; _TABLE_BYTES may not hold even those
+    (k, n), q = basis.shape, field.order
+    need = k * q * field.s * -(-n // 64) * 8
+    if need > _SAMPLED_BYTES:
+        raise ValueError(
+            f"sampled distance infeasible: its row tables need {need} bytes, "
+            f"limit {_SAMPLED_BYTES}"
+        )
     best, _ = _least_weight(_sampled_weights(field, basis, trials, seed))
     return DistanceReport("sampled", best, False, trials, seed)

@@ -170,7 +170,8 @@ def minimal_polynomial(coset_residues, beta: int, emb: Embedding) -> Poly:
     for _ in coset_residues:
         prod = poly_mul(prod, Poly(ext, (root, 1)))
         root = frobenius(ext, root, emb.base.s)
-    return Poly(emb.base, [emb.inverse[c] for c in prod.coeffs])
+    inverse = {image: v for v, image in enumerate(emb.table)}
+    return Poly(emb.base, [inverse[c] for c in prod.coeffs])
 
 
 # -- cyclic codes, by their polynomials ------------------------------------------

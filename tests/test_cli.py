@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import cycledual
-from cycledual import Poly, cli, cyclic, linalg, read_certificate, write_certificate
+from cycledual import Poly, cli, cyclic, distance, linalg, read_certificate, write_certificate
 from cycledual.cli import main
 
 
@@ -587,12 +588,54 @@ def _drop_a_root(mp):
 def test_factor_rejects_a_corrupted_factor(capsys, monkeypatch, corrupt):
     build = cli.minimal_polynomial
 
-    def corrupted(orbit, *args):
-        mp = build(orbit, *args)
-        return corrupt(mp) if tuple(orbit) == (0,) else mp
+    def corrupted(orbits, *args):
+        mps = build(orbits, *args)
+        return [corrupt(mp) if tuple(orbit) == (0,) else mp for orbit, mp in zip(orbits, mps)]
 
     monkeypatch.setattr(cli, "minimal_polynomial", corrupted)
     rc, out, err = run(capsys, "factor", "--q", "4", "--n", "63")
     assert rc == 1
     assert out == ""
     assert err == "check failed: coset factorization does not multiply back to x^n - 1\n"
+
+
+def test_factor_expands_every_coset_in_one_call(capsys, monkeypatch):
+    calls = []
+    build = cli.minimal_polynomial
+
+    def counted(orbits, *args):
+        calls.append(len(orbits))
+        return build(orbits, *args)
+
+    monkeypatch.setattr(cli, "minimal_polynomial", counted)
+    rc, out, _ = run(capsys, "factor", "--q", "2", "--n", "4095")
+    assert rc == 0
+    assert calls == [len(out.splitlines())]
+
+
+def test_factor_over_gf4_in_gf_2_26_is_pinned(capsys):
+    # n = 8191 needs GF(2^26), beyond the log/antilog tables, so the cosets
+    # are expanded by shift-and-add
+    rc, out, err = run(capsys, "factor", "--q", "4", "--n", "8191")
+    assert (rc, err) == (0, "")
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "59f796f8ac6e1a05248e88afae32213a2c9a25d08971a26a1f47d4a674c9bdc6"
+
+
+def test_distance_sampled_refuses_tables_past_the_limit(tmp_path, capsys, monkeypatch):
+    # H s=8 m=1 mu=85 is [1542, 771] over GF(2^16): one-row tables of 151 GiB
+    path = tmp_path / "h8.txt"
+    rc, _, _ = run(
+        capsys, "construct", "--kind", "hermitian", "--s", "8", "--m", "1",
+        "--mu", "85", "--out", str(path),
+    )
+    assert rc == 0
+    before = path.read_bytes()
+    monkeypatch.setattr(distance, "_run_tables", None)  # a table build would fail
+    rc, out, err = run(capsys, "distance", str(path), "--method", "sampled", "--trials", "10")
+    assert (rc, out) == (2, "")
+    assert err == (
+        "error: sampled distance infeasible: its row tables need 161690419200 bytes, "
+        "limit 536870912\n"
+    )
+    assert path.read_bytes() == before

@@ -6,6 +6,7 @@ from cycledual import (
     DefiningSet,
     Poly,
     bch_defining_set,
+    build_family,
 )
 from cycledual import cyclic
 from cycledual.cyclo import complement, set_map
@@ -252,3 +253,21 @@ def test_self_orthogonality_via_matrix():
     assert not mat_mul(GF2, gd, gd.T).any()
     g = c.generator_matrix()
     assert mat_mul(GF2, g, g.T).any()  # Hamming itself is not self-orthogonal
+
+
+def test_each_generator_expands_its_cosets_in_one_call(monkeypatch):
+    calls = {"generator": 0, "minimal_polynomial": 0}
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(cyclic, "_generator", counted("generator", cyclic._generator))
+    monkeypatch.setattr(
+        cyclic, "minimal_polynomial", counted("minimal_polynomial", cyclic.minimal_polynomial)
+    )
+    build_family("hermitian", 1, 3, 1)  # the inner code, and the dual check's -qT
+    assert calls["minimal_polynomial"] == calls["generator"] > 0

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cycledual import (
@@ -160,11 +160,19 @@ def test_minimal_polynomial_mod7():
     ext, emb = extension_with_embedding(GF2, 3)
     beta = nth_root_of_unity(ext, 7)
     powers = [ext.pow(beta, j) for j in range(7)]
-    assert minimal_polynomial((1, 2, 4), beta, emb, powers) == Poly(GF2, (1, 1, 0, 1))
-    assert minimal_polynomial((0,), beta, emb, powers) == Poly(GF2, (1, 1))
-    assert minimal_polynomial((3, 5, 6), beta, emb, powers) == Poly(GF2, (1, 0, 1, 1))
+    assert minimal_polynomial([(1, 2, 4), (0,), (3, 5, 6)], beta, emb, powers) == [
+        Poly(GF2, (1, 1, 0, 1)),
+        Poly(GF2, (1, 1)),
+        Poly(GF2, (1, 0, 1, 1)),
+    ]
+    assert minimal_polynomial([], beta, emb, powers) == []
     with pytest.raises(ValueError, match="not a single"):
-        minimal_polynomial((1, 2), beta, emb, powers)
+        minimal_polynomial([(1, 2)], beta, emb, powers)
+    with pytest.raises(ValueError, match="empty coset"):
+        minimal_polynomial([(0,), ()], beta, emb, powers)
+    for bad in [(7,), (1, 2, 4, -1), (2**70,)]:
+        with pytest.raises(ValueError, match="coset residues must lie in 0..n-1"):
+            minimal_polynomial([(0,), bad], beta, emb, powers)
     assert reference.minimal_polynomial((3, 5, 6), beta, emb) == Poly(GF2, (1, 0, 1, 1))
 
 
@@ -172,14 +180,14 @@ def test_minimal_polynomial_rejects_a_union_of_two_cosets():
     ctx = root_context(GF2, 7)
     for members in [(1, 2, 4, 3, 5, 6), (0, 1, 2, 4), (0, 3, 5, 6)]:
         with pytest.raises(ValueError, match="not a single cyclotomic coset"):
-            minimal_polynomial(members, ctx.beta, ctx.emb, ctx.powers)
+            minimal_polynomial([members], ctx.beta, ctx.emb, ctx.powers)
 
 
 def test_minimal_polynomial_rejects_a_set_not_closed_under_q():
     ctx = root_context(GF4, 21)  # cosets mod 21 under 4: {1, 4, 16}, {3, 12, 6}, ...
-    for members in [(1, 4), (1, 4, 5), (3, 12, 9), (1, 2, 4)]:
+    for members in [(1, 4), (1, 4, 5), (3, 12, 9), (1, 2, 4), (1, 4, 4), (1, 16, 1)]:
         with pytest.raises(ValueError, match="not a single cyclotomic coset"):
-            minimal_polynomial(members, ctx.beta, ctx.emb, ctx.powers)
+            minimal_polynomial([members], ctx.beta, ctx.emb, ctx.powers)
 
 
 @settings(max_examples=200, deadline=None)
@@ -187,10 +195,11 @@ def test_minimal_polynomial_rejects_a_set_not_closed_under_q():
 def test_minimal_polynomial_accepts_exactly_the_cosets(members):
     ctx = root_context(GF4, 21)
     if members == set(coset(21, 4, min(members))):
-        assert minimal_polynomial(members, ctx.beta, ctx.emb, ctx.powers).degree == len(members)
+        [mp] = minimal_polynomial([members], ctx.beta, ctx.emb, ctx.powers)
+        assert mp.degree == len(members)
     else:
         with pytest.raises(ValueError, match="not a single cyclotomic coset"):
-            minimal_polynomial(members, ctx.beta, ctx.emb, ctx.powers)
+            minimal_polynomial([members], ctx.beta, ctx.emb, ctx.powers)
 
 
 def test_minimal_polynomial_takes_beta_as_an_int():
@@ -198,12 +207,12 @@ def test_minimal_polynomial_takes_beta_as_an_int():
     ext, emb = extension_with_embedding(GF4, 3)
     beta = nth_root_of_unity(ext, 21)
     powers = [ext.pow(beta, j) for j in range(21)]
-    for orb in all_cosets(21, 4).values():
-        expected = reference.minimal_polynomial(orb, beta, emb)
-        assert minimal_polynomial(orb, beta, emb, powers) == expected
+    orbits = list(all_cosets(21, 4).values())
+    expected = [reference.minimal_polynomial(orb, beta, emb) for orb in orbits]
+    assert minimal_polynomial(orbits, beta, emb, powers) == expected
     for bad in (ext.order, -1):
         with pytest.raises(ValueError, match="out of range"):
-            minimal_polynomial((0,), bad, emb, powers)
+            minimal_polynomial([(0,)], bad, emb, powers)
 
 
 @pytest.mark.parametrize("field", [GF2, GF4])
@@ -217,12 +226,10 @@ def test_minimal_polynomial_product(field, n):
     ext, emb = extension_with_embedding(field, m)
     beta = nth_root_of_unity(ext, n)
     powers = [ext.pow(beta, j) for j in range(n)]
-    product = Poly.one(field)
-    for _, orb in sorted(all_cosets(n, field.order).items()):
-        mp = minimal_polynomial(orb, beta, emb, powers)
-        assert mp.is_monic and mp.degree == len(orb)
-        product = product * mp
-    assert product == x_pow_n_minus_1(field, n)
+    orbits = [orb for _, orb in sorted(all_cosets(n, field.order).items())]
+    mps = minimal_polynomial(orbits, beta, emb, powers)
+    assert [(mp.is_monic, mp.degree) for mp in mps] == [(True, len(orb)) for orb in orbits]
+    assert product(field, mps) == x_pow_n_minus_1(field, n)
 
 
 # (q, n, degree of the extension GF(2^e) hosting the n-th roots of unity);
@@ -236,28 +243,92 @@ def test_minimal_polynomial_from_the_powers_table_matches_the_frobenius_roots(q,
     ctx = root_context(field, n)
     assert ctx.ext.s == e
     orbits = [orb for _, orb in sorted(all_cosets(n, q).items())]
-    mps = [minimal_polynomial(orb, ctx.beta, ctx.emb, ctx.powers) for orb in orbits]
+    mps = minimal_polynomial(orbits, ctx.beta, ctx.emb, ctx.powers)
     assert mps == [reference.minimal_polynomial(orb, ctx.beta, ctx.emb) for orb in orbits]
     assert product(field, mps) == x_pow_n_minus_1(field, n)
 
 
+def _feasible_context(q, n):
+    """The root context of GF(q) and n, or None past GF(2^32)."""
+    try:
+        return root_context(field_create(q.bit_length() - 1), n)
+    except ValueError:
+        return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.sampled_from([2, 4, 16, 256]),
+    n=st.integers(0, 60).map(lambda i: 2 * i + 1),
+    picks=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=12),
+)
+@example(q=2, n=47, picks=[0, 1, 1, 0, 2])  # GF(2^23), past the tables
+@example(q=256, n=7, picks=[5, 2, 2])  # GF(2^24) over GF(256)
+def test_minimal_polynomial_of_a_batch_matches_the_reference_coset_by_coset(q, n, picks):
+    # cosets picked with repeats, in any order, each listed in a shuffled order
+    ctx = _feasible_context(q, n)
+    assume(ctx is not None)
+    orbits = list(all_cosets(n, q).values())
+    batch = [orbits[p % len(orbits)] for p in picks]
+    shuffled = [random.Random(p).sample(orb, len(orb)) for p, orb in zip(picks, batch)]
+    expected = [reference.minimal_polynomial(orb, ctx.beta, ctx.emb) for orb in batch]
+    assert minimal_polynomial(shuffled, ctx.beta, ctx.emb, ctx.powers) == expected
+
+
+def _damaged(orbits, n, choice):
+    """A residue set that is not one coset, and the error it must raise: a
+    union of two cosets, a coset less one member, a coset plus an outside
+    residue, or a coset with a residue out of 0..n-1."""
+    first = orbits[choice % len(orbits)]
+    other = orbits[(choice + 1) % len(orbits)]
+    kind = choice % 4
+    if kind == 0 and other != first:
+        return first + other, "not a single cyclotomic coset"
+    if kind == 1 and len(first) > 1:
+        return first[1:], "not a single cyclotomic coset"
+    if kind == 2 and other != first:
+        return first + other[:1], "not a single cyclotomic coset"
+    return first + ((n, -1)[choice // 4 % 2],), "coset residues must lie in 0..n-1"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.sampled_from([2, 4, 16, 256]),
+    n=st.integers(1, 60).map(lambda i: 2 * i + 1),
+    picks=st.lists(st.integers(0, 2**32 - 1), min_size=0, max_size=6),
+    choice=st.integers(0, 2**32 - 1),
+    at=st.integers(0, 6),
+)
+def test_minimal_polynomial_rejects_a_batch_holding_one_bad_set(q, n, picks, choice, at):
+    ctx = _feasible_context(q, n)
+    assume(ctx is not None)
+    orbits = list(all_cosets(n, q).values())
+    batch = [orbits[p % len(orbits)] for p in picks]
+    bad, message = _damaged(orbits, n, choice)
+    batch.insert(at % (len(batch) + 1), bad)
+    with pytest.raises(ValueError, match=message):
+        minimal_polynomial(batch, ctx.beta, ctx.emb, ctx.powers)
+
+
 def test_minimal_polynomial_rejects_table_roots_that_are_not_a_coset():
     ctx = root_context(GF2, 7)
-    assert minimal_polynomial((1, 2, 4), ctx.beta, ctx.emb, ctx.powers) == Poly(GF2, (1, 1, 0, 1))
+    assert minimal_polynomial([(1, 2, 4)], ctx.beta, ctx.emb, ctx.powers) == [
+        Poly(GF2, (1, 1, 0, 1))
+    ]
     # a GF(2) cubic with root beta is beta's minimal polynomial, whose roots
     # are exactly beta, beta^2 and beta^4: any other value for beta^2 fails
     for j in (0, 3, 5, 6):
         powers = list(ctx.powers)
         powers[2] = ctx.powers[j]
         with pytest.raises(ValueError, match="coset/base mismatch"):
-            minimal_polynomial((1, 2, 4), ctx.beta, ctx.emb, powers)
+            minimal_polynomial([(0,), (1, 2, 4)], ctx.beta, ctx.emb, powers)
 
 
 def test_minimal_polynomial_rejects_a_table_of_another_root():
     ctx = root_context(GF2, 7)
     for powers in [ctx.powers[:6], ctx.powers + (1,), ctx.powers[3:] + ctx.powers[:3]]:
         with pytest.raises(ValueError, match="powers must be the table"):
-            minimal_polynomial((1, 2, 4), ctx.beta, ctx.emb, powers)
+            minimal_polynomial([(1, 2, 4)], ctx.beta, ctx.emb, powers)
 
 
 @settings(max_examples=30, deadline=None)
@@ -272,10 +343,7 @@ def test_minimal_polynomial_catches_a_tampered_powers_table(data):
         st.integers(0, ctx.ext.order - 1).filter(lambda v: v != powers[j]), label="beta^j"
     )
     try:
-        mps = [
-            minimal_polynomial(orb, ctx.beta, ctx.emb, powers)
-            for orb in all_cosets(n, q).values()
-        ]
+        mps = minimal_polynomial(list(all_cosets(n, q).values()), ctx.beta, ctx.emb, powers)
     except ValueError as exc:
         assert str(exc) in {
             "coset/base mismatch",

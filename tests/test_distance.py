@@ -247,3 +247,11 @@ def test_few_trials_draw_only_the_messages_they_need():
     finally:
         tracemalloc.stop()
     assert peak < (1 << 14) * k
+
+
+def test_sampled_refuses_one_row_tables_past_the_limit(monkeypatch):
+    # over GF(2^16), 8 rows of 1024 symbols need 8 * 2^16 * 16 * 16 * 8 bytes
+    monkeypatch.setattr(distance, "_run_tables", None)  # a table build would fail
+    basis = np.zeros((8, 1024), dtype=np.uint16)
+    with pytest.raises(ValueError, match="sampled distance infeasible: .* 1073741824 bytes"):
+        sampled_weight_upper_bound(field_create(16), basis, 10, 0)

@@ -267,7 +267,7 @@ def test_product_of_the_1375_minimal_polynomials_mod_4095_over_gf16():
     field = field_create(4)
     ctx = root_context(field, 4095)
     orbits = [orb for _, orb in sorted(all_cosets(4095, 16).items())]
-    mps = [minimal_polynomial(orb, ctx.beta, ctx.emb, ctx.powers) for orb in orbits]
+    mps = minimal_polynomial(orbits, ctx.beta, ctx.emb, ctx.powers)
     assert len(mps) == 1375
     with mock.patch.object(poly, "_fft_product", wraps=poly._fft_product) as fft:
         assert product(field, mps) == x_pow_n_minus_1(field, 4095)
