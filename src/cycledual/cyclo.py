@@ -13,7 +13,7 @@ n), one coset per column of an (L, N) matrix padded with the root 0 (L the
 largest coset size), expands the products as one (L + 1, N) coefficient
 matrix in L row steps (through the extension's log/antilog tables up to
 GF(2^16), by vectorised shift-and-add beyond), and pulls the coefficients
-back to the base field with one vector lookup.
+back to the base field through the embedding's inverse.
 """
 
 from __future__ import annotations
@@ -261,12 +261,13 @@ def minimal_polynomial(
     # the padding reads the root 0, so column i holds x^(width - L_i) times
     # its minimal polynomial
     table = np.fromiter(chain(powers, (0,)), np.int64, n + 1)
-    coeffs = emb.pull_back(_expand(table[residues], ext))
-    if (coeffs < 0).any():
-        raise ValueError("coset/base mismatch")
-    coeffs = coeffs.T.ravel().tolist()
+    coeffs = _expand(table[residues], ext).T.ravel().tolist()
+    try:
+        coeffs = list(map(emb.inverse.__getitem__, coeffs))
+    except KeyError:
+        raise ValueError("coset/base mismatch") from None
     out = []
-    for i, size in enumerate(lengths):  # monic base values, past the padding's zeros
+    for i, size in enumerate(lengths):  # monic, past the padding's zeros
         end = (i + 1) * (width + 1)
         out.append(Poly._trusted(emb.base, tuple(coeffs[end - size - 1 : end])))
     return out

@@ -230,7 +230,17 @@ def _sampled_weights(field: Field, basis: np.ndarray, trials: int, seed: int):
     per draw; each codeword is one table lookup per run of g rows."""
     (k, n), q = basis.shape, field.order
     entry = field.s * -(-n // 64) * 8
-    g = _digits_per_table(q, k, _GROUP_ENTRIES, lambda x: -(-k // x) * q**x * entry)
+
+    def table_bytes(x: int) -> int:
+        return -(-k // x) * q**x * entry
+
+    # runs of one row make the smallest tables; _TABLE_BYTES may not hold even those
+    if table_bytes(1) > _SAMPLED_BYTES:
+        raise ValueError(
+            f"sampled distance infeasible: its row tables need {table_bytes(1)} bytes, "
+            f"limit {_SAMPLED_BYTES}"
+        )
+    g = _digits_per_table(q, k, _GROUP_ENTRIES, table_bytes)
     tables = _run_tables(field, basis, g)
     for index in _sampled_indices(field, k, g, trials, seed):
         words = np.take(tables[0], index[:, 0], axis=0)
@@ -269,13 +279,5 @@ def sampled_weight_upper_bound(
     basis = _basis(field, basis)
     if trials < 1:
         raise ValueError("trials must be positive")
-    # runs of one row make the smallest tables; _TABLE_BYTES may not hold even those
-    (k, n), q = basis.shape, field.order
-    need = k * q * field.s * -(-n // 64) * 8
-    if need > _SAMPLED_BYTES:
-        raise ValueError(
-            f"sampled distance infeasible: its row tables need {need} bytes, "
-            f"limit {_SAMPLED_BYTES}"
-        )
     best, _ = _least_weight(_sampled_weights(field, basis, trials, seed))
     return DistanceReport("sampled", best, False, trials, seed)

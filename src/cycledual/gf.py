@@ -382,44 +382,18 @@ def _eval_binary_poly(ext: Field, bits: int, x: int) -> int:
 class Embedding:
     """A ring embedding of GF(2^s) into GF(2^(s*m)).
 
-    ``table`` maps each base value to its image, as ints, and
-    :meth:`pull_back` maps arrays of images back to base values.
+    ``table`` maps each base value to its image, and ``inverse`` maps each
+    image back to its base value, both as ints; an element of the extension
+    lies in the embedded subfield iff it is a key of ``inverse``.
     """
 
-    __slots__ = ("base", "ext", "table", "_bits", "_images", "_by_key")
+    __slots__ = ("base", "ext", "table", "inverse")
 
     def __init__(self, base: Field, ext: Field, table: tuple[int, ...]):
         self.base = base
         self.ext = ext
         self.table = table
-        # The images are an s-dimensional GF(2)-subspace of the extension.
-        # Any two of them differ at the s pivot bits of an echelon basis of
-        # it, so those bits, read as an s-bit key, index the base values.
-        basis: list[int] = []
-        bits: list[int] = []
-        for b in range(base.s):
-            v = table[1 << b]
-            for pivot, row in zip(bits, basis):
-                if v >> pivot & 1:
-                    v ^= row
-            basis.append(v)
-            bits.append(v.bit_length() - 1)
-        self._bits = tuple(bits)
-        self._images = np.array(table, dtype=np.int64)
-        self._by_key = np.empty(base.order, dtype=np.int64)
-        self._by_key[self._key(self._images)] = np.arange(base.order)
-
-    def _key(self, values: np.ndarray) -> np.ndarray:
-        key = np.zeros_like(values)
-        for i, pivot in enumerate(self._bits):
-            key |= (values >> pivot & 1) << i
-        return key
-
-    def pull_back(self, values: np.ndarray) -> np.ndarray:
-        """The base value of each extension value in an int64 array, or -1
-        where the value lies outside the embedded base field."""
-        base = self._by_key[self._key(values)]
-        return np.where(self._images[base] == values, base, -1)
+        self.inverse = {img: v for v, img in enumerate(table)}
 
     def __repr__(self) -> str:
         return f"Embedding({self.base!r} -> {self.ext!r})"

@@ -170,8 +170,7 @@ def minimal_polynomial(coset_residues, beta: int, emb: Embedding) -> Poly:
     for _ in coset_residues:
         prod = poly_mul(prod, Poly(ext, (root, 1)))
         root = frobenius(ext, root, emb.base.s)
-    inverse = {image: v for v, image in enumerate(emb.table)}
-    return Poly(emb.base, [inverse[c] for c in prod.coeffs])
+    return Poly(emb.base, [emb.inverse[c] for c in prod.coeffs])
 
 
 # -- cyclic codes, by their polynomials ------------------------------------------

@@ -153,7 +153,7 @@ def test_extension_prime_subfield():
     ext, emb = extension_with_embedding(f2, 3)
     assert ext.order == 8
     assert emb.table == (0, 1)
-    assert emb.pull_back(np.arange(8)).tolist() == [0, 1, -1, -1, -1, -1, -1, -1]
+    assert emb.inverse == {0: 0, 1: 1}
 
 
 def test_extension_gf4_into_gf64():
@@ -176,13 +176,11 @@ def test_extension_gf4_into_gf64():
 def test_embedding_pullback():
     f4 = field_create(2)
     ext, emb = extension_with_embedding(f4, 3)
-    assert emb.pull_back(np.array(emb.table)).tolist() == list(f4.elements())
-    # the subfield is exactly the fixed points of e -> e^4, and every other
-    # value pulls back to -1
+    for v in f4.elements():
+        assert emb.inverse[emb.table[v]] == v
+    # the subfield is exactly the fixed points of e -> e^4
     subfield = {x for x in range(ext.order) if ext.pow(x, 4) == x}
-    base = emb.pull_back(np.arange(ext.order))
-    assert {x for x in range(ext.order) if base[x] >= 0} == subfield
-    assert len(subfield) == f4.order
+    assert set(emb.inverse) == subfield and len(emb.inverse) == f4.order
 
 
 def test_extension_size_limit():
