@@ -253,18 +253,16 @@ def _cmd_table(args: argparse.Namespace) -> int:
     print("# s m mu n k floor paper_floor")
     for m in range(1, args.m_max + 1, 2):
         exponent = args.s * m if args.kind == "euclidean" else 2 * args.s * m
-        group = (1 << exponent) - 1
-        mus = _divisors(group) if args.mu is None else [args.mu]
+        mus = _divisors((1 << exponent) - 1) if args.mu is None else [args.mu]
         for mu in mus:
             prefix = f"{args.s} {m} {mu}"
-            if group % mu:
+            if pow(2, exponent, mu) != 1 % mu:  # mu does not divide 2^exponent - 1
                 print(f"{prefix} - - - skipped (mu does not divide 2^{exponent}-1)")
                 continue
-            params = family_parameters(args.kind, args.s, m, mu)
-            if params.b_default < 1:
-                print(f"{prefix} - - - skipped (b < 1)")
-                continue
             try:
+                if family_parameters(args.kind, args.s, m, mu).b_default < 1:
+                    print(f"{prefix} - - - skipped (b < 1)")
+                    continue
                 cert = build_family(args.kind, args.s, m, mu)
             except (ValueError, VerificationError) as exc:
                 print(f"{prefix} - - - error ({exc})")

@@ -11,21 +11,22 @@ the repeated-root cyclic code generated by g1^2 g2, where g1 generates C and
 g1 g2 generates the dual.  Every one of those claims is re-verified here at
 construction time rather than assumed.
 
-The four recorded checks are identities on g1, the dual generator and
-G = g1^2 g2, computed with polynomial arithmetic only, and pipeline_checks
-is the one place that decides them.  G is the one derived from the inner
-code, and x^(2n) - 1 is divided by it once per pipeline:
+The four recorded checks are identities on g1, the dual generator g_dual,
+their check polynomials h1 and h_dual, and G = g1 g_dual = g1^2 g2, and
+pipeline_checks is the one place that decides them.  Every division is by
+the short g1, none by G:
 
 - dual_containing: the defining-set predicate, cross-checked against g1
   dividing the dual generator;
-- self_dual: G equals its own dual generator, read off the quotient
-  (x^(2n) - 1) / G (for Hermitian codes, the q-conjugate of it);
+- cyclic_invariance: G h1 h_dual = x^(2n) - 1;
+- self_dual: G equals its own dual generator, the monic reversal of
+  h1 h_dual (for Hermitian codes, the q-conjugate of it);
 - van_lint_equivalence: G divides x^(2n) - 1 and the two interleaved seed
-  rows [g1|g1] and [0|dual generator], and the dimensions agree;
-- cyclic_invariance: G divides x^(2n) - 1.
+  rows (see _seeds_in_ideal), and the dimensions agree.
 
-The dense matrix versions of these checks live in the test suite's
-reference module, which the tests compare against at small lengths.
+The dense matrix versions of these checks, and the seed rows divided by any
+G, live in the test suite's reference module, which the tests compare
+against at small lengths.
 """
 
 from __future__ import annotations
@@ -66,36 +67,19 @@ class VerificationError(Exception):
     """A recorded mathematical check failed (or an internal self-check fired)."""
 
 
-def _word(p: Poly, n: int) -> list[int]:
-    """The coefficients of p as a word of length n.  The only divisor of
-    x^n - 1 of degree n is x^n - 1 itself, which generates the zero code."""
-    if p.degree >= n:
-        return [0] * n
-    return list(p.coeffs) + [0] * (n - len(p.coeffs))
-
-
-def _interleave(x: list[int], y: list[int]) -> list[int]:
-    """The word w of length 2n with w_p = x_(p mod n) for even p and
-    w_p = y_(p mod n) for odd p, n = len(x) = len(y) odd.  The even p < n
-    read the even positions of x and the even p >= n its odd ones; the odd p
-    read the odd positions of y first, then its even ones."""
-    w = [0] * (2 * len(x))
-    w[0::2] = x[0::2] + x[1::2]
-    w[1::2] = y[1::2] + y[0::2]
-    return w
-
-
-def _seeds_in_ideal(g1: Poly, g_dual: Poly, n: int, outer_generator: Poly) -> bool:
-    """outer_generator divides the interleaved seed rows [g1|g1] and [0|g_dual].
+def _seeds_in_ideal(g1: Poly, g_dual: Poly, h_dual: Poly) -> bool:
+    """G = g1 g_dual divides the interleaved seed rows [g1|g1] and [0|g_dual].
+    As n is odd, interleaving sends (u|u) to u (x^n - 1) and (0|v) to
+    v + E (x^n - 1), E the even-degree part of v.  With g_dual h_dual = x^n - 1,
+    checked by CyclicCode.dual, the first seed is G h_dual, and the second is
+    g_dual (1 + h_dual E), which G divides iff g1 divides 1 + h_dual (E mod g1).
     Every other [u|u+v] basis row interleaves to a seed times x^(t(n+1))
-    mod x^(2n) - 1, which the ideal absorbs, so when outer_generator divides
-    x^(2n) - 1 and the dimensions agree, membership forces equality."""
-    field = g1.field
-    g1_word = _word(g1, n)
-    for row in (_interleave(g1_word, g1_word), _interleave([0] * n, _word(g_dual, n))):
-        if not (Poly(field, row) % outer_generator).is_zero:
-            return False
-    return True
+    mod x^(2n) - 1, so when G divides x^(2n) - 1 and the dimensions agree,
+    membership forces equality."""
+    even = list(g_dual.coeffs)
+    even[1::2] = [0] * (len(even) // 2)
+    even_mod_g1 = Poly(g1.field, even) % g1
+    return ((Poly.one(g1.field) + h_dual * even_mod_g1) % g1).is_zero
 
 
 # -- pipeline families ---------------------------------------------------------
@@ -125,16 +109,16 @@ def family_parameters(kind: str, s: int, m: int, mu: int) -> FamilyParams:
     if mu < 1:
         raise ValueError("mu must be positive")
     q = 1 << s
+    exponent, what = (s * m, "s*m") if kind == EUCLIDEAN else (2 * s * m, "2*s*m")
+    if exponent > mu.bit_length() + 64:  # n >= 2^63, and 2^e - 1 may not fit in memory
+        raise ValueError(f"2^{exponent} - 1 is too large: the inner length would exceed 2^63")
+    group = (1 << exponent) - 1
+    if group % mu:
+        raise ValueError(f"mu={mu} does not divide 2^({what})-1 = {group}")
     if kind == EUCLIDEAN:
-        group = q**m - 1
-        if group % mu:
-            raise ValueError(f"mu={mu} does not divide 2^(s*m)-1 = {group}")
         alphabet_s = s
         delta = Fraction(q ** ((m + 1) // 2) - q, mu)
     else:
-        group = q ** (2 * m) - 1
-        if group % mu:
-            raise ValueError(f"mu={mu} does not divide 2^(2*s*m)-1 = {group}")
         alphabet_s = 2 * s
         delta = Fraction(q**m - 1, mu)
     alphabet = field_create(alphabet_s)
@@ -230,13 +214,13 @@ def pipeline_checks(
     inner: CyclicCode, kind: str
 ) -> tuple[CyclicCode | None, Poly | None, Poly | None, dict[str, bool]]:
     """Run the four recorded checks for an inner code and return its dual,
-    g2, the outer generator G = g1^2 g2 derived from the inner code, and the
-    verdicts.  The dual generator is divided by g1 once: the remainder must
-    agree with the defining-set predicate, and the quotient is g2.  x^(2n) - 1
-    is divided by G once: the remainder decides cyclic_invariance and the
-    divisibility part of van_lint_equivalence, and the quotient is the check
-    polynomial of the self-dual identity.  Never raises on a mathematical
-    failure; the returned dict says what held."""
+    g2, the outer generator G = g1 g_dual = g1^2 g2 derived from the inner
+    code, and the verdicts.  The dual generator is divided by g1 once: the
+    remainder must agree with the defining-set predicate, and the quotient is
+    g2.  G's check polynomial is h_out = h1 h_dual, with no division: the
+    compare G h_out = x^(2n) - 1 decides cyclic_invariance and the
+    divisibility part of van_lint_equivalence, and self_dual reads the
+    reversal of h_out.  Never raises on a mathematical failure."""
     checks = {
         "dual_containing": False,
         "self_dual": False,
@@ -251,15 +235,15 @@ def pipeline_checks(
     if not checks["dual_containing"]:
         return None, None, None, checks
     g_out = inner.g * dual_code.g
-    # an ideal generated by a divisor of x^(2n) - 1 is shift-invariant.  g_out
-    # divides (x^n - 1)^2 = x^(2n) - 1 by construction, and its degree
-    # deg g1 + deg g_dual matches the van Lint dimensions by construction
-    h_out, rem = x_pow_n_minus_1(inner.field, 2 * inner.n).divrem(g_out)
+    h_out = inner.h * dual_code.h
+    # an ideal generated by a divisor of x^(2n) - 1 is shift-invariant, and
+    # deg G = deg g1 + deg g_dual matches the van Lint dimensions by construction
+    divides = g_out * h_out == x_pow_n_minus_1(inner.field, 2 * inner.n)
     q = _conjugation_power(inner.field, kind)
-    checks["self_dual"] = rem.is_zero and _dual_from_check(h_out, q) == g_out
-    checks["cyclic_invariance"] = rem.is_zero
-    checks["van_lint_equivalence"] = rem.is_zero and _seeds_in_ideal(
-        inner.g, dual_code.g, inner.n, g_out
+    checks["self_dual"] = divides and _dual_from_check(h_out, q) == g_out
+    checks["cyclic_invariance"] = divides
+    checks["van_lint_equivalence"] = divides and _seeds_in_ideal(
+        inner.g, dual_code.g, dual_code.h
     )
     return dual_code, g2, g_out, checks
 

@@ -135,10 +135,9 @@ class CyclicCode:
 
     __slots__ = ("field", "n", "g", "h", "T", "k")
 
-    def __init__(self, field: Field, n: int, g: Poly, T: DefiningSet):
-        h, rem = x_pow_n_minus_1(field, n).divrem(g)
-        if not rem.is_zero:
-            raise ValueError("not a divisor: g does not divide x^n - 1")
+    def __init__(self, field: Field, n: int, g: Poly, h: Poly, T: DefiningSet):
+        """The caller has checked g h = x^n - 1: from_defining_set by
+        dividing, dual by its product check."""
         if len(T) != g.degree:
             raise RuntimeError("internal: |T| != deg(g)")
         self.field = field
@@ -161,7 +160,11 @@ class CyclicCode:
         if not T.is_coset_closed():
             raise ValueError("defining set not coset-closed")
         root_context(field, n)  # validates feasibility up front
-        return cls(field, n, _generator(field, n, T), T)
+        g = _generator(field, n, T)
+        h, rem = x_pow_n_minus_1(field, n).divrem(g)
+        if not rem.is_zero:
+            raise RuntimeError("internal: the generator does not divide x^n - 1")
+        return cls(field, n, g, h, T)
 
     # kept because the benchmark reaches it: perfbench/tracing.py METHODS wraps it
     @classmethod
@@ -180,8 +183,11 @@ class CyclicCode:
         for rep, orbit in all_cosets(n, field.order).items():
             if g.eval(ctx.powers[rep], ctx.emb) == 0:
                 members.update(orbit)
-        T = DefiningSet(n, field.order, frozenset(members))
-        return cls(field, n, g, T)
+        code = cls.from_defining_set(field, n, DefiningSet(n, field.order, frozenset(members)))
+        # x^n - 1 is squarefree, so g divides it iff g is the product of x - beta^i over its roots
+        if code.g != g:
+            raise ValueError("not a divisor: g does not divide x^n - 1")
+        return code
 
     # -- duals -----------------------------------------------------------------
 
@@ -195,13 +201,13 @@ class CyclicCode:
         product with the generator of -q T, the complement of T^perp, is
         x^n - 1.  The check builds the latter from minimal polynomials, not
         from the reversal or the conjugation, so it catches a fault in
-        either."""
+        either.  It also makes the generator of -q T the dual's h."""
         q = _conjugation_power(self.field, kind)
         gd = self._dual_generator(kind)
         complement_g = _generator(self.field, self.n, set_map(self.T, -q))
         if gd * complement_g != x_pow_n_minus_1(self.field, self.n):
             raise RuntimeError("internal: the dual generator has a root outside T^perp")
-        return CyclicCode(self.field, self.n, gd, set_map(complement(self.T), -q))
+        return CyclicCode(self.field, self.n, gd, complement_g, set_map(complement(self.T), -q))
 
     def is_dual_containing(self, kind: str = EUCLIDEAN) -> bool:
         """The defining-set predicate: the dual lies in the code."""

@@ -1,7 +1,8 @@
 """Dense GF(2^s) arrays for minimum-distance enumeration.
 
 Arrays hold raw element values.  ``shifted_rows`` lays out the generator
-matrix of a cyclic code, and ``scalar_mul`` scales rows through the field's
+matrix of a cyclic code as a read-only view of one padded copy of its
+generator, and ``scalar_mul`` scales rows through the field's
 log/antilog tables, which :mod:`cycledual.gf` builds once per field and
 shares with the polynomial kernel of :mod:`cycledual.poly`.  The recorded
 checks use no matrices: they are polynomial identities (see
@@ -31,9 +32,12 @@ def scalar_mul(field: Field, c: int, arr) -> np.ndarray:
 
 def shifted_rows(g: Poly, length: int) -> np.ndarray:
     """The (length - deg g) x length matrix whose rows are x^i g(x), i.e. the
-    generator matrix of the cyclic code of that length generated by g."""
-    coeffs = np.asarray(g.coeffs, dtype=dtype_for(g.field))  # converted once, not per row
-    mat = np.zeros((length - g.degree, length), dtype=coeffs.dtype)
-    for i in range(mat.shape[0]):
-        mat[i, i : i + len(coeffs)] = coeffs
-    return mat
+    generator matrix of the cyclic code of that length generated by g.  It is
+    a read-only view: row i is the window at k - 1 - i of g padded with k - 1
+    zeros on each side, so it takes O(k + length) memory."""
+    k, dtype = length - g.degree, dtype_for(g.field)
+    if k < 1:  # no rows; np.zeros refuses a negative count
+        return np.zeros((k, length), dtype=dtype)
+    padded = np.zeros(k - 1 + length, dtype=dtype)
+    padded[k - 1 : k - 1 + len(g.coeffs)] = g.coeffs
+    return np.lib.stride_tricks.sliding_window_view(padded, length)[::-1]

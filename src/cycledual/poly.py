@@ -367,7 +367,7 @@ def x_pow_n_minus_1(field: Field, n: int) -> Poly:
     """x^n - 1, which in characteristic two is x^n + 1."""
     if n < 1:
         raise ValueError("n must be positive")
-    return Poly(field, [1] + [0] * (n - 1) + [1])
+    return Poly._trusted(field, (1,) + (0,) * (n - 1) + (1,))
 
 
 def _monic_reversal(h: Poly) -> Poly:

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+import reference
 from cycledual import CyclicCode, DefiningSet, all_cosets, field_create, x_pow_n_minus_1
-from cycledual.construct import _seeds_in_ideal
 
 
 def divisor_defining_sets(field, n):
@@ -25,14 +25,16 @@ def divisor_codes(field, n):
 
 
 def van_lint_verdict(g1, g_dual, n, outer_generator):
-    """pipeline_checks' van Lint verdict for any outer generator G, composed
-    from its pieces: the dimensions agree (for the derived G they do by
-    construction), G divides x^(2n) - 1, and G divides the interleaved seed
-    rows [g1|g1] and [0|g_dual]."""
+    """The van Lint verdict for any outer generator G, composed from its
+    pieces by the reference's divisions: the dimensions agree (for the
+    derived G = g1 g_dual they do by construction), G divides x^(2n) - 1, and
+    G divides the interleaved seed rows [g1|g1] and [0|g_dual].  For the
+    derived G, pipeline_checks decides the same facts by product
+    identities."""
     if (n - g1.degree) + (n - g_dual.degree) != 2 * n - outer_generator.degree:
         return False
-    divides = (x_pow_n_minus_1(g1.field, 2 * n) % outer_generator).is_zero
-    return divides and _seeds_in_ideal(g1, g_dual, n, outer_generator)
+    divides = reference.poly_divrem(x_pow_n_minus_1(g1.field, 2 * n), outer_generator)[1].is_zero
+    return divides and reference.seeds_in_ideal(g1, g_dual, n, outer_generator)
 
 
 GF2 = field_create(1)

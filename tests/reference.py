@@ -29,6 +29,9 @@ reference for the exhaustive table walk of cycledual.distance; the seeded
 messages' codewords as xors of unpacked row multiples, one per digit, are the
 reference for its sampled row-run tables.
 
+A generator matrix filled row by row is the reference for the read-only
+view that ``cycledual.linalg.shifted_rows`` returns.
+
 Dense GF(2^s) linear algebra is the reference for the polynomial checks in
 cycledual.construct and cycledual.cyclic, on the [u|u+v] basis of
 ``uuv_basis``: rows [u|u] for the inner code's generator matrix and [0|v]
@@ -42,7 +45,10 @@ as a code automorphism.  The tests compare the production checks with these
 at small lengths.
 
 The interleaving permutation table is the reference for the two slice
-assignments that interleave the seed rows in cycledual.construct.
+assignments of ``interleave``.  The interleaved seed rows [g1|g1] and
+[0|g_dual], each divided by the outer generator (``seeds_in_ideal``, which
+takes any G), are the reference for the product identities that decide them
+in cycledual.construct for G = g1 g_dual.
 """
 
 from __future__ import annotations
@@ -194,6 +200,16 @@ def contains(code: CyclicCode, word) -> bool:
     if len(vals) != code.n:
         raise ValueError(f"word length {len(vals)} != code length {code.n}")
     return poly_divrem(Poly(code.field, vals), code.g)[1].is_zero
+
+
+def dense_shifted_rows(g: Poly, length: int) -> np.ndarray:
+    """The (length - deg g) x length matrix with x^i g(x) in row i, filled
+    row by row into a fresh array: the reference for the strided view of
+    ``cycledual.linalg.shifted_rows``."""
+    mat = np.zeros((length - g.degree, length), dtype=dtype_for(g.field))
+    for i in range(mat.shape[0]):
+        mat[i, i : i + len(g.coeffs)] = g.coeffs
+    return mat
 
 
 def uuv_basis(inner: CyclicCode, dual: CyclicCode) -> np.ndarray:
@@ -434,6 +450,36 @@ def interleave_permutation(n: int) -> CoordinatePermutation:
         raise ValueError("n must be odd")
     table = tuple((p % n) if p % 2 == 0 else n + (p % n) for p in range(2 * n))
     return CoordinatePermutation(table)
+
+
+def poly_word(p: Poly, n: int) -> list[int]:
+    """The coefficients of p as a word of length n.  The only divisor of
+    x^n - 1 of degree n is x^n - 1 itself, which generates the zero code."""
+    if p.degree >= n:
+        return [0] * n
+    return list(p.coeffs) + [0] * (n - len(p.coeffs))
+
+
+def interleave(x: list[int], y: list[int]) -> list[int]:
+    """The word w of length 2n with w_p = x_(p mod n) for even p and
+    w_p = y_(p mod n) for odd p, n = len(x) = len(y) odd.  The even p < n
+    read the even positions of x and the even p >= n its odd ones; the odd p
+    read the odd positions of y first, then its even ones."""
+    w = [0] * (2 * len(x))
+    w[0::2] = x[0::2] + x[1::2]
+    w[1::2] = y[1::2] + y[0::2]
+    return w
+
+
+def seeds_in_ideal(g1: Poly, g_dual: Poly, n: int, outer_generator: Poly) -> bool:
+    """outer_generator divides the interleaved seed rows [g1|g1] and
+    [0|g_dual], each divided out by schoolbook long division."""
+    field = g1.field
+    g1_word = poly_word(g1, n)
+    for row in (interleave(g1_word, g1_word), interleave([0] * n, poly_word(g_dual, n))):
+        if not poly_divrem(Poly(field, row), outer_generator)[1].is_zero:
+            return False
+    return True
 
 
 # -- the recorded checks, by dense linear algebra ------------------------------

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import reference
 from cycledual import KINDS, Poly, all_cosets, field_create, hermitian_base
-from cycledual.construct import pipeline_checks
+from cycledual.construct import _seeds_in_ideal, pipeline_checks
 from cycledual.cyclic import CyclicCode
 from cycledual.cyclo import DefiningSet
 from cycledual.poly import x_pow_n_minus_1
@@ -110,3 +110,23 @@ def test_random_divisor_codes_match_reference(data):
     ok = van_lint_verdict(code.g, dual.g, n, wrong)
     assert dict(got, van_lint_equivalence=ok) == reference.pipeline_checks(code, kind, wrong)
     assert not ok
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_product_identities_match_the_reference_divisions(data):
+    # for G = g1 g_dual, with or without dual containment: G times the
+    # product of the check polynomials is x^(2n) - 1, as dividing by G says,
+    # and the seeds' identity agrees with dividing the interleaved seed rows
+    # by G; it holds exactly when the code is dual-containing
+    field = data.draw(st.sampled_from((GF2, GF4, GF16)))
+    kind = data.draw(st.sampled_from(KINDS if field.s % 2 == 0 else ("euclidean",)))
+    n = data.draw(st.sampled_from(LENGTHS[field]))
+    code = data.draw(random_divisor_codes(field, n, kind, containing=data.draw(st.booleans())))
+    dual = code.dual(kind)
+    g_out, h_out = code.g * dual.g, code.h * dual.h
+    assert g_out * h_out == x_pow_n_minus_1(field, 2 * n)
+    assert reference.poly_divrem(x_pow_n_minus_1(field, 2 * n), g_out) == (h_out, Poly(field))
+    seeds = _seeds_in_ideal(code.g, dual.g, dual.h)
+    assert seeds == reference.seeds_in_ideal(code.g, dual.g, n, g_out)
+    assert seeds == code.is_dual_containing(kind)

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -447,6 +448,55 @@ def test_table_over_size_limit_prints_error_row(capsys):
     assert rc == 0
     assert out.splitlines()[-1] == (
         "5 3 1 - - - error (inner length n = 32767 exceeds MAX_INNER_LENGTH = 8191)"
+    )
+
+
+def _run_capped(*argv, cwd):
+    """The CLI in a child whose address space is capped at 600 MB, so that
+    an attempt to compute 2^m - 1 for a huge m fails as MemoryError."""
+    src = str(Path(cycledual.__file__).resolve().parents[1])
+    paths = (src, os.environ.get("PYTHONPATH"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    env["OPENBLAS_NUM_THREADS"] = "1"  # each thread's stack counts against the cap
+    cap = 600 << 20
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    return subprocess.run(
+        [sys.executable, "-m", "cycledual.cli", *argv],
+        capture_output=True, text=True, env=env, cwd=cwd, timeout=120, preexec_fn=limit,
+    )
+
+
+HUGE_M = "10000000001"
+HUGE_M_ERROR = f"2^{HUGE_M} - 1 is too large: the inner length would exceed 2^63"
+
+
+def test_construct_with_a_huge_m_exits_2_without_a_traceback(tmp_path):
+    proc = _run_capped(
+        "construct", "--kind", "euclidean", "--s", "1", "--m", HUGE_M, "--mu", "1", cwd=tmp_path
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {HUGE_M_ERROR}\n")
+
+
+def test_verify_of_a_huge_m_fails_the_re_derivation(tmp_path, capsys):
+    path = build_cert(tmp_path, capsys)
+    path.write_text(path.read_text().replace("m = 3\n", f"m = {HUGE_M}\n", 1))
+    proc = _run_capped("verify", str(path), cwd=tmp_path)
+    assert proc.returncode == 1
+    assert proc.stdout == f"re-derivation: parameters do not rebuild ({HUGE_M_ERROR})\n"
+    assert proc.stderr == ""
+
+
+def test_table_prints_an_error_row_for_a_huge_cell(capsys):
+    # 2^80 - 1 is small, but n = 2^80 - 1 is past 2^63, as is any larger m's
+    rc, out, _ = run(
+        capsys, "table", "--kind", "euclidean", "--s", "16", "--m-max", "5", "--mu", "1"
+    )
+    assert rc == 0
+    assert out.splitlines()[-1] == (
+        "16 5 1 - - - error (2^80 - 1 is too large: the inner length would exceed 2^63)"
     )
 
 

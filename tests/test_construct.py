@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -14,8 +15,10 @@ from cycledual import (
     paper_floor,
     x_pow_n_minus_1,
 )
+from cycledual import construct
+from cycledual.certificate import dumps
 from cycledual.cli import main
-from cycledual.construct import _interleave, pipeline_checks
+from cycledual.construct import pipeline_checks
 
 import reference
 from conftest import GF2, GF4, divisor_codes, van_lint_verdict
@@ -78,7 +81,7 @@ def test_seed_row_interleave_matches_the_permutation():
     for n in range(1, 64, 2):
         x = rng.integers(0, 16, n).tolist()
         y = rng.integers(0, 16, n).tolist()
-        assert tuple(_interleave(x, y)) == interleave_permutation(n).apply(x + y), n
+        assert tuple(reference.interleave(x, y)) == interleave_permutation(n).apply(x + y), n
 
 
 def test_pipeline_evaluates_no_polynomial(monkeypatch, tmp_path, capsys):
@@ -94,6 +97,34 @@ def test_pipeline_evaluates_no_polynomial(monkeypatch, tmp_path, capsys):
     assert main(["verify", str(path)]) == 0
     assert main(["factor", "--q", "4", "--n", "63"]) == 0
     capsys.readouterr()
+
+
+def test_build_family_divides_only_by_the_inner_generator(monkeypatch):
+    # four divisions per pipeline, each by the short g1: x^n - 1 (the inner
+    # code's check polynomial), the dual generator (g2), and the two that
+    # decide the seed [0|g_dual]; none by G = g1 g_dual or by g_dual
+    divisors = []
+    divrem = Poly.divrem
+
+    def recording(self, other):
+        divisors.append(other)
+        return divrem(self, other)
+
+    monkeypatch.setattr(Poly, "divrem", recording)
+    for cell in (("euclidean", 1, 5, 1), ("euclidean", 2, 3, 1), ("hermitian", 1, 3, 1)):
+        divisors.clear()
+        cert = build_family(*cell)
+        assert cert.all_checks_pass, cell
+        assert divisors == [cert.inner_generator] * 4, cell
+
+
+def test_build_family_past_the_length_cap_is_pinned(monkeypatch):
+    # E s=3 m=5, the [65534, 32767] code over GF(8): the certificate's
+    # sha256 as the divisions by G and by the interleaved seeds produced it
+    monkeypatch.setattr(construct, "MAX_INNER_LENGTH", 32767)
+    text = dumps(build_family("euclidean", 3, 5, 1))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "79b4e6d8bc7554118727d6fcdf91900fcce5bed06e042bf6e237b8d52d7ca612"
 
 
 def test_uuv_hamming():

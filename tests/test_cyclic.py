@@ -7,6 +7,7 @@ from cycledual import (
     Poly,
     bch_defining_set,
     build_family,
+    x_pow_n_minus_1,
 )
 from cycledual import cyclic
 from cycledual.cyclo import complement, set_map
@@ -97,6 +98,9 @@ def test_dual_paths_agree_and_dims_sum(field, n):
             d = code.dual(kind)
             assert code.k + d.k == n
             assert d.T == CyclicCode.from_generator(field, n, d.g).T, (code.T, kind)
+            # the dual's check polynomial is the generator of -q T, built
+            # from minimal polynomials, with no division
+            assert d.g * d.h == x_pow_n_minus_1(field, n), (code.T, kind)
 
 
 @pytest.mark.parametrize("n", [5, 9, 15, 21])

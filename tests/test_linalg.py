@@ -1,12 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from cycledual import Poly, field_create
-from cycledual.gf import dtype_for
 from cycledual.linalg import scalar_mul, shifted_rows
 
 from conftest import GF2, GF4
 from reference import (
+    dense_shifted_rows,
     elementwise_mul,
     frobenius_array,
     in_rowspace,
@@ -38,6 +40,8 @@ def test_shifted_rows():
     assert shifted_rows(g, 4).tolist() == [[2, 0, 1, 0], [0, 2, 0, 1]]
     assert shifted_rows(g, 4).dtype == np.uint8
     assert shifted_rows(Poly(GF2, (1, 1)), 1).shape == (0, 1)
+    with pytest.raises(ValueError, match="negative dimensions"):
+        shifted_rows(g, 1)
 
 
 @pytest.mark.parametrize("field", [GF2, GF4, field_create(4)])
@@ -47,11 +51,26 @@ def test_shifted_rows_matches_per_row_conversion(field):
         low = rng.integers(0, field.order, size=rng.integers(0, 12)).tolist()
         g = Poly(field, low + [int(rng.integers(1, field.order))])
         length = g.degree + rows
-        expected = np.zeros((rows, length), dtype=dtype_for(field))
-        for i in range(rows):
-            expected[i, i : i + len(g.coeffs)] = np.array(g.coeffs)
+        expected = dense_shifted_rows(g, length)
         got = shifted_rows(g, length)
         assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        if rows:
+            assert not got.flags.writeable
+
+
+def test_shifted_rows_takes_memory_linear_in_k_plus_n():
+    # a dense 5700 x 6000 matrix would take 34 MB; the view takes one padded row
+    g = Poly(GF4, [1, 2, 3] * 100 + [1])
+    n = 6000
+    k = n - g.degree
+    tracemalloc.start()
+    try:
+        rows = shifted_rows(g, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (k, n)
+    assert peak < 4 * (k + n) + 16384, peak
 
 
 def test_frobenius_array():
