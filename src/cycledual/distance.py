@@ -6,15 +6,19 @@ padding bits past n zero.  Adding two words is an xor of their planes, and a
 word's weight is the popcount of the OR of its planes.
 
 One weight loop serves both methods; it reads blocks of codeword weights.
-Exhaustive enumeration feeds it every nonzero message in lexicographic order
-from a table walk: one table holds the sums of every combination of the last
-L rows, and each value of the high digits costs one xor of that table with
+Exhaustive enumeration feeds it at least one message per line of the code.
+As wt(c x) = wt(x) for every nonzero scalar c, the messages whose leading
+nonzero digit is 1 reach the weight of every nonzero codeword, and there are
+only (q^k - 1)/(q - 1) of them.  A table walk yields them: one table holds
+the sums of every combination of the last L rows, and it is weighed whole
+once with the high digits zero, then once per value of the high digits
+whose leading nonzero digit is 1, each costing one xor of the table with
 the high digits' word.  So d is exact, and the one walk serves every
-partition count: neither d nor the message count depends on it.  The
-sampled method feeds it seeded messages for a reproducible upper bound; it
-splits the rows into runs of g, tabulates each run's q^g combinations, and
-sums one table entry per run.  The exhaustive budget depends on q and k
-alone.
+partition count: neither d nor the reported count, all q^k - 1 nonzero
+codewords, depends on it.  The sampled method feeds the loop seeded messages
+for a reproducible upper bound; it splits the rows into runs of g,
+tabulates each run's q^g combinations, and sums one table entry per run.
+The exhaustive budget counts q^k - 1 codewords and depends on q and k alone.
 
 The sampled messages are the nonzero ones among consecutive k-digit rows of
 the raw stream of ``PCG64(seed)``: each digit is the top s bits of one u-bit
@@ -26,7 +30,6 @@ these same digits.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +54,10 @@ _PACK_SYMBOLS = 1 << 22  # row multiples are packed about this many symbols at a
 
 @dataclass(frozen=True)
 class DistanceReport:
+    """``enumerated`` is the number of nonzero codewords whose weight the
+    method determined: all q^k - 1 for ``exhaustive``, each the multiple of a
+    walked one, and the trials, repeats included, for ``sampled``."""
+
     method: str
     value: int
     exact: bool
@@ -137,31 +144,37 @@ def _digits_per_table(q: int, k: int, entries: int, table_bytes) -> int:
 # -- the weight loop and its two sources -----------------------------------------
 
 
-def _least_weight(blocks):
-    """(least weight, messages seen) over consecutive blocks of codeword weights."""
-    best, seen = math.inf, 0
-    for weights in blocks:
-        best = min(best, int(weights.min()))
-        seen += len(weights)
-    return best, seen
+def _least_weight(blocks) -> int:
+    """The least weight over consecutive blocks of codeword weights."""
+    return min(int(weights.min()) for weights in blocks)
 
 
 def _table_walk(multiples: np.ndarray):
-    """The weights of messages 1..q^k-1, in lexicographic order with the first
-    row's coefficient most significant, one block per value of the high
-    digits.  ``multiples`` are the packed row multiples, (k, q, s, W)."""
+    """The weights of at least one message per line of the code, in
+    lexicographic order with the first row's coefficient most significant,
+    one block per value of the high digits.  ``multiples`` are the packed
+    row multiples, (k, q, s, W), and the last L rows make the low-digit table.
+
+    The first block is messages 1..q^L-1, the high digits zero.  Then, for t
+    = 0 .. k-L-1, come the high values in [q^t, 2 q^t), whose leading nonzero
+    digit is 1: (q^(k-L) - 1)/(q - 1) blocks of q^L messages, where all high
+    values would make q^(k-L) - 1 blocks.  Every nonzero message is c times
+    a walked one for some scalar c != 0, so the least weight is the code's,
+    and a nonzero message of weight 0 has a walked multiple of weight 0.  For
+    q = 2 the high values are 1..2^(k-L)-1: every nonzero message, once."""
     k, q, s, words = multiples.shape
     low = _digits_per_table(q, k, _WALK_ENTRIES, lambda x: q**x * s * words * 8)
     # plane by plane, so that each xor with the high word runs over whole planes
     table = _combinations(multiples[None, k - low :])[0].transpose(1, 0, 2).copy()
+    yield _weights(table)[1:]
     codewords = np.empty_like(table)
-    for high in range(q ** (k - low)):
-        word, rest = np.zeros((s, 1, words), dtype=np.uint64), high
-        for i in range(k - low - 1, -1, -1):
-            rest, digit = divmod(rest, q)
-            word[:, 0] ^= multiples[i, digit]
-        weights = _weights(np.bitwise_xor(table, word, out=codewords))
-        yield weights[1:] if high == 0 else weights
+    for t in range(k - low):
+        for high in range(q**t, 2 * q**t):
+            word, rest = np.zeros((s, 1, words), dtype=np.uint64), high
+            for i in range(k - low - 1, -1, -1):
+                rest, digit = divmod(rest, q)
+                word[:, 0] ^= multiples[i, digit]
+            yield _weights(np.bitwise_xor(table, word, out=codewords))
 
 
 def _digits(bits: np.random.PCG64, field: Field, rows: int, k: int) -> np.ndarray:
@@ -256,20 +269,23 @@ def exact_min_distance(
     budget: int = DEFAULT_BUDGET,
     partitions: int = 1,
 ) -> DistanceReport:
-    """Exact minimum weight by enumerating all q^k - 1 nonzero messages.
+    """Exact minimum weight of all q^k - 1 nonzero codewords, which the
+    report counts as enumerated.  The walk weighs one message per line of
+    the code, those whose leading nonzero digit is 1, since every nonzero
+    scalar multiple of a codeword has its weight; the budget still counts
+    q^k - 1.
 
     ``partitions`` must be positive and changes nothing else: one
-    lexicographic walk over every message serves any count, so the report
-    is the same for each.
+    lexicographic walk serves any count, so the report is the same for each.
     """
     basis = _basis(field, basis)
     if partitions < 1:
         raise ValueError("partitions must be positive")
-    _check_budget(field.order, basis.shape[0], budget)
-    best, seen = _least_weight(_table_walk(_packed_multiples(field, basis)))
+    total = _check_budget(field.order, basis.shape[0], budget)
+    best = _least_weight(_table_walk(_packed_multiples(field, basis)))
     if best == 0:
         raise ValueError("basis rows are linearly dependent")
-    return DistanceReport("exhaustive", best, True, seen)
+    return DistanceReport("exhaustive", best, True, total)
 
 
 def sampled_weight_upper_bound(
@@ -279,5 +295,5 @@ def sampled_weight_upper_bound(
     basis = _basis(field, basis)
     if trials < 1:
         raise ValueError("trials must be positive")
-    best, _ = _least_weight(_sampled_weights(field, basis, trials, seed))
+    best = _least_weight(_sampled_weights(field, basis, trials, seed))
     return DistanceReport("sampled", best, False, trials, seed)

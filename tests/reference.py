@@ -44,6 +44,9 @@ codeword-set comparison) for the van Lint equivalence, and the cyclic shift
 as a code automorphism.  The tests compare the production checks with these
 at small lengths.
 
+Trial division up to the square root is the reference for the divisors of
+2^e - 1 that ``table`` finds by Miller-Rabin and Pollard-Brent rho.
+
 The interleaving permutation table is the reference for the two slice
 assignments of ``interleave``.  The interleaved seed rows [g1|g1] and
 [0|g_dual], each divided by the outer generator (``seeds_in_ideal``, which
@@ -66,6 +69,23 @@ from cycledual.linalg import as_array, scalar_mul, shifted_rows
 FULL_COMPARE_LIMIT = 1 << 20
 
 _frob_tables: dict[tuple[Field, int], np.ndarray] = {}
+
+
+# -- integers --------------------------------------------------------------------
+
+
+def divisors(n: int) -> list[int]:
+    """The divisors of n >= 1 in increasing order, by trial division up to
+    the square root of n."""
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d * d != n:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
 
 
 # -- scalars in GF(2^s) ----------------------------------------------------------

@@ -20,7 +20,8 @@ from cycledual import (
     write_certificate,
 )
 from cycledual.certificate import CertificateFormatError
-from cycledual.cli import _divisors, main
+from cycledual.cli import main
+from cycledual.integers import divisors
 
 
 @pytest.fixture(scope="module")
@@ -180,7 +181,7 @@ def _small_cells():
         for s in (1, 2, 3):
             for m in (1, 3, 5):
                 group = (1 << (s * m if kind == "euclidean" else 2 * s * m)) - 1
-                for mu in _divisors(group):
+                for mu in divisors(group):
                     params = family_parameters(kind, s, m, mu)
                     if params.n_inner > 63:
                         continue

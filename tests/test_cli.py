@@ -4,12 +4,23 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import cycledual
-from cycledual import Poly, cli, cyclic, distance, linalg, read_certificate, write_certificate
+import reference
+from cycledual import (
+    Poly,
+    cli,
+    cyclic,
+    distance,
+    integers,
+    linalg,
+    read_certificate,
+    write_certificate,
+)
 from cycledual.cli import main
 
 
@@ -497,6 +508,49 @@ def test_table_prints_an_error_row_for_a_huge_cell(capsys):
     assert rc == 0
     assert out.splitlines()[-1] == (
         "16 5 1 - - - error (2^80 - 1 is too large: the inner length would exceed 2^63)"
+    )
+
+
+def test_divisors_match_trial_division():
+    for e in range(1, 37):
+        assert integers.divisors((1 << e) - 1) == reference.divisors((1 << e) - 1), e
+    for n in (1, 2, 97 * 97, 101 * 103, 2**5 * 3**4 * 1009**2):
+        assert integers.divisors(n) == reference.divisors(n), n
+
+
+def test_divisors_of_large_mersenne_numbers_take_under_a_second():
+    # trial division needs about 2e8 steps for 2^55 - 1 and 1.5e9 for the
+    # prime 2^61 - 1; 2^80 - 1 has the prime factor 4278255361
+    start = time.perf_counter()
+    for e, count in ((55, 64), (61, 2), (80, 768)):
+        divisors = integers.divisors((1 << e) - 1)
+        assert len(divisors) == count
+        assert all(((1 << e) - 1) % d == 0 for d in divisors)
+        assert divisors == sorted(set(divisors))
+    assert integers.divisors((1 << 61) - 1) == [1, (1 << 61) - 1]
+    assert 4278255361 in integers.divisors((1 << 80) - 1)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_divisors_refuse_a_prime_past_the_miller_rabin_bound():
+    # 2^127 - 1 is prime, but Miller-Rabin cannot prove it, so rho runs out
+    with pytest.raises(ValueError, match="no factor of .* within 1048576 Pollard rho steps"):
+        integers.divisors((1 << 127) - 1)
+
+
+def test_table_exits_2_when_factoring_runs_past_the_rho_limit(capsys, monkeypatch):
+    # 2^21 - 1 = 7^2 * 127 * 337 leaves 127 * 337 for rho, which gets no step
+    monkeypatch.setattr(integers, "MAX_RHO_STEPS", 0)
+    rc, out, err = run(capsys, "table", "--kind", "euclidean", "--s", "7", "--m-max", "5")
+    assert rc == 2
+    assert out == (
+        "# s m mu n k floor paper_floor\n"
+        "7 1 1 - - - skipped (b < 1)\n"
+        "7 1 127 - - - skipped (b < 1)\n"
+    )
+    assert err == (
+        "error: cannot factor 2^21 - 1 for m = 3: "
+        "no factor of 42799 within 0 Pollard rho steps\n"
     )
 
 

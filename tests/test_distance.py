@@ -14,6 +14,7 @@ from cycledual import (
     build_family,
     distance,
     exact_min_distance,
+    family_parameters,
     field_create,
     sampled_weight_upper_bound,
 )
@@ -160,6 +161,78 @@ def test_both_methods_against_brute_force(data):
     s = sampled_weight_upper_bound(field, basis, trials, seed)
     assert s.value >= d and s.enumerated == trials
     assert sampled_weight_upper_bound(field, basis, trials, seed) == s
+
+
+def _walk(field, basis) -> list[list[int]]:
+    """The weight blocks of the exhaustive table walk over ``basis``."""
+    multiples = distance._packed_multiples(field, np.asarray(basis, dtype=dtype_for(field)))
+    return [block.tolist() for block in distance._table_walk(multiples)]
+
+
+def _walked_messages(q: int, k: int, table: int) -> list[int]:
+    """The messages the walk weighs, in order, for a table of the last L
+    rows' q^L = ``table`` combinations: 1..q^L-1, then for t = 0 .. k-L-1 the
+    high values in [q^t, 2 q^t), whose leading digit is 1, each with every
+    low value."""
+    high = [h for t in range(k) if q**t * table < q**k for h in range(q**t, 2 * q**t)]
+    return list(range(1, table)) + [h * table + j for h in high for j in range(table)]
+
+
+# the largest k per field keeps the brute force at 2^16 symbol steps or fewer
+WALK_MAX_K = {GF2: 12, GF4: 6, GF8: 4, GF16: 3}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_walk_over_the_high_digits_matches_the_brute_force(data):
+    # a table of q or q^2 entries leaves k - 1 or k - 2 high digits, so the
+    # walk over their values with leading digit 1 is checked, not only the
+    # table; one row a multiple of another makes a dependent basis
+    field = data.draw(st.sampled_from(list(WALK_MAX_K)), label="field")
+    q = field.order
+    k = data.draw(st.integers(2, WALK_MAX_K[field]), label="k")
+    entries = data.draw(st.sampled_from([q, q * q]), label="entries")
+    n = data.draw(st.integers(k, max(k, min(130, (1 << 16) // q**k))), label="n")
+    row = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+    basis = data.draw(st.lists(row, min_size=k, max_size=k), label="basis")
+    if data.draw(st.booleans(), label="dependent"):
+        i, j = data.draw(st.permutations(range(k)), label="rows")[:2]
+        c = data.draw(st.integers(1, q - 1), label="c")
+        basis[j] = [reference.gf_mul(field, c, x) for x in basis[i]]
+    weights = reference.message_weights(field, basis)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(distance, "_WALK_ENTRIES", entries)
+        blocks = _walk(field, basis)
+        walked = _walked_messages(q, k, len(blocks[0]) + 1)
+        assert sum(blocks, []) == [weights[m] for m in walked]
+        if reference.rank(field, basis) < k:
+            with pytest.raises(ValueError, match="linearly dependent"):
+                exact_min_distance(field, basis)
+        else:
+            r = exact_min_distance(field, basis)
+            assert (r.value, r.exact, r.enumerated) == (min(weights[1:]), True, q**k - 1)
+
+
+def test_walk_weighs_one_message_per_line_of_the_code():
+    # the [21,12] GF(4) inner code of E s=2 m=3 mu=3: the table of the last L
+    # rows, then q^L messages for each of the (q^(k-L) - 1)/(q - 1) high
+    # values whose leading digit is 1, not for all q^(k-L) - 1 of them
+    params = family_parameters("euclidean", 2, 3, 3)
+    n, q = params.n_inner, params.alphabet.order
+    code = CyclicCode.from_defining_set(GF4, n, bch_defining_set(n, q, params.b_default))
+    blocks, k = _walk(GF4, code.generator_matrix()), code.k
+    table = len(blocks[0]) + 1
+    high = q**k // table  # q^(k-L)
+    assert (n, k, q) == (21, 12, 4) and high > 1
+    assert sum(map(len, blocks)) == table - 1 + table * (high - 1) // (q - 1)
+    assert sum(map(len, blocks)) < q**k - 1
+    # over GF(2) every nonzero message is the one multiple of its line
+    basis = np.random.default_rng(1).integers(0, 2, size=(18, 40))
+    assert list(map(len, _walk(GF2, basis))) == [2**16 - 1] + [2**16] * 3
+    weights = reference.message_weights(GF2, uuv_14_7())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(distance, "_WALK_ENTRIES", 8)
+        assert sum(_walk(GF2, uuv_14_7()), []) == weights[1:]
 
 
 def test_budget_is_a_rule_of_q_and_k():
