@@ -22,11 +22,11 @@ import sys
 from . import linalg
 from .certificate import read_certificate, write_certificate
 from .construct import (
-    MAX_INNER_LENGTH,
     DistanceSummary,
     SelfDualCertificate,
     VerificationError,
     build_family,
+    check_inner_length,
     family_parameters,
 )
 from .cyclic import _extension_degree, root_context
@@ -175,8 +175,7 @@ def _check_outer_shape(cert: SelfDualCertificate) -> None:
     construct certificate.  These facts bound the size of the basis, so
     they are checked before it is allocated."""
     n, n_out, k_out = cert.n_inner, cert.n_outer, cert.k_outer
-    if n > MAX_INNER_LENGTH:
-        raise ValueError(f"inner n = {n} exceeds MAX_INNER_LENGTH = {MAX_INNER_LENGTH}")
+    check_inner_length(n)
     if n_out != 2 * n:
         raise ValueError(f"outer n = {n_out} is not 2 * inner n = {2 * n}")
     if k_out != n:
@@ -276,8 +275,7 @@ def _cmd_factor(args: argparse.Namespace) -> int:
         raise ValueError("n must be odd and positive")
     field = field_create(q.bit_length() - 1)
     _extension_degree(field, n)  # raises when the extension is infeasible
-    if n > MAX_INNER_LENGTH:
-        raise ValueError(f"length n = {n} exceeds MAX_INNER_LENGTH = {MAX_INNER_LENGTH}")
+    check_inner_length(n)
     ctx = root_context(field, n)
     orbits = [orbit for _, orbit in sorted(all_cosets(n, q).items())]
     mps = minimal_polynomial(orbits, ctx.beta, ctx.emb, ctx.powers)

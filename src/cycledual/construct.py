@@ -67,6 +67,12 @@ MAX_INNER_LENGTH = 8191
 MAX_RHO_STEPS = 1 << 20
 
 
+def check_inner_length(n: int) -> None:
+    """Raise ValueError when the inner length n exceeds MAX_INNER_LENGTH."""
+    if n > MAX_INNER_LENGTH:
+        raise ValueError(f"inner length n = {n} exceeds MAX_INNER_LENGTH = {MAX_INNER_LENGTH}")
+
+
 class VerificationError(Exception):
     """A recorded mathematical check failed (or an internal self-check fired)."""
 
@@ -263,10 +269,7 @@ def build_family(
     with an inner length above MAX_INNER_LENGTH raise ValueError first.
     """
     params = family_parameters(kind, s, m, mu)
-    if params.n_inner > MAX_INNER_LENGTH:
-        raise ValueError(
-            f"inner length n = {params.n_inner} exceeds MAX_INNER_LENGTH = {MAX_INNER_LENGTH}"
-        )
+    check_inner_length(params.n_inner)
     b = params.b_default if b_override is None else b_override
     if b_override is None and b < 1:
         raise ValueError(

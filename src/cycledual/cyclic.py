@@ -7,6 +7,8 @@ T^perp = -q (Z_n minus T), and one product ties the two together.
 The primitive n-th root beta used to pin defining sets is canonical per
 (field, n): it is gamma^((2^(s*m)-1)/n) for the canonical primitive element
 gamma of the extension GF(2^(s*m)), m the multiplicative order of 2^s mod n.
+The table of its powers, from which the minimal polynomials read their
+roots, is :func:`cycledual.gf.power_table`'s doubling walk.
 Repeated-root codes (even length) are deliberately rejected here; they are
 built by the construct module.
 """
@@ -37,6 +39,7 @@ from .gf import (
     Field,
     extension_with_embedding,
     nth_root_of_unity,
+    power_table,
 )
 from .poly import Poly, _monic_reversal, conjugate_poly, product, x_pow_n_minus_1
 
@@ -57,16 +60,13 @@ class RootContext:
 
     @cached_property
     def powers(self) -> tuple[int, ...]:
-        """beta^j for 0 <= j < n, walked with n - 1 scalar products on first
-        use; a context that never reads it stays as cheap as its field."""
-        ext, beta = self.ext, self.beta
-        powers = [1]
-        for _ in range(self.n - 1):
-            powers.append(ext.mul(powers[-1], beta))
+        """beta^j for 0 <= j < n, walked by doubling on first use; a context
+        that never reads it stays as cheap as its field."""
+        powers = power_table(self.ext, self.beta, self.n)
         # the walk returns to 1 exactly at step n, so beta has order n
-        if 1 in powers[1:] or ext.mul(powers[-1], beta) != 1:
+        if (powers[1:] == 1).any() or self.ext.mul(int(powers[-1]), self.beta) != 1:
             raise RuntimeError(f"internal: beta does not have multiplicative order {self.n}")
-        return tuple(powers)
+        return tuple(powers.tolist())
 
 
 def _extension_degree(field: Field, n: int) -> int:

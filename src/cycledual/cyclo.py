@@ -11,9 +11,8 @@ them in one numpy pass: it reads the roots beta^j from the table of beta's
 powers that :func:`cycledual.cyclic.root_context` builds once per (field,
 n), one coset per column of an (L, N) matrix padded with the root 0 (L the
 largest coset size), expands the products as one (L + 1, N) coefficient
-matrix in L row steps (through the extension's log/antilog tables up to
-GF(2^16), by vectorised shift-and-add beyond), and pulls the coefficients
-back to the base field through the embedding's inverse.
+matrix in L row steps, one :func:`cycledual.gf.times` call each, and pulls
+the coefficients back to the base field through the embedding's inverse.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .gf import TABLE_MAX_S, Embedding, Field, log_exp
+from .gf import Embedding, Field, times
 from .poly import Poly
 
 __all__ = [
@@ -260,7 +259,7 @@ def minimal_polynomial(
         raise ValueError("powers must be the table of beta^j for 0 <= j < n")
     # the padding reads the root 0, so column i holds x^(width - L_i) times
     # its minimal polynomial
-    table = np.fromiter(chain(powers, (0,)), np.int64, n + 1)
+    table = np.fromiter(chain(powers, (0,)), np.uint64, n + 1)
     coeffs = _expand(table[residues], ext).T.ravel().tolist()
     try:
         coeffs = list(map(emb.inverse.__getitem__, coeffs))
@@ -294,39 +293,11 @@ def _expand(roots: np.ndarray, ext: Field) -> np.ndarray:
     extension values, as an (L + 1, N) coefficient matrix, low degree first.
 
     Row k accumulates the k-th elementary symmetric function of the roots
-    read so far, one root per step for all columns at once; the products
-    run through the extension's log/antilog tables up to GF(2^TABLE_MAX_S),
-    and by shift-and-add over the bits of the coefficients beyond."""
+    read so far, one root per step for all columns at once, with one
+    ``times`` call per step."""
     size, count = roots.shape
-    times = _table_times(roots, ext) if ext.s <= TABLE_MAX_S else _shift_times(roots, ext)
-    sym = np.zeros((size + 1, count), dtype=np.int64)
+    sym = np.zeros((size + 1, count), dtype=np.uint64)
     sym[0] = 1
     for t in range(size):
-        sym[1 : t + 2] ^= times(sym[: t + 1], t)
+        sym[1 : t + 2] ^= times(ext, roots[t], sym[: t + 1])
     return sym[::-1]
-
-
-def _table_times(roots: np.ndarray, ext: Field):
-    """values * roots[t], column by column, through the log/antilog tables."""
-    log, exp = log_exp(ext)
-    log_roots = log[roots]
-    return lambda values, t: exp[log[values] + log_roots[t]]
-
-
-def _shift_times(roots: np.ndarray, ext: Field):
-    """values * roots[t], column by column, as the xor of roots[t] x^b over
-    the set bits b of the values; the (s, L, N) multiples roots x^b are
-    reduced once, not per product."""
-    multiples = np.empty((ext.s,) + roots.shape, dtype=np.int64)
-    multiples[0] = roots
-    for b in range(1, ext.s):
-        shifted = multiples[b - 1] << 1
-        multiples[b] = shifted ^ (shifted >> ext.s) * ext.modulus
-
-    def times(values, t):
-        out = np.zeros_like(values)
-        for b in range(ext.s):
-            out ^= (values >> b & 1) * multiples[b, t]
-        return out
-
-    return times

@@ -34,8 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
-from .gf import Field, dtype_for
+from .gf import Field, dtype_for, times
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -75,7 +74,7 @@ def _check_budget(q: int, k: int, budget: int) -> int:
 
 
 def _basis(field: Field, basis) -> np.ndarray:
-    basis = linalg.as_array(field, basis)
+    basis = np.asarray(basis, dtype=dtype_for(field))
     if basis.ndim != 2 or basis.shape[0] < 1:
         raise ValueError("basis must be a nonempty matrix")
     return basis
@@ -112,7 +111,7 @@ def _packed_multiples(field: Field, rows: np.ndarray) -> np.ndarray:
     planes, elements, s = _pack(field, rows), np.arange(field.order), field.s
     out = np.zeros((len(rows), field.order) + planes.shape[1:], dtype=np.uint64)
     for b in range(s):
-        images = linalg.scalar_mul(field, 1 << b, elements)  # c * 2^b for every c
+        images = times(field, elements, 1 << b)  # c * 2^b for every c
         masks = np.where(images[:, None] >> np.arange(s) & 1, ~np.uint64(0), np.uint64(0))
         out ^= planes[:, None, None, b] & masks[:, :, None]
     return out

@@ -20,14 +20,20 @@ Canonical choices (so that independent runs agree bit for bit):
 
 The size limits live here, together: code alphabets (``field_create``) go up
 to GF(2^16), extension fields hosting roots of unity up to GF(2^32), and the
-log/antilog tables up to GF(2^16), which admits every alphabet.  Each field
-has one pair of tables, built on first use (a product or a vector kernel,
-never the constructor) with a vectorised doubling walk over the powers of
-its primitive element.  The vectorised arithmetic of :mod:`cycledual.poly`,
-:mod:`cycledual.cyclo` and :mod:`cycledual.linalg` reads them as numpy arrays
-(``log_exp``), and scalar ``Field.mul`` as Python lists, one lookup per
-product.  Extension fields beyond GF(2^16) multiply by shift-and-add, one
-step per bit.
+log/antilog tables up to GF(2^16), which admits every alphabet.
+
+This module owns the arithmetic on arrays of elements too, as one
+elementwise product, ``times``, and one walk over the powers of an element,
+``power_table``, which doubles the number of known powers with each
+``times`` call.  Up to GF(2^16), ``times`` reads the field's one pair of
+log/antilog tables, built on first use (a product or a vector kernel, never
+the constructor) by the same doubling walk over the powers of the primitive
+element; beyond, it shifts and adds over the bits of its second operand.
+The vectorised arithmetic of :mod:`cycledual.poly` reads the tables as numpy
+arrays (``log_exp``), and scalar ``Field.mul`` as Python lists, one lookup
+per product; :mod:`cycledual.cyclo`, :mod:`cycledual.cyclic` and
+:mod:`cycledual.distance` multiply through ``times``.  Scalar products in
+extension fields beyond GF(2^16) shift and add, one step per bit.
 """
 
 from __future__ import annotations
@@ -188,9 +194,9 @@ class Field:
 
     def _mul_loop(self, a: int, b: int) -> int:
         """Shift-and-add product, one step per bit of b: ``mul`` beyond
-        GF(2^TABLE_MAX_S), and ``pow`` and the table build before the tables
-        exist.  It does not go through ``mul``, so a count of ``mul`` calls
-        sees only the products that callers asked for."""
+        GF(2^TABLE_MAX_S), and ``pow`` before the tables exist.  It does not
+        go through ``mul``, so a count of ``mul`` calls sees only the
+        products that callers asked for."""
         r = 0
         while b:
             if b & 1:
@@ -302,7 +308,7 @@ def field_create(s: int, modulus: int | None = None) -> Field:
     return _get_field(s, modulus)
 
 
-# -- log/antilog tables (package-internal, so not in __all__) -----------------
+# -- arrays of elements (package-internal, so not in __all__) ------------------
 
 _tables: dict[Field, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -326,9 +332,9 @@ def log_exp(field: Field) -> tuple[np.ndarray, np.ndarray]:
     every sum involving it lands in the zero-filled tail of ``exp``.  Fields
     beyond GF(2^TABLE_MAX_S) raise ValueError before anything is allocated.
 
-    The powers come from a doubling walk: with the first 2^k of them known,
-    the next 2^k are those times gamma^(2^k), one vector product.  No step
-    calls ``Field.mul``.
+    The powers come from :func:`power_table`'s doubling walk, multiplied by
+    shift-and-add, since the tables do not exist yet.  No step calls
+    ``Field.mul``.
     """
     tabs = _tables.get(field)
     if tabs is None:
@@ -337,15 +343,7 @@ def log_exp(field: Field) -> tuple[np.ndarray, np.ndarray]:
                 f"{field!r} exceeds the 2^{TABLE_MAX_S} limit of table arithmetic"
             )
         q1 = field.order - 1
-        powers = np.empty(field.order, dtype=np.uint32)
-        powers[0] = 1
-        step = field.primitive_element()  # gamma^k for the k powers known
-        k = 1
-        while k < q1:
-            powers[k : 2 * k] = _times(field, powers[:k], step)
-            step = field._mul_loop(step, step)
-            k *= 2
-        powers = powers[:q1]
+        powers = _walk(field, _shift_add, field.primitive_element(), q1)
         log = np.empty(field.order, dtype=np.int32)
         log[0] = 2 * q1
         log[powers] = np.arange(q1, dtype=np.int32)
@@ -356,27 +354,52 @@ def log_exp(field: Field) -> tuple[np.ndarray, np.ndarray]:
     return tabs
 
 
-def _times(field: Field, vals: np.ndarray, c: int) -> np.ndarray:
-    """vals * c elementwise (vals uint32, s <= TABLE_MAX_S), shift-and-add
-    over the bits of c."""
-    out = np.zeros_like(vals)
-    modulus = np.uint32(field.modulus)
-    while True:
-        if c & 1:
-            out ^= vals
-        c >>= 1
-        if not c:
-            return out
-        vals = vals << 1
-        vals ^= (vals >> field.s) * modulus
+def times(field: Field, a, b) -> np.ndarray:
+    """a * b elementwise, with numpy broadcasting, so either operand may be
+    a scalar: ``exp[log a + log b]`` up to GF(2^TABLE_MAX_S), shift-and-add
+    over the bits of b beyond."""
+    if field.s <= TABLE_MAX_S:
+        log, exp = log_exp(field)
+        return exp[log[a] + log[b]]
+    return _shift_add(field, a, b)
 
 
-def _eval_binary_poly(ext: Field, bits: int, x: int) -> int:
-    """Evaluate a binary-coefficient polynomial at x inside ext (Horner)."""
-    acc = 0
-    for i in range(_gf2_degree(bits), -1, -1):
-        acc = ext.mul(acc, x) ^ ((bits >> i) & 1)
-    return acc
+def _shift_add(field: Field, a, b) -> np.ndarray:
+    """a * b elementwise in uint64, as the xor of a x^i over the set bits i
+    of b, each a x^i reduced once for all of b.  A scalar b is its own
+    largest value, so its bits are tested as a Python int."""
+    a, b = np.asarray(a, dtype=np.uint64), np.asarray(b, dtype=np.uint64)
+    out = np.zeros(np.broadcast(a, b).shape, dtype=np.uint64)
+    top = int(b.max(initial=0))
+    for i in range(top.bit_length()):
+        if i:
+            a = a << 1
+            a ^= (a >> field.s) * np.uint64(field.modulus)
+        if b.ndim:
+            out ^= (b >> i & 1) * a
+        elif top >> i & 1:
+            out ^= a
+    return out
+
+
+def power_table(field: Field, x: int, count: int) -> np.ndarray:
+    """x^0 .. x^(count - 1) as a uint64 array, by :func:`times`."""
+    return _walk(field, times, x, count)
+
+
+def _walk(field: Field, product, x: int, count: int) -> np.ndarray:
+    """x^0 .. x^(count - 1) by doubling: with the first k powers known, the
+    next k are those times x^k, one vector ``product`` per level.  The
+    scalar squarings that give x^k shift and add in Python, which beats a
+    numpy call on one element."""
+    powers = np.empty(count, dtype=np.uint64)
+    powers[:1] = 1
+    k, step = 1, x  # step is x^k
+    while k < count:
+        powers[k : 2 * k] = product(field, powers[: min(k, count - k)], step)
+        step = field._mul_loop(step, step)
+        k *= 2
+    return powers
 
 
 class Embedding:
@@ -408,28 +431,22 @@ def _extension_with_embedding(base: Field, m: int) -> tuple[Field, Embedding]:
         table: tuple[int, ...] = (0, 1)
     else:
         # The roots of the base modulus all lie in the subfield of size 2^s,
-        # which is {0} plus the cyclic group generated by gamma^step.
+        # whose nonzero elements are the powers of gamma^step; 0 is no root,
+        # as the modulus has constant term 1.  Horner evaluates the modulus
+        # at all of them at once.
         gamma = ext.primitive_element()
         step = (ext.order - 1) // (base.order - 1)
-        sub_gen = ext.pow(gamma, step)
-        candidates = [0]
-        v = 1
-        for _ in range(base.order - 1):
-            candidates.append(v)
-            v = ext.mul(v, sub_gen)
-        roots = [c for c in candidates if _eval_binary_poly(ext, base.modulus, c) == 0]
-        alpha_img = min(roots)
-        powers = [1]
-        for _ in range(base.s - 1):
-            powers.append(ext.mul(powers[-1], alpha_img))
-        images = []
-        for val in range(base.order):
-            acc = 0
-            for i in range(base.s):
-                if (val >> i) & 1:
-                    acc ^= powers[i]
-            images.append(acc)
-        table = tuple(images)
+        candidates = power_table(ext, ext.pow(gamma, step), base.order - 1)
+        value = np.zeros_like(candidates)
+        for i in range(base.s, -1, -1):
+            value = times(ext, value, candidates) ^ (base.modulus >> i & 1)
+        alpha_img = int(candidates[value == 0].min())
+        # the image of a base value is the sum of alpha's powers over its set
+        # bits: those with top bit i are those below 2^i plus alpha^i
+        images = np.zeros(base.order, dtype=np.uint64)
+        for i, power in enumerate(power_table(ext, alpha_img, base.s)):
+            images[1 << i : 2 << i] = images[: 1 << i] ^ power
+        table = tuple(images.tolist())
     return ext, Embedding(base, ext, table)
 
 

@@ -1,10 +1,8 @@
 """Dense GF(2^s) arrays for minimum-distance enumeration.
 
-Arrays hold raw element values.  ``shifted_rows`` lays out the generator
-matrix of a cyclic code as a read-only view of one padded copy of its
-generator, and ``scalar_mul`` scales rows through the field's
-log/antilog tables, which :mod:`cycledual.gf` builds once per field and
-shares with the polynomial kernel of :mod:`cycledual.poly`.  The recorded
+``shifted_rows`` lays out the generator matrix of a cyclic code as a
+read-only view of one padded copy of its generator, holding raw element
+values.  Products of elements live in :mod:`cycledual.gf`.  The recorded
 checks use no matrices: they are polynomial identities (see
 :mod:`cycledual.construct`).
 """
@@ -15,19 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gf import Field, dtype_for, log_exp
+from .gf import dtype_for
 from .poly import Poly
 
-__all__ = ["scalar_mul", "shifted_rows"]
-
-
-def as_array(field: Field, mat) -> np.ndarray:
-    return np.asarray(mat, dtype=dtype_for(field))
-
-
-def scalar_mul(field: Field, c: int, arr) -> np.ndarray:
-    log, exp = log_exp(field)
-    return exp[log[as_array(field, arr)] + log[c]]
+__all__ = ["shifted_rows"]
 
 
 def shifted_rows(g: Poly, length: int) -> np.ndarray:

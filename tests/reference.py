@@ -6,9 +6,12 @@ default moduli in cycledual.gf past the customary degrees.
 
 A carry-less multiply followed by reduction modulo the field's polynomial is
 the reference for ``Field.mul``, both its table lookups and its shift-and-add
-loop; the walk over the powers of the primitive element, one such product
-per step, is the reference for the doubling walk that builds
-``cycledual.gf.log_exp``'s tables.
+loop, and for the elementwise ``cycledual.gf.times``; the walk over the
+powers of the primitive element, one such product per step, is the reference
+for the doubling walk (``cycledual.gf.power_table``) that builds
+``cycledual.gf.log_exp``'s tables.  The tests also compare ``power_table``,
+and the table of beta's powers it walks for ``root_context``, with
+``Field.pow``.
 
 Repeated squaring with that multiply is the reference Frobenius map a^(2^k).
 
@@ -63,8 +66,8 @@ import numpy as np
 
 from cycledual import CyclicCode, Embedding, Field, Poly, x_pow_n_minus_1
 from cycledual.cyclo import HERMITIAN, KINDS
-from cycledual.gf import _gf2_mod, dtype_for, is_irreducible, log_exp
-from cycledual.linalg import as_array, scalar_mul, shifted_rows
+from cycledual.gf import _gf2_mod, dtype_for, is_irreducible, log_exp, times
+from cycledual.linalg import shifted_rows
 
 FULL_COMPARE_LIMIT = 1 << 20
 
@@ -247,7 +250,7 @@ def message_weights(field: Field, basis) -> list[int]:
     """The weight of the codeword of each of the q^k messages, in
     lexicographic order with the first row's coefficient most significant, so
     entry 0 is the zero message."""
-    rows = as_array(field, basis).tolist()
+    rows = np.asarray(basis, dtype=dtype_for(field)).tolist()
     mul = [[field.mul(a, b) for b in field.elements()] for a in field.elements()]
     weights = []
     for msg in itertools.product(field.elements(), repeat=len(rows)):
@@ -263,9 +266,9 @@ def sampled_min_weight(field: Field, basis, trials: int, seed: int) -> int:
     """The least weight over the codewords of ``trials`` seeded nonzero
     messages: draws of 2^14 x k digits with the zero messages dropped, each
     codeword the xor of one row multiple per digit."""
-    basis = as_array(field, basis)
+    basis = np.asarray(basis, dtype=dtype_for(field))
     row_mult = [
-        np.stack([scalar_mul(field, c, row) for c in range(field.order)]) for row in basis
+        np.stack([times(field, row, c) for c in range(field.order)]) for row in basis
     ]
     rng = np.random.default_rng(seed)
     best = basis.shape[1] + 1
@@ -300,8 +303,8 @@ def frobenius_array(field: Field, arr, k: int) -> np.ndarray:
 
 
 def mat_mul(field: Field, a, b) -> np.ndarray:
-    a = as_array(field, a)
-    b = as_array(field, b)
+    a = np.asarray(a, dtype=dtype_for(field))
+    b = np.asarray(b, dtype=dtype_for(field))
     if a.shape[1] != b.shape[0]:
         raise ValueError("shape mismatch")
     out = np.zeros((a.shape[0], b.shape[1]), dtype=dtype_for(field))
@@ -331,7 +334,7 @@ def rref(field: Field, mat) -> tuple[np.ndarray, tuple[int, ...]]:
         if p != r:
             m[[r, p]] = m[[p, r]]
         if m[r, c] != 1:
-            m[r] = scalar_mul(field, field.inv(int(m[r, c])), m[r])
+            m[r] = times(field, m[r], field.inv(int(m[r, c])))
         factors = m[:, c].copy()
         factors[r] = 0
         if factors.any():
@@ -350,7 +353,7 @@ def reduce_row(field: Field, reduced: np.ndarray, pivots: tuple[int, ...], row) 
     for i, c in enumerate(pivots):
         f = int(res[c])
         if f:
-            res ^= scalar_mul(field, f, reduced[i])
+            res ^= times(field, reduced[i], f)
     return res
 
 
@@ -380,7 +383,7 @@ def poly_remainder_rows(field: Field, rows, divisor_coeffs) -> np.ndarray:
         return res[:, :0]
     lead_inv = field.inv(int(g[-1]))
     for top in range(res.shape[1] - 1, dg - 1, -1):
-        t = scalar_mul(field, lead_inv, res[:, top])
+        t = times(field, res[:, top], lead_inv)
         if t.any():
             res[:, top - dg : top + 1] ^= elementwise_mul(field, t[:, None], g[None, :])
     return res[:, :dg]
@@ -529,7 +532,7 @@ def verify_self_dual(field: Field, basis, kind: str) -> bool:
     and G G^T = 0 (Euclidean) or G conj(G)^T = 0 (Hermitian)."""
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    basis = as_array(field, basis)
+    basis = np.asarray(basis, dtype=dtype_for(field))
     rows, cols = basis.shape
     if rank(field, basis) < rows:
         raise ValueError("not a basis: rows are linearly dependent")
@@ -551,7 +554,7 @@ def verify_van_lint_equivalence(
     length 2n generated by outer_generator: every row is divisible by it and
     the dimensions agree, or with full=True the two codeword sets are
     compared outright (feasible only at desk scale)."""
-    basis = as_array(field, basis)
+    basis = np.asarray(basis, dtype=dtype_for(field))
     if rank(field, basis) != basis.shape[0] or basis.shape[0] != 2 * n - outer_generator.degree:
         return False
     permuted = interleave_permutation(n).apply(basis)
@@ -568,7 +571,7 @@ def verify_van_lint_equivalence(
 
 def check_code_automorphism(field: Field, basis, perm: CoordinatePermutation) -> bool:
     """True iff permuting every basis row lands back inside the row space."""
-    basis = as_array(field, basis)
+    basis = np.asarray(basis, dtype=dtype_for(field))
     if perm.size != basis.shape[1]:
         raise ValueError("size mismatch between permutation and code length")
     reduced, pivots = rref(field, basis)

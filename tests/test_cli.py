@@ -412,7 +412,7 @@ def test_distance_floor_violation_exits_1(tmp_path, capsys):
     "old,new,field",
     [
         ("[outer_code]\nn = 14\n", "[outer_code]\nn = 10000000\n", "outer n"),
-        ("[inner_code]\nn = 7\n", "[inner_code]\nn = 10000000\n", "inner n"),
+        ("[inner_code]\nn = 7\n", "[inner_code]\nn = 10000000\n", "inner length n"),
         ("[outer_code]\nn = 14\nk = 7\n", "[outer_code]\nn = 14\nk = 8\n", "outer k"),
         ("generator = 1,1,1,1,0,0,1,1\n", "generator = 1,1,1,1,0,0,1\n", "outer generator"),
     ],
@@ -432,6 +432,29 @@ def test_distance_rejects_an_inconsistent_outer_code(tmp_path, capsys, method, o
     assert len(err.splitlines()) == 1
     assert err.startswith(f"error: {field} ")
     assert path.read_text() == edited
+
+
+@pytest.mark.parametrize("method", ["exhaustive", "sampled"])
+def test_distance_over_size_limit_exits_2_before_the_basis(tmp_path, capsys, monkeypatch, method):
+    # the outer n and k fit the edited inner n = 8193, one above the cap
+    path = build_cert(tmp_path, capsys)
+    text = path.read_text()
+    for old, new in [
+        ("[inner_code]\nn = 7\n", "[inner_code]\nn = 8193\n"),
+        ("[outer_code]\nn = 14\nk = 7\n", "[outer_code]\nn = 16386\nk = 8193\n"),
+    ]:
+        assert old in text
+        text = text.replace(old, new)
+    path.write_text(text)
+
+    def refuse(*args):
+        raise AssertionError("the basis was built before the size check")
+
+    monkeypatch.setattr(linalg, "shifted_rows", refuse)
+    rc, out, err = run(capsys, "distance", str(path), "--method", method)
+    assert rc == 2
+    assert out == ""
+    assert err == "error: inner length n = 8193 exceeds MAX_INNER_LENGTH = 8191\n"
 
 
 def test_construct_over_size_limit_exits_2(capsys):

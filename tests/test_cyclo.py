@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -373,6 +374,30 @@ def test_root_context_builds_the_powers_table_on_first_use(monkeypatch):
     ctx = root_context(GF2, 63)
     assert ctx.powers[1] == ctx.beta and len(ctx.powers) == 63
     assert vars(ctx)["powers"] is ctx.powers
+
+
+def test_root_context_powers_match_pow_beyond_the_tables():
+    ctx = root_context(GF4, 8191)  # beta lives in GF(2^26)
+    assert ctx.ext.s == 26
+    assert ctx.powers == tuple(ctx.ext.pow(ctx.beta, j) for j in range(8191))
+
+
+def test_root_context_powers_make_one_scalar_product(monkeypatch):
+    # the doubling walk multiplies vectors; the one Field.mul is the closing
+    # check beta^(n-1) * beta == 1, where a scalar walk made n of them
+    calls = 0
+    field_mul = gf.Field.mul
+
+    def mul(field, a, b):
+        nonlocal calls
+        calls += 1
+        return field_mul(field, a, b)
+
+    ctx = dataclasses.replace(root_context(GF4, 8191))  # a fresh, unwalked copy
+    assert "powers" not in vars(ctx)
+    monkeypatch.setattr(gf.Field, "mul", mul)
+    assert len(ctx.powers) == 8191
+    assert calls == 1
 
 
 def test_defining_set_serialization():

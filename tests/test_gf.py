@@ -341,3 +341,40 @@ def test_tables_are_built_by_the_first_product_only(monkeypatch):
         assert f.mul(a, 5) == reference.gf_mul(f, a, 5)
     assert f.pow(gamma, 5) == f.mul(f.mul(gamma, gamma), f.pow(gamma, 3))
     assert calls == [f]
+
+
+# -- arrays of elements: one elementwise product and one doubling walk --------
+
+
+def any_field(s):
+    return field_create(s) if s <= gf.TABLE_MAX_S else loop_field(s)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_times_matches_reference(data):
+    s = data.draw(st.integers(1, gf.EXTENSION_MAX_S), label="s")
+    f = any_field(s)
+    element = st.one_of(st.just(0), st.just(1), st.integers(0, f.order - 1))
+    a = data.draw(st.lists(element, min_size=1, max_size=20), label="a")
+    b = data.draw(st.lists(element, min_size=len(a), max_size=len(a)), label="b")
+    c = data.draw(element, label="c")
+    vec_a = np.array(a, dtype=np.uint64)
+    assert gf.times(f, vec_a, np.array(b, dtype=np.uint64)).tolist() == [
+        reference.gf_mul(f, x, y) for x, y in zip(a, b)
+    ]
+    assert gf.times(f, vec_a, c).tolist() == [reference.gf_mul(f, x, c) for x in a]
+    assert gf.times(f, c, vec_a).tolist() == [reference.gf_mul(f, c, x) for x in a]
+    if s > gf.TABLE_MAX_S:
+        assert f._log is None and f not in gf._tables
+
+
+@pytest.mark.parametrize("s", [15, 16, 17, 26])
+def test_power_table_matches_pow_on_both_sides_of_the_tables(s):
+    f = any_field(s)
+    rng = np.random.default_rng(s)
+    for x in (0, 1, f.primitive_element(), *rng.integers(2, f.order, size=4).tolist()):
+        for count in (0, 1, 2, 3, 64, 100):
+            got = gf.power_table(f, x, count)
+            assert got.dtype == np.uint64
+            assert got.tolist() == [f.pow(x, j) for j in range(count)]

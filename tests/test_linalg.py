@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from cycledual import Poly, field_create
-from cycledual.linalg import scalar_mul, shifted_rows
+from cycledual.gf import times
+from cycledual.linalg import shifted_rows
 
 from conftest import GF2, GF4
 from reference import (
@@ -30,9 +31,10 @@ def test_elementwise_mul_matches_field():
 
 def test_scalar_mul():
     row = np.array([0, 1, 2, 3], dtype=np.uint8)
-    assert scalar_mul(GF4, 0, row).tolist() == [0, 0, 0, 0]
-    assert scalar_mul(GF4, 1, row).tolist() == [0, 1, 2, 3]
-    assert scalar_mul(GF4, 3, row).tolist() == [GF4.mul(3, x) for x in (0, 1, 2, 3)]
+    assert times(GF4, row, 0).tolist() == [0, 0, 0, 0]
+    assert times(GF4, row, 1).tolist() == [0, 1, 2, 3]
+    assert times(GF4, row, 3).tolist() == [GF4.mul(3, x) for x in (0, 1, 2, 3)]
+    assert times(GF4, row, 3).dtype == np.uint8
 
 
 def test_shifted_rows():
