@@ -25,7 +25,6 @@ from .cyclo import (
     HERMITIAN,
     KINDS,
     DefiningSet,
-    all_cosets,
     bch_bound,
     bch_defining_set,
     complement,
@@ -69,7 +68,6 @@ __all__ = [
     "RootContext",
     "SelfDualCertificate",
     "VerificationError",
-    "all_cosets",
     "bch_bound",
     "bch_defining_set",
     "build_family",

@@ -227,7 +227,8 @@ def loads(text: str) -> SelfDualCertificate:
     paper_floor_exact = _take(bo, "bounds", "paper_floor_exact")
     paper_floor_int = _int(_take(bo, "bounds", "paper_floor_int"), "paper_floor_int")
     distance = None
-    if bo:
+    # a stray key is left for the unknown-key check below
+    if bo.keys() & {"distance_method", "distance_value", "distance_exact"}:
         method = _take(bo, "bounds", "distance_method")
         if method not in ("exhaustive", "sampled"):
             raise CertificateFormatError(f"bad distance_method {method!r}")

@@ -30,7 +30,7 @@ from .construct import (
     family_parameters,
 )
 from .cyclic import _extension_degree, root_context
-from .cyclo import KINDS, all_cosets, minimal_polynomial
+from .cyclo import KINDS, minimal_polynomial
 from .distance import DEFAULT_BUDGET, exact_min_distance, sampled_weight_upper_bound
 from .distance import _check_budget
 from .gf import field_create
@@ -276,12 +276,10 @@ def _cmd_factor(args: argparse.Namespace) -> int:
     field = field_create(q.bit_length() - 1)
     _extension_degree(field, n)  # raises when the extension is infeasible
     check_inner_length(n)
-    ctx = root_context(field, n)
-    orbits = [orbit for _, orbit in sorted(all_cosets(n, q).items())]
-    mps = minimal_polynomial(orbits, ctx.beta, ctx.emb, ctx.powers)
-    if product(field, mps) != x_pow_n_minus_1(field, n):
+    mps = minimal_polynomial(root_context(field, n), range(n))
+    if product(field, mps.values()) != x_pow_n_minus_1(field, n):
         raise VerificationError("coset factorization does not multiply back to x^n - 1")
-    for orbit, mp in zip(orbits, mps):
+    for orbit, mp in mps.items():
         print(f"{{{','.join(str(i) for i in orbit)}}}: {mp.to_string()}")
     return 0
 

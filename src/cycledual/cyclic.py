@@ -8,7 +8,9 @@ The primitive n-th root beta used to pin defining sets is canonical per
 (field, n): it is gamma^((2^(s*m)-1)/n) for the canonical primitive element
 gamma of the extension GF(2^(s*m)), m the multiplicative order of 2^s mod n.
 The table of its powers, from which the minimal polynomials read their
-roots, is :func:`cycledual.gf.power_table`'s doubling walk.
+roots, is :func:`cycledual.gf.power_table`'s doubling walk.  A generator is
+the product of the minimal polynomials of its defining set's cosets, which
+:func:`cycledual.cyclo.minimal_polynomial` finds from the set's residues.
 Repeated-root codes (even length) are deliberately rejected here; they are
 built by the construct module.
 """
@@ -26,9 +28,7 @@ from .cyclo import (
     HERMITIAN,
     DefiningSet,
     _check_kind,
-    all_cosets,
     complement,
-    coset,
     is_dual_containing_set,
     minimal_polynomial,
     set_map,
@@ -98,15 +98,7 @@ def root_context(field: Field, n: int) -> RootContext:
 def _generator(field: Field, n: int, T: DefiningSet) -> Poly:
     """The monic polynomial with roots beta^i for i in the coset-closed T:
     the product of the minimal polynomials of T's cosets."""
-    ctx = root_context(field, n)
-    orbits = []
-    seen: set[int] = set()
-    for i in T:
-        if i not in seen:
-            orbit = coset(n, field.order, i)
-            seen.update(orbit)
-            orbits.append(orbit)
-    return product(field, minimal_polynomial(orbits, ctx.beta, ctx.emb, ctx.powers))
+    return product(field, minimal_polynomial(root_context(field, n), T).values())
 
 
 def hermitian_base(field: Field) -> int:
@@ -180,8 +172,8 @@ class CyclicCode:
         # roots of a GF(q)-coefficient polynomial come in whole cosets:
         # g(beta^(q i)) = g(beta^i)^q, so one representative decides the orbit
         members: set[int] = set()
-        for rep, orbit in all_cosets(n, field.order).items():
-            if g.eval(ctx.powers[rep], ctx.emb) == 0:
+        for orbit in minimal_polynomial(ctx, range(n)):
+            if g.eval(ctx.powers[orbit[0]], ctx.emb) == 0:
                 members.update(orbit)
         code = cls.from_defining_set(field, n, DefiningSet(n, field.order, frozenset(members)))
         # x^n - 1 is squarefree, so g divides it iff g is the product of x - beta^i over its roots

@@ -6,27 +6,31 @@ A defining set is a subset of Z_n tagged with the coset base q (the alphabet
 order; q^2-cyclotomic work simply uses that square as the base).  Sets
 serialize as comma-separated decimal residues in ascending order.
 
-:func:`minimal_polynomial` takes a sequence of cosets and expands all of
-them in one numpy pass: it reads the roots beta^j from the table of beta's
-powers that :func:`cycledual.cyclic.root_context` builds once per (field,
-n), one coset per column of an (L, N) matrix padded with the root 0 (L the
-largest coset size), expands the products as one (L + 1, N) coefficient
-matrix in L row steps, one :func:`cycledual.gf.times` call each, and pulls
-the coefficients back to the base field through the embedding's inverse.
+:func:`minimal_polynomial` takes residues and expands the minimal
+polynomials of all the cosets they meet in one numpy pass: it finds the
+cosets by walking every residue's orbit at once, reads the roots beta^j from
+the table of beta's powers that :func:`cycledual.cyclic.root_context` builds
+once per (field, n), one coset per column of an (L, N) matrix padded with
+the root 0 (L the largest coset size), expands the products as one
+(L + 1, N) coefficient matrix in L row steps, one
+:func:`cycledual.gf.times` call each, and pulls the coefficients back to
+the base field through the embedding's inverse.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .gf import Embedding, Field, times
+from .gf import Field, times
 from .poly import Poly
+
+if TYPE_CHECKING:
+    from .cyclic import RootContext
 
 __all__ = [
     "EUCLIDEAN",
@@ -34,7 +38,6 @@ __all__ = [
     "KINDS",
     "DefiningSet",
     "coset",
-    "all_cosets",
     "set_map",
     "complement",
     "bch_defining_set",
@@ -122,23 +125,6 @@ def coset(n: int, q: int, i: int) -> tuple[int, ...]:
     return tuple(sorted(orbit))
 
 
-def all_cosets(n: int, q: int) -> dict[int, tuple[int, ...]]:
-    """Partition of Z_n into q-cyclotomic cosets, keyed by minimal element."""
-    if n < 1:
-        raise ValueError("modulus n must be positive")
-    if math.gcd(n, q) != 1:
-        raise ValueError("q must be invertible modulo n")
-    out: dict[int, tuple[int, ...]] = {}
-    seen: set[int] = set()
-    for i in range(n):
-        if i in seen:
-            continue
-        orb = coset(n, q, i)
-        out[i] = orb
-        seen.update(orb)
-    return out
-
-
 def set_map(T: DefiningSet, c: int) -> DefiningSet:
     """{c*i mod n : i in T}; c = -1 gives T^-1 and c = -q gives T^-q."""
     return DefiningSet(T.n, T.q, frozenset((c * i) % T.n for i in T.members))
@@ -216,76 +202,56 @@ def gcd_lemma(q: int, a: int, b: int, form: str) -> int:
     raise ValueError(f"unknown form {form!r}")
 
 
-@lru_cache(maxsize=None)
-def _order(ext: Field, beta: int) -> int:
-    """The multiplicative order of beta, computed once per (extension, beta)."""
-    return ext.multiplicative_order(beta)
+def minimal_polynomial(ctx: RootContext, residues: Iterable[int]) -> dict[tuple[int, ...], Poly]:
+    """The minimal polynomial prod_{j in C} (x - beta^j) of each q-coset C
+    that meets residues, with its coefficients pulled back to the base field
+    GF(q).  ctx is the :func:`cycledual.cyclic.root_context` of GF(q) and n,
+    whose table of beta's powers supplies the roots.  Residues lie in
+    0..n-1, in any order and with repeats.  Each key is its coset's members
+    in ascending order, and the entries come in order of smallest member.
 
-
-def minimal_polynomial(
-    cosets: Iterable[Iterable[int]], beta: int, emb: Embedding, powers: Sequence[int]
-) -> list[Poly]:
-    """The minimal polynomial prod_{j in C} (x - beta^j) of each coset C, in
-    order, with its coefficients pulled back to the base field.  beta is an
-    element of the embedding's extension of order n, and powers is the table
-    of beta^j for 0 <= j < n (see :func:`cycledual.cyclic.root_context`), from
-    which each root is read.  The same coset may appear more than once."""
-    ext = emb.ext
-    if not 0 <= beta < ext.order:
-        raise ValueError(f"value {beta} out of range for {ext!r}")
-    rows = [tuple(c) for c in cosets]
-    lengths = [len(row) for row in rows]
-    if 0 in lengths:
-        raise ValueError("empty coset")
-    if not rows:
-        return []
-    n = _order(ext, beta)
-    try:  # a negative residue does not fit either
-        flat = np.fromiter(chain.from_iterable(rows), np.uint64, sum(lengths))
+    Each residue walks r q^t mod n for 0 <= t <= m, m = ctx.m the order of q
+    mod n, one column each.  A column's smallest entry is its coset's
+    representative, and the walk is taken again from the distinct
+    representatives, one column each.  A column returns to its
+    representative first at step |C|, and at the latest at step m."""
+    n = ctx.n
+    try:  # neither a negative residue nor one of 2^64 or more fits
+        r = np.fromiter(residues, np.uint64)
     except OverflowError:
-        raise ValueError("coset residues must lie in 0..n-1") from None
-    if flat.max() >= n:
-        raise ValueError("coset residues must lie in 0..n-1")
-    # one coset per column, so that reductions run along the short axis 0;
-    # residue n pads each column below its members
-    sizes = np.array(lengths)
-    width = max(lengths)
-    padded = np.full((len(rows), width), n, dtype=np.uint64)
-    padded[np.arange(width) < sizes[:, None]] = flat
-    residues = np.ascontiguousarray(padded.T)
-    if not _is_one_coset(residues, sizes, n, emb.base.order).all():
-        raise ValueError("not a single cyclotomic coset")
-    if len(powers) != n or powers[1 % n] != beta:
-        raise ValueError("powers must be the table of beta^j for 0 <= j < n")
-    # the padding reads the root 0, so column i holds x^(width - L_i) times
+        raise ValueError("residues must lie in 0..n-1") from None
+    if not r.size:
+        return {}
+    if r.max() >= n:
+        raise ValueError("residues must lie in 0..n-1")
+    # the residues are below n < 2^32, so the products fit in uint64
+    q = ctx.emb.base.order
+    steps = np.array([pow(q, t, n) for t in range(ctx.m + 1)], dtype=np.uint64)[:, None]
+    walk = steps * r
+    walk %= n  # in place: the walk over all residues is the largest array here
+    seen = np.zeros(n, dtype=bool)
+    seen[walk.min(axis=0)] = True
+    walk = steps * np.flatnonzero(seen).astype(np.uint64) % n
+    sizes = (walk[1:] == walk[0]).argmax(axis=0) + 1
+    width = int(sizes.max())
+    # residue n reads the root 0, so column i holds x^(width - |C_i|) times
     # its minimal polynomial
-    table = np.fromiter(chain(powers, (0,)), np.uint64, n + 1)
-    coeffs = _expand(table[residues], ext).T.ravel().tolist()
+    padded = np.where(np.arange(width)[:, None] < sizes, walk[:width], n)
+    table = np.fromiter(chain(ctx.powers, (0,)), np.uint64, n + 1)
+    coeffs = _expand(table[padded], ctx.emb.ext).T.ravel().tolist()
     try:
-        coeffs = list(map(emb.inverse.__getitem__, coeffs))
+        coeffs = list(map(ctx.emb.inverse.__getitem__, coeffs))
     except KeyError:
-        raise ValueError("coset/base mismatch") from None
-    out = []
-    for i, size in enumerate(lengths):  # monic, past the padding's zeros
-        end = (i + 1) * (width + 1)
-        out.append(Poly._trusted(emb.base, tuple(coeffs[end - size - 1 : end])))
+        raise RuntimeError(
+            "internal: a minimal polynomial has a coefficient outside the base field"
+        ) from None
+    out = {}
+    for i, (members, size) in enumerate(zip(walk.T.tolist(), sizes.tolist())):
+        end = (i + 1) * (width + 1)  # monic, past the padding's zeros
+        out[tuple(sorted(members[:size]))] = Poly._trusted(
+            ctx.emb.base, tuple(coeffs[end - size - 1 : end])
+        )
     return out
-
-
-def _is_one_coset(residues: np.ndarray, sizes: np.ndarray, n: int, q: int) -> np.ndarray:
-    """For each column of a residue matrix, padded with n below its L
-    members, whether they are one q-coset mod n: the walk j -> j q from the
-    first member returns to it at step L and not before, so it visits L
-    distinct residues, and each of them occurs in the column, which then
-    holds exactly these L.  The residues are below n < 2^32, so the
-    products fit in uint64."""
-    width = len(residues)
-    steps = np.array([pow(q, t, n) for t in range(width + 1)], dtype=np.uint64)
-    walk = steps[:, None] * residues[0] % n
-    t = np.arange(1, width + 1)[:, None]
-    returns = (walk[1:] == walk[0]) == (t == sizes)
-    visited = (residues[:, None] == walk[None, :width]).any(axis=0)
-    return (returns & visited | (t > sizes)).all(axis=0)
 
 
 def _expand(roots: np.ndarray, ext: Field) -> np.ndarray:

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import reference
-from cycledual import CyclicCode, DefiningSet, all_cosets, field_create, x_pow_n_minus_1
+from cycledual import CyclicCode, DefiningSet, field_create, x_pow_n_minus_1
 
 
 def divisor_defining_sets(field, n):
     """Defining sets of every divisor of x^n - 1 over the field (all unions
     of cyclotomic cosets), in a deterministic order."""
-    orbits = [frozenset(orb) for _, orb in sorted(all_cosets(n, field.order).items())]
+    orbits = [frozenset(orb) for _, orb in sorted(reference.all_cosets(n, field.order).items())]
     out = []
     for bits in range(1 << len(orbits)):
         members: frozenset[int] = frozenset()

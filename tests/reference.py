@@ -22,9 +22,12 @@ Frobenius map per coefficient, for its table lookups.  A message times the
 generator modulo x^n - 1 (``encode``) and the remainder by the generator
 (``contains``) are the brute-force span and membership of a cyclic code.
 
-A coset's roots walked by Frobenius steps from one power of beta, multiplied
-out with the schoolbook product, are the reference for
-``cycledual.cyclo.minimal_polynomial``, which reads its roots from the table
+The partition of Z_n into q-cyclotomic cosets, one ``cycledual.cyclo.coset``
+orbit per residue not yet met (``all_cosets``), is the reference for the
+cosets that ``cycledual.cyclo.minimal_polynomial`` finds by one walk over
+all its residues at once.  A coset's roots walked by Frobenius steps from
+one power of beta, multiplied out with the schoolbook product, are the
+reference for its minimal polynomials, whose roots it reads from the table
 of beta's powers.
 
 The weight of every message's codeword, enumerated with itertools, is the
@@ -60,12 +63,13 @@ in cycledual.construct for G = g1 g_dual.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from cycledual import CyclicCode, Embedding, Field, Poly, x_pow_n_minus_1
-from cycledual.cyclo import HERMITIAN, KINDS
+from cycledual.cyclo import HERMITIAN, KINDS, coset
 from cycledual.gf import _gf2_mod, dtype_for, is_irreducible, log_exp, times
 from cycledual.linalg import shifted_rows
 
@@ -89,6 +93,26 @@ def divisors(n: int) -> list[int]:
                 large.append(n // d)
         d += 1
     return small + large[::-1]
+
+
+# -- cyclotomic cosets -----------------------------------------------------------
+
+
+def all_cosets(n: int, q: int) -> dict[int, tuple[int, ...]]:
+    """Partition of Z_n into q-cyclotomic cosets, keyed by minimal element."""
+    if n < 1:
+        raise ValueError("modulus n must be positive")
+    if math.gcd(n, q) != 1:
+        raise ValueError("q must be invertible modulo n")
+    out: dict[int, tuple[int, ...]] = {}
+    seen: set[int] = set()
+    for i in range(n):
+        if i in seen:
+            continue
+        orb = coset(n, q, i)
+        out[i] = orb
+        seen.update(orb)
+    return out
 
 
 # -- scalars in GF(2^s) ----------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import reference
-from cycledual import KINDS, Poly, all_cosets, field_create, hermitian_base
+from cycledual import KINDS, Poly, field_create, hermitian_base
 from cycledual.construct import _seeds_in_ideal, pipeline_checks
 from cycledual.cyclic import CyclicCode
 from cycledual.cyclo import DefiningSet
@@ -57,7 +57,7 @@ def random_divisor_codes(draw, field, n, kind, containing):
     dual-containing by construction: no coset together with its image under
     i -> -q i."""
     q = hermitian_base(field) if kind == "hermitian" else 1
-    orbits = [frozenset(orb) for _, orb in sorted(all_cosets(n, field.order).items())]
+    orbits = [frozenset(orb) for _, orb in sorted(reference.all_cosets(n, field.order).items())]
     picks = draw(st.lists(st.booleans(), min_size=len(orbits), max_size=len(orbits)))
     members: set[int] = set()
     for pick, orb in zip(picks, orbits):

@@ -222,6 +222,23 @@ def test_verify_missing_section_exits_2(tmp_path, capsys):
     assert "missing section" in err
 
 
+@pytest.mark.parametrize(
+    "extra,message",
+    [
+        ("foo = 1", "unknown key 'foo' in [bounds]"),
+        ("distance_value = 4", "missing key 'distance_method' in [bounds]"),
+    ],
+)
+def test_verify_names_a_stray_or_missing_bounds_key(tmp_path, capsys, extra, message):
+    path = build_cert(tmp_path, capsys)
+    text = path.read_text()
+    end = text.index("\n", text.index("paper_floor_int = ")) + 1
+    path.write_text(text[:end] + extra + "\n" + text[end:])
+    rc, _, err = run(capsys, "verify", str(path))
+    assert rc == 2
+    assert message in err
+
+
 def test_verify_missing_file_exits_2(tmp_path, capsys):
     rc, _, err = run(capsys, "verify", str(tmp_path / "nope.txt"))
     assert rc == 2
@@ -715,9 +732,9 @@ def _drop_a_root(mp):
 def test_factor_rejects_a_corrupted_factor(capsys, monkeypatch, corrupt):
     build = cli.minimal_polynomial
 
-    def corrupted(orbits, *args):
-        mps = build(orbits, *args)
-        return [corrupt(mp) if tuple(orbit) == (0,) else mp for orbit, mp in zip(orbits, mps)]
+    def corrupted(ctx, residues):
+        mps = build(ctx, residues)
+        return {orbit: corrupt(mp) if orbit == (0,) else mp for orbit, mp in mps.items()}
 
     monkeypatch.setattr(cli, "minimal_polynomial", corrupted)
     rc, out, err = run(capsys, "factor", "--q", "4", "--n", "63")
@@ -730,9 +747,10 @@ def test_factor_expands_every_coset_in_one_call(capsys, monkeypatch):
     calls = []
     build = cli.minimal_polynomial
 
-    def counted(orbits, *args):
-        calls.append(len(orbits))
-        return build(orbits, *args)
+    def counted(ctx, residues):
+        mps = build(ctx, residues)
+        calls.append(len(mps))
+        return mps
 
     monkeypatch.setattr(cli, "minimal_polynomial", counted)
     rc, out, _ = run(capsys, "factor", "--q", "2", "--n", "4095")

@@ -261,17 +261,19 @@ def test_self_orthogonality_via_matrix():
 
 def test_each_generator_expands_its_cosets_in_one_call(monkeypatch):
     calls = {"generator": 0, "minimal_polynomial": 0}
+    generator, build = cyclic._generator, cyclic.minimal_polynomial
 
-    def counted(name, function):
-        def wrapper(*args):
-            calls[name] += 1
-            return function(*args)
+    def counted_generator(field, n, T):
+        calls["generator"] += 1
+        return generator(field, n, T)
 
-        return wrapper
+    def counted_build(ctx, residues):
+        calls["minimal_polynomial"] += 1
+        mps = build(ctx, residues)
+        assert set().union(*mps) == set(residues)  # T's cosets, and nothing more
+        return mps
 
-    monkeypatch.setattr(cyclic, "_generator", counted("generator", cyclic._generator))
-    monkeypatch.setattr(
-        cyclic, "minimal_polynomial", counted("minimal_polynomial", cyclic.minimal_polynomial)
-    )
+    monkeypatch.setattr(cyclic, "_generator", counted_generator)
+    monkeypatch.setattr(cyclic, "minimal_polynomial", counted_build)
     build_family("hermitian", 1, 3, 1)  # the inner code, and the dual check's -qT
     assert calls["minimal_polynomial"] == calls["generator"] > 0

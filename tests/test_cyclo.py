@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -9,17 +10,14 @@ from hypothesis import strategies as st
 from cycledual import (
     DefiningSet,
     Poly,
-    all_cosets,
     bch_bound,
     bch_defining_set,
     complement,
     coset,
-    extension_with_embedding,
     field_create,
     gcd_lemma,
     is_dual_containing_set,
     minimal_polynomial,
-    nth_root_of_unity,
     product,
     root_context,
     set_map,
@@ -43,8 +41,8 @@ def test_coset_examples():
 
 
 def test_all_cosets_examples():
-    assert all_cosets(7, 2) == {0: (0,), 1: (1, 2, 4), 3: (3, 5, 6)}
-    c21 = all_cosets(21, 4)
+    assert reference.all_cosets(7, 2) == {0: (0,), 1: (1, 2, 4), 3: (3, 5, 6)}
+    c21 = reference.all_cosets(21, 4)
     assert c21 == {
         0: (0,),
         1: (1, 4, 16),
@@ -57,13 +55,13 @@ def test_all_cosets_examples():
         14: (14,),
     }
     assert sum(len(v) for v in c21.values()) == 21
-    assert all_cosets(1, 2) == {0: (0,)}
+    assert reference.all_cosets(1, 2) == {0: (0,)}
 
 
 @pytest.mark.parametrize("q", [2, 4, 8])
 def test_all_cosets_partition_invariant(q):
     for n in range(1, 128, 2):
-        cosets = all_cosets(n, q)
+        cosets = reference.all_cosets(n, q)
         seen: set[int] = set()
         for rep, orb in cosets.items():
             assert rep == min(orb)
@@ -117,7 +115,7 @@ def test_bch_bound_monotone_random():
     for _ in range(200):
         n = rng.choice([7, 9, 15, 21, 31])
         q = rng.choice([2, 4])
-        reps = sorted(all_cosets(n, q))
+        reps = sorted(reference.all_cosets(n, q))
         chosen = [r for r in reps if rng.random() < 0.5]
         extra = [r for r in reps if rng.random() < 0.5]
         small = set().union(*(coset(n, q, r) for r in chosen)) if chosen else set()
@@ -158,79 +156,27 @@ def test_gcd_lemma_agrees_with_integer_gcd():
 
 
 def test_minimal_polynomial_mod7():
-    ext, emb = extension_with_embedding(GF2, 3)
-    beta = nth_root_of_unity(ext, 7)
-    powers = [ext.pow(beta, j) for j in range(7)]
-    assert minimal_polynomial([(1, 2, 4), (0,), (3, 5, 6)], beta, emb, powers) == [
-        Poly(GF2, (1, 1, 0, 1)),
-        Poly(GF2, (1, 1)),
-        Poly(GF2, (1, 0, 1, 1)),
-    ]
-    assert minimal_polynomial([], beta, emb, powers) == []
-    with pytest.raises(ValueError, match="not a single"):
-        minimal_polynomial([(1, 2)], beta, emb, powers)
-    with pytest.raises(ValueError, match="empty coset"):
-        minimal_polynomial([(0,), ()], beta, emb, powers)
-    for bad in [(7,), (1, 2, 4, -1), (2**70,)]:
-        with pytest.raises(ValueError, match="coset residues must lie in 0..n-1"):
-            minimal_polynomial([(0,), bad], beta, emb, powers)
-    assert reference.minimal_polynomial((3, 5, 6), beta, emb) == Poly(GF2, (1, 0, 1, 1))
-
-
-def test_minimal_polynomial_rejects_a_union_of_two_cosets():
     ctx = root_context(GF2, 7)
-    for members in [(1, 2, 4, 3, 5, 6), (0, 1, 2, 4), (0, 3, 5, 6)]:
-        with pytest.raises(ValueError, match="not a single cyclotomic coset"):
-            minimal_polynomial([members], ctx.beta, ctx.emb, ctx.powers)
-
-
-def test_minimal_polynomial_rejects_a_set_not_closed_under_q():
-    ctx = root_context(GF4, 21)  # cosets mod 21 under 4: {1, 4, 16}, {3, 12, 6}, ...
-    for members in [(1, 4), (1, 4, 5), (3, 12, 9), (1, 2, 4), (1, 4, 4), (1, 16, 1)]:
-        with pytest.raises(ValueError, match="not a single cyclotomic coset"):
-            minimal_polynomial([members], ctx.beta, ctx.emb, ctx.powers)
-
-
-@settings(max_examples=200, deadline=None)
-@given(members=st.sets(st.integers(0, 20), min_size=1, max_size=8))
-def test_minimal_polynomial_accepts_exactly_the_cosets(members):
-    ctx = root_context(GF4, 21)
-    if members == set(coset(21, 4, min(members))):
-        [mp] = minimal_polynomial([members], ctx.beta, ctx.emb, ctx.powers)
-        assert mp.degree == len(members)
-    else:
-        with pytest.raises(ValueError, match="not a single cyclotomic coset"):
-            minimal_polynomial([members], ctx.beta, ctx.emb, ctx.powers)
-
-
-def test_minimal_polynomial_takes_beta_as_an_int():
-    # beta is an int of the extension; a value outside it is rejected
-    ext, emb = extension_with_embedding(GF4, 3)
-    beta = nth_root_of_unity(ext, 21)
-    powers = [ext.pow(beta, j) for j in range(21)]
-    orbits = list(all_cosets(21, 4).values())
-    expected = [reference.minimal_polynomial(orb, beta, emb) for orb in orbits]
-    assert minimal_polynomial(orbits, beta, emb, powers) == expected
-    for bad in (ext.order, -1):
-        with pytest.raises(ValueError, match="out of range"):
-            minimal_polynomial([(0,)], bad, emb, powers)
+    mps = minimal_polynomial(ctx, [6, 1, 0, 4, 1])
+    assert list(mps.items()) == [
+        ((0,), Poly(GF2, (1, 1))),
+        ((1, 2, 4), Poly(GF2, (1, 1, 0, 1))),
+        ((3, 5, 6), Poly(GF2, (1, 0, 1, 1))),
+    ]
+    assert minimal_polynomial(ctx, []) == {}
+    for bad in [7, -1, 2**70]:
+        with pytest.raises(ValueError, match="residues must lie in 0..n-1"):
+            minimal_polynomial(ctx, [0, bad])
+    assert reference.minimal_polynomial((3, 5, 6), ctx.beta, ctx.emb) == Poly(GF2, (1, 0, 1, 1))
 
 
 @pytest.mark.parametrize("field", [GF2, GF4])
 @pytest.mark.parametrize("n", [7, 9, 15, 21, 63])
 def test_minimal_polynomial_product(field, n):
-    m = 1
-    pw = field.order % n
-    while pw != 1:
-        pw = pw * field.order % n
-        m += 1
-    ext, emb = extension_with_embedding(field, m)
-    beta = nth_root_of_unity(ext, n)
-    powers = [ext.pow(beta, j) for j in range(n)]
-    orbits = [orb for _, orb in sorted(all_cosets(n, field.order).items())]
-    mps = minimal_polynomial(orbits, beta, emb, powers)
-    assert [(mp.is_monic, mp.degree) for mp in mps] == [(True, len(orb)) for orb in orbits]
-    assert product(field, mps) == x_pow_n_minus_1(field, n)
+    mps = minimal_polynomial(root_context(field, n), range(n))
+    assert list(mps) == list(reference.all_cosets(n, field.order).values())
+    assert [(mp.is_monic, mp.degree) for mp in mps.values()] == [(True, len(c)) for c in mps]
+    assert product(field, mps.values()) == x_pow_n_minus_1(field, n)
 
 
 # (q, n, degree of the extension GF(2^e) hosting the n-th roots of unity);
@@ -243,10 +189,12 @@ def test_minimal_polynomial_from_the_powers_table_matches_the_frobenius_roots(q,
     field = field_create(q.bit_length() - 1)
     ctx = root_context(field, n)
     assert ctx.ext.s == e
-    orbits = [orb for _, orb in sorted(all_cosets(n, q).items())]
-    mps = minimal_polynomial(orbits, ctx.beta, ctx.emb, ctx.powers)
-    assert mps == [reference.minimal_polynomial(orb, ctx.beta, ctx.emb) for orb in orbits]
-    assert product(field, mps) == x_pow_n_minus_1(field, n)
+    mps = minimal_polynomial(ctx, range(n))
+    assert mps == {
+        orb: reference.minimal_polynomial(orb, ctx.beta, ctx.emb)
+        for orb in reference.all_cosets(n, q).values()
+    }
+    assert product(field, mps.values()) == x_pow_n_minus_1(field, n)
 
 
 def _feasible_context(q, n):
@@ -261,80 +209,69 @@ def _feasible_context(q, n):
 @given(
     q=st.sampled_from([2, 4, 16, 256]),
     n=st.integers(0, 60).map(lambda i: 2 * i + 1),
-    picks=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=12),
+    picks=st.lists(st.integers(0, 2**32 - 1), max_size=12),
 )
-@example(q=2, n=47, picks=[0, 1, 1, 0, 2])  # GF(2^23), past the tables
+@example(q=2, n=47, picks=[0, 1, 1, 0, 2, 46])  # GF(2^23), past the tables
 @example(q=256, n=7, picks=[5, 2, 2])  # GF(2^24) over GF(256)
+@example(q=2, n=1, picks=[0, 0])  # m = 1: each coset is one residue
+@example(q=4, n=3, picks=[2, 1, 2])
+@example(q=256, n=85, picks=[84, 3, 17, 3])
 def test_minimal_polynomial_of_a_batch_matches_the_reference_coset_by_coset(q, n, picks):
-    # cosets picked with repeats, in any order, each listed in a shuffled order
+    # residues with repeats, in any order: one entry per coset they meet,
+    # in order of smallest member
     ctx = _feasible_context(q, n)
     assume(ctx is not None)
-    orbits = list(all_cosets(n, q).values())
-    batch = [orbits[p % len(orbits)] for p in picks]
-    shuffled = [random.Random(p).sample(orb, len(orb)) for p, orb in zip(picks, batch)]
-    expected = [reference.minimal_polynomial(orb, ctx.beta, ctx.emb) for orb in batch]
-    assert minimal_polynomial(shuffled, ctx.beta, ctx.emb, ctx.powers) == expected
-
-
-def _damaged(orbits, n, choice):
-    """A residue set that is not one coset, and the error it must raise: a
-    union of two cosets, a coset less one member, a coset plus an outside
-    residue, or a coset with a residue out of 0..n-1."""
-    first = orbits[choice % len(orbits)]
-    other = orbits[(choice + 1) % len(orbits)]
-    kind = choice % 4
-    if kind == 0 and other != first:
-        return first + other, "not a single cyclotomic coset"
-    if kind == 1 and len(first) > 1:
-        return first[1:], "not a single cyclotomic coset"
-    if kind == 2 and other != first:
-        return first + other[:1], "not a single cyclotomic coset"
-    return first + ((n, -1)[choice // 4 % 2],), "coset residues must lie in 0..n-1"
+    residues = [p % n for p in picks]
+    mps = minimal_polynomial(ctx, residues)
+    assert list(mps) == sorted({coset(n, q, r) for r in residues})
+    assert mps == {c: reference.minimal_polynomial(c, ctx.beta, ctx.emb) for c in mps}
+    everything = minimal_polynomial(ctx, range(n))
+    assert list(everything) == list(reference.all_cosets(n, q).values())
+    assert product(ctx.emb.base, everything.values()) == x_pow_n_minus_1(ctx.emb.base, n)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     q=st.sampled_from([2, 4, 16, 256]),
-    n=st.integers(1, 60).map(lambda i: 2 * i + 1),
-    picks=st.lists(st.integers(0, 2**32 - 1), min_size=0, max_size=6),
-    choice=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 60).map(lambda i: 2 * i + 1),
+    picks=st.lists(st.integers(0, 2**32 - 1), max_size=6),
+    bad=st.sampled_from(["n", "-1", "2^70"]),
     at=st.integers(0, 6),
 )
-def test_minimal_polynomial_rejects_a_batch_holding_one_bad_set(q, n, picks, choice, at):
+def test_minimal_polynomial_rejects_a_batch_holding_one_bad_set(q, n, picks, bad, at):
+    # one residue out of 0..n-1 anywhere among valid ones
     ctx = _feasible_context(q, n)
     assume(ctx is not None)
-    orbits = list(all_cosets(n, q).values())
-    batch = [orbits[p % len(orbits)] for p in picks]
-    bad, message = _damaged(orbits, n, choice)
-    batch.insert(at % (len(batch) + 1), bad)
-    with pytest.raises(ValueError, match=message):
-        minimal_polynomial(batch, ctx.beta, ctx.emb, ctx.powers)
+    residues = [p % n for p in picks]
+    residues.insert(at % (len(residues) + 1), {"n": n, "-1": -1, "2^70": 2**70}[bad])
+    with pytest.raises(ValueError, match="residues must lie in 0..n-1"):
+        minimal_polynomial(ctx, residues)
+
+
+def _tampered(ctx, powers):
+    """A context like ctx whose table of beta's powers is the given one."""
+    return SimpleNamespace(n=ctx.n, m=ctx.m, emb=ctx.emb, powers=tuple(powers))
 
 
 def test_minimal_polynomial_rejects_table_roots_that_are_not_a_coset():
     ctx = root_context(GF2, 7)
-    assert minimal_polynomial([(1, 2, 4)], ctx.beta, ctx.emb, ctx.powers) == [
-        Poly(GF2, (1, 1, 0, 1))
-    ]
+    assert minimal_polynomial(_tampered(ctx, ctx.powers), [1]) == {
+        (1, 2, 4): Poly(GF2, (1, 1, 0, 1))
+    }
     # a GF(2) cubic with root beta is beta's minimal polynomial, whose roots
     # are exactly beta, beta^2 and beta^4: any other value for beta^2 fails
     for j in (0, 3, 5, 6):
         powers = list(ctx.powers)
         powers[2] = ctx.powers[j]
-        with pytest.raises(ValueError, match="coset/base mismatch"):
-            minimal_polynomial([(0,), (1, 2, 4)], ctx.beta, ctx.emb, powers)
-
-
-def test_minimal_polynomial_rejects_a_table_of_another_root():
-    ctx = root_context(GF2, 7)
-    for powers in [ctx.powers[:6], ctx.powers + (1,), ctx.powers[3:] + ctx.powers[:3]]:
-        with pytest.raises(ValueError, match="powers must be the table"):
-            minimal_polynomial([(1, 2, 4)], ctx.beta, ctx.emb, powers)
+        with pytest.raises(RuntimeError, match="internal: "):
+            minimal_polynomial(_tampered(ctx, powers), [0, 1])
 
 
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_minimal_polynomial_catches_a_tampered_powers_table(data):
+    # a wrong power ends in the internal error or fails factor's product
+    # check, and never yields a wrong factor that passes
     q, n, _ = data.draw(st.sampled_from(TABLE_CASES[1:4]), label="case")
     field = field_create(q.bit_length() - 1)
     ctx = root_context(field, n)
@@ -344,14 +281,11 @@ def test_minimal_polynomial_catches_a_tampered_powers_table(data):
         st.integers(0, ctx.ext.order - 1).filter(lambda v: v != powers[j]), label="beta^j"
     )
     try:
-        mps = minimal_polynomial(list(all_cosets(n, q).values()), ctx.beta, ctx.emb, powers)
-    except ValueError as exc:
-        assert str(exc) in {
-            "coset/base mismatch",
-            "powers must be the table of beta^j for 0 <= j < n",
-        }
+        mps = minimal_polynomial(_tampered(ctx, powers), range(n))
+    except RuntimeError as exc:
+        assert str(exc).startswith("internal: ")
     else:
-        assert product(field, mps) != x_pow_n_minus_1(field, n)
+        assert product(field, mps.values()) != x_pow_n_minus_1(field, n)
 
 
 def test_root_context_builds_the_powers_table_on_first_use(monkeypatch):

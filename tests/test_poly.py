@@ -23,7 +23,7 @@ from cycledual import (
     x_pow_n_minus_1,
 )
 from cycledual import gf, poly
-from cycledual.cyclo import all_cosets, minimal_polynomial
+from cycledual.cyclo import minimal_polynomial
 from cycledual.cyclic import root_context
 from cycledual.poly import _monic_reversal
 
@@ -265,12 +265,10 @@ def _long_poly(draw, field, t):
 
 def test_product_of_the_1375_minimal_polynomials_mod_4095_over_gf16():
     field = field_create(4)
-    ctx = root_context(field, 4095)
-    orbits = [orb for _, orb in sorted(all_cosets(4095, 16).items())]
-    mps = minimal_polynomial(orbits, ctx.beta, ctx.emb, ctx.powers)
+    mps = minimal_polynomial(root_context(field, 4095), range(4095))
     assert len(mps) == 1375
     with mock.patch.object(poly, "_fft_product", wraps=poly._fft_product) as fft:
-        assert product(field, mps) == x_pow_n_minus_1(field, 4095)
+        assert product(field, mps.values()) == x_pow_n_minus_1(field, 4095)
     assert fft.called
 
 
