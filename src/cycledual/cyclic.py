@@ -59,14 +59,16 @@ class RootContext:
     beta_exponent: int
 
     @cached_property
-    def powers(self) -> tuple[int, ...]:
-        """beta^j for 0 <= j < n, walked by doubling on first use; a context
-        that never reads it stays as cheap as its field."""
+    def powers(self) -> np.ndarray:
+        """beta^j for 0 <= j < n as a read-only uint64 array, walked by
+        doubling on first use; a context that never reads it stays as cheap
+        as its field.  Read-only because the context is cached and shared."""
         powers = power_table(self.ext, self.beta, self.n)
         # the walk returns to 1 exactly at step n, so beta has order n
         if (powers[1:] == 1).any() or self.ext.mul(int(powers[-1]), self.beta) != 1:
             raise RuntimeError(f"internal: beta does not have multiplicative order {self.n}")
-        return tuple(powers.tolist())
+        powers.flags.writeable = False
+        return powers
 
 
 def _extension_degree(field: Field, n: int) -> int:
@@ -173,7 +175,7 @@ class CyclicCode:
         # g(beta^(q i)) = g(beta^i)^q, so one representative decides the orbit
         members: set[int] = set()
         for orbit in minimal_polynomial(ctx, range(n)):
-            if g.eval(ctx.powers[orbit[0]], ctx.emb) == 0:
+            if g.eval(int(ctx.powers[orbit[0]]), ctx.emb) == 0:
                 members.update(orbit)
         code = cls.from_defining_set(field, n, DefiningSet(n, field.order, frozenset(members)))
         # x^n - 1 is squarefree, so g divides it iff g is the product of x - beta^i over its roots

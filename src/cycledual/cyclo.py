@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -234,11 +233,11 @@ def minimal_polynomial(ctx: RootContext, residues: Iterable[int]) -> dict[tuple[
     walk = steps * np.flatnonzero(seen).astype(np.uint64) % n
     sizes = (walk[1:] == walk[0]).argmax(axis=0) + 1
     width = int(sizes.max())
-    # residue n reads the root 0, so column i holds x^(width - |C_i|) times
-    # its minimal polynomial
-    padded = np.where(np.arange(width)[:, None] < sizes, walk[:width], n)
-    table = np.fromiter(chain(ctx.powers, (0,)), np.uint64, n + 1)
-    coeffs = _expand(table[padded], ctx.emb.ext).T.ravel().tolist()
+    # padding with the root 0 makes column i x^(width - |C_i|) times its
+    # minimal polynomial
+    roots = ctx.powers[walk[:width]]
+    roots[np.arange(width)[:, None] >= sizes] = 0
+    coeffs = _expand(roots, ctx.emb.ext).T.ravel().tolist()
     try:
         coeffs = list(map(ctx.emb.inverse.__getitem__, coeffs))
     except KeyError:

@@ -262,24 +262,13 @@ def _sampled_weights(field: Field, basis: np.ndarray, trials: int, seed: int):
         yield _weights(words.transpose(1, 0, 2))
 
 
-def exact_min_distance(
-    field: Field,
-    basis,
-    budget: int = DEFAULT_BUDGET,
-    partitions: int = 1,
-) -> DistanceReport:
+def exact_min_distance(field: Field, basis, budget: int = DEFAULT_BUDGET) -> DistanceReport:
     """Exact minimum weight of all q^k - 1 nonzero codewords, which the
     report counts as enumerated.  The walk weighs one message per line of
     the code, those whose leading nonzero digit is 1, since every nonzero
     scalar multiple of a codeword has its weight; the budget still counts
-    q^k - 1.
-
-    ``partitions`` must be positive and changes nothing else: one
-    lexicographic walk serves any count, so the report is the same for each.
-    """
+    q^k - 1."""
     basis = _basis(field, basis)
-    if partitions < 1:
-        raise ValueError("partitions must be positive")
     total = _check_budget(field.order, basis.shape[0], budget)
     best = _least_weight(_table_walk(_packed_multiples(field, basis)))
     if best == 0:

@@ -22,24 +22,26 @@ The size limits live here, together: code alphabets (``field_create``) go up
 to GF(2^16), extension fields hosting roots of unity up to GF(2^32), and the
 log/antilog tables up to GF(2^16), which admits every alphabet.
 
+Scalar ``Field.mul`` shifts and adds, one step per bit of its second
+operand, in every field; so do ``Field.pow`` and ``Field.inv`` by
+square-and-multiply.
+
 This module owns the arithmetic on arrays of elements too, as one
 elementwise product, ``times``, and one walk over the powers of an element,
 ``power_table``, which doubles the number of known powers with each
 ``times`` call.  Up to GF(2^16), ``times`` reads the field's one pair of
-log/antilog tables, built on first use (a product or a vector kernel, never
-the constructor) by the same doubling walk over the powers of the primitive
-element; beyond, it shifts and adds over the bits of its second operand.
-The vectorised arithmetic of :mod:`cycledual.poly` reads the tables as numpy
-arrays (``log_exp``), and scalar ``Field.mul`` as Python lists, one lookup
-per product; :mod:`cycledual.cyclo`, :mod:`cycledual.cyclic` and
-:mod:`cycledual.distance` multiply through ``times``.  Scalar products in
-extension fields beyond GF(2^16) shift and add, one step per bit.
+log/antilog numpy tables (``log_exp``), built on first use (an array
+product, never the constructor or a scalar product) by the same doubling
+walk over the powers of the primitive element; beyond, it shifts and adds
+over the bits of its second operand.  The vectorised arithmetic of
+:mod:`cycledual.poly` reads the tables directly; :mod:`cycledual.cyclo`,
+:mod:`cycledual.cyclic` and :mod:`cycledual.distance` multiply through
+``times``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import repeat
 
 import numpy as np
 
@@ -155,7 +157,7 @@ def _prime_factors(n: int) -> tuple[int, ...]:
 class Field:
     """The finite field GF(2^s), elements represented as s-bit integers."""
 
-    __slots__ = ("s", "modulus", "order", "_factors", "_primitive", "_log", "_exp")
+    __slots__ = ("s", "modulus", "order", "_factors", "_primitive")
 
     def __init__(self, s: int, modulus: int | None = None):
         if not 1 <= s <= EXTENSION_MAX_S:
@@ -174,29 +176,16 @@ class Field:
         self.order = 1 << s
         self._factors: tuple[int, ...] | None = None
         self._primitive: int | None = None
-        # Python-list copies of log_exp's tables, made by the first product
-        self._log: list[int] | None = None
-        self._exp: list[int] | None = None
 
     # -- raw integer arithmetic -------------------------------------------
 
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
-
     def mul(self, a: int, b: int) -> int:
-        log = self._log
-        if log is not None:
-            return self._exp[log[a] + log[b]]
-        if self.s > TABLE_MAX_S:
-            return self._mul_loop(a, b)
-        log = self._scalar_tables()
-        return self._exp[log[a] + log[b]]
+        return self._mul_loop(a, b)
 
     def _mul_loop(self, a: int, b: int) -> int:
-        """Shift-and-add product, one step per bit of b: ``mul`` beyond
-        GF(2^TABLE_MAX_S), and ``pow`` before the tables exist.  It does not
-        go through ``mul``, so a count of ``mul`` calls sees only the
-        products that callers asked for."""
+        """Shift-and-add product, one step per bit of b.  ``pow`` and the
+        power walks call it directly, not through ``mul``, so a count of
+        ``mul`` calls sees only the products that callers asked for."""
         r = 0
         while b:
             if b & 1:
@@ -207,27 +196,11 @@ class Field:
                 a ^= self.modulus
         return r
 
-    def _scalar_tables(self) -> list[int]:
-        """Make the field's tables for scalar ``mul`` from :func:`log_exp`'s
-        arrays, with their layout, as lists: plain ints index faster there.
-        The two periods of ``exp`` share their int objects."""
-        log, exp = log_exp(self)
-        q1 = self.order - 1
-        self._exp = exp[:q1].tolist() * 2
-        self._exp.extend(repeat(0, 2 * q1 + 1))
-        self._log = log.tolist()
-        return self._log
-
     def pow(self, a: int, e: int) -> int:
+        """a^e by square-and-multiply; a negative e inverts a first."""
         if e < 0:
             a = self.inv(a)
             e = -e
-        # one lookup once a product has built the tables; before that (so
-        # that multiplicative_order and primitive_element build none) and
-        # beyond them, square-and-multiply
-        log = self._log
-        if log is not None and a:
-            return self._exp[log[a] * e % (self.order - 1)]
         r = 1
         while e:
             if e & 1:
@@ -241,28 +214,13 @@ class Field:
             raise ValueError("division by zero")
         return self.pow(a, self.order - 2)
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     # -- structure ---------------------------------------------------------
-
-    def elements(self) -> range:
-        return range(self.order)
 
     def group_factors(self) -> tuple[int, ...]:
         """Prime factors of the multiplicative group order 2^s - 1."""
         if self._factors is None:
             self._factors = _prime_factors(self.order - 1)
         return self._factors
-
-    def multiplicative_order(self, a: int) -> int:
-        if a == 0:
-            raise ValueError("zero has no multiplicative order")
-        t = self.order - 1
-        for p in self.group_factors():
-            while t % p == 0 and self.pow(a, t // p) == 1:
-                t //= p
-        return t
 
     def primitive_element(self) -> int:
         """Smallest element (by integer value) of order 2^s - 1."""

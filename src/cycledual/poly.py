@@ -83,13 +83,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def coefficient(self, i: int) -> int:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
     def _check(self, other: "Poly") -> None:
         if not isinstance(other, Poly) or other.field != self.field:
             raise ValueError("field mismatch")

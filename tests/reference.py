@@ -5,20 +5,23 @@ each tested by trial division, is the reference for the fixed table of
 default moduli in cycledual.gf past the customary degrees.
 
 A carry-less multiply followed by reduction modulo the field's polynomial is
-the reference for ``Field.mul``, both its table lookups and its shift-and-add
-loop, and for the elementwise ``cycledual.gf.times``; the walk over the
-powers of the primitive element, one such product per step, is the reference
-for the doubling walk (``cycledual.gf.power_table``) that builds
+the reference for ``Field.mul``'s shift-and-add loop and ``Field.pow``, and
+for the elementwise ``cycledual.gf.times``; the walk over the powers of the
+primitive element, one such product per step, is the reference for the
+doubling walk (``cycledual.gf.power_table``) that builds
 ``cycledual.gf.log_exp``'s tables.  The tests also compare ``power_table``,
 and the table of beta's powers it walks for ``root_context``, with
 ``Field.pow``.
 
-Repeated squaring with that multiply is the reference Frobenius map a^(2^k).
+Repeated squaring with that multiply is the reference Frobenius map a^(2^k),
+and a walk over an element's powers, one such product per step, the
+reference multiplicative order.
 
-Schoolbook polynomial multiply and long division, one ``Field.mul`` per
-coefficient pair, are the reference for the numpy kernel of cycledual.poly;
-the monic reversal and the coefficient-wise q-th power, one ``Field.mul`` or
-Frobenius map per coefficient, for its table lookups.  A message times the
+Schoolbook polynomial multiply and long division, one lookup in those walked
+log/antilog tables per coefficient pair, are the reference for the numpy
+kernel of cycledual.poly; the monic reversal and the coefficient-wise q-th
+power, one ``Field.mul`` or Frobenius map per coefficient, for its table
+lookups.  A message times the
 generator modulo x^n - 1 (``encode``) and the remainder by the generator
 (``contains``) are the brute-force span and membership of a cyclic code.
 
@@ -26,9 +29,9 @@ The partition of Z_n into q-cyclotomic cosets, one ``cycledual.cyclo.coset``
 orbit per residue not yet met (``all_cosets``), is the reference for the
 cosets that ``cycledual.cyclo.minimal_polynomial`` finds by one walk over
 all its residues at once.  A coset's roots walked by Frobenius steps from
-one power of beta, multiplied out with the schoolbook product, are the
-reference for its minimal polynomials, whose roots it reads from the table
-of beta's powers.
+one power of beta, multiplied out one linear factor at a time with the
+carry-less multiply, are the reference for its minimal polynomials, whose
+roots it reads from the table of beta's powers.
 
 The weight of every message's codeword, enumerated with itertools, is the
 reference for the exhaustive table walk of cycledual.distance; the seeded
@@ -76,6 +79,7 @@ from cycledual.linalg import shifted_rows
 FULL_COMPARE_LIMIT = 1 << 20
 
 _frob_tables: dict[tuple[Field, int], np.ndarray] = {}
+_lists: dict[Field, tuple[list[int], list[int]]] = {}
 
 
 # -- integers --------------------------------------------------------------------
@@ -136,6 +140,18 @@ def gf_mul(field: Field, a: int, b: int) -> int:
     return _gf2_mod(product, field.modulus)
 
 
+def multiplicative_order(field: Field, a: int) -> int:
+    """The least t >= 1 with a^t = 1, walking a's powers one product at a
+    time."""
+    if a == 0:
+        raise ValueError("zero has no multiplicative order")
+    t, v = 1, a
+    while v != 1:
+        v = gf_mul(field, v, a)
+        t += 1
+    return t
+
+
 def frobenius(field: Field, a: int, k: int) -> int:
     """a^(2^k) by k mod s squarings; the identity whenever s divides k."""
     for _ in range(k % field.s):
@@ -164,6 +180,17 @@ def log_exp_tables(field: Field) -> tuple[np.ndarray, np.ndarray]:
 # -- polynomials over GF(2^s) ----------------------------------------------------
 
 
+def _log_exp_lists(field: Field) -> tuple[list[int], list[int]]:
+    """``log_exp_tables`` as Python lists, built once per field: the
+    schoolbook loops below make one lookup per coefficient pair, which is
+    several times faster than a shift-and-add ``Field.mul``."""
+    tabs = _lists.get(field)
+    if tabs is None:
+        log, exp = log_exp_tables(field)
+        tabs = _lists[field] = (log.tolist(), exp.tolist())
+    return tabs
+
+
 def poly_mul(a: Poly, b: Poly) -> Poly:
     """Schoolbook product."""
     if a.field != b.field:
@@ -171,10 +198,11 @@ def poly_mul(a: Poly, b: Poly) -> Poly:
     f = a.field
     if a.is_zero or b.is_zero:
         return Poly(f)
+    log, exp = _log_exp_lists(f)
     out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
     for i, x in enumerate(a.coeffs):
         for j, y in enumerate(b.coeffs):
-            out[i + j] ^= f.mul(x, y)
+            out[i + j] ^= exp[log[x] + log[y]]
     return Poly(f, out)
 
 
@@ -189,13 +217,14 @@ def poly_divrem(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     r = list(a.coeffs)
     if len(r) <= db:
         return Poly(f), Poly(f, r)
+    log, exp = _log_exp_lists(f)
     q = [0] * (len(r) - db)
-    lead_inv = f.inv(b.coeffs[-1])
+    log_lead_inv = log[f.inv(b.coeffs[-1])]
     for i in range(len(r) - 1 - db, -1, -1):
-        t = f.mul(r[i + db], lead_inv)
+        t = exp[log[r[i + db]] + log_lead_inv]
         q[i] = t
         for j, y in enumerate(b.coeffs):
-            r[i + j] ^= f.mul(t, y)
+            r[i + j] ^= exp[log[t] + log[y]]
     return Poly(f, q), Poly(f, r)
 
 
@@ -215,15 +244,15 @@ def conjugate_poly(p: Poly, q: int) -> Poly:
 def minimal_polynomial(coset_residues, beta: int, emb: Embedding) -> Poly:
     """prod (x - beta^j) over one q-cyclotomic coset, q = |base|, with the
     roots beta^(j q) = (beta^j)^q walked from the smallest member; the
-    schoolbook product runs in the extension, and each coefficient must lie
-    in the embedded base field."""
+    linear factors are multiplied out in the extension, and each coefficient
+    must lie in the embedded base field."""
     ext = emb.ext
     root = ext.pow(beta, min(coset_residues))
-    prod = Poly(ext, (1,))
-    for _ in coset_residues:
-        prod = poly_mul(prod, Poly(ext, (root, 1)))
+    coeffs = [1]
+    for _ in coset_residues:  # times x - root: c_(k-1) + root c_k
+        coeffs = [a ^ gf_mul(ext, b, root) for a, b in zip([0] + coeffs, coeffs + [0])]
         root = frobenius(ext, root, emb.base.s)
-    return Poly(emb.base, [emb.inverse[c] for c in prod.coeffs])
+    return Poly(emb.base, [emb.inverse[c] for c in coeffs])
 
 
 # -- cyclic codes, by their polynomials ------------------------------------------
@@ -275,9 +304,10 @@ def message_weights(field: Field, basis) -> list[int]:
     lexicographic order with the first row's coefficient most significant, so
     entry 0 is the zero message."""
     rows = np.asarray(basis, dtype=dtype_for(field)).tolist()
-    mul = [[field.mul(a, b) for b in field.elements()] for a in field.elements()]
+    elements = range(field.order)
+    mul = [[field.mul(a, b) for b in elements] for a in elements]
     weights = []
-    for msg in itertools.product(field.elements(), repeat=len(rows)):
+    for msg in itertools.product(elements, repeat=len(rows)):
         word = [0] * len(rows[0])
         for c, row in zip(msg, rows):
             for j, x in enumerate(row):

@@ -3,6 +3,7 @@ import math
 import random
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -175,7 +176,7 @@ def test_minimal_polynomial_mod7():
 def test_minimal_polynomial_product(field, n):
     mps = minimal_polynomial(root_context(field, n), range(n))
     assert list(mps) == list(reference.all_cosets(n, field.order).values())
-    assert [(mp.is_monic, mp.degree) for mp in mps.values()] == [(True, len(c)) for c in mps]
+    assert [(mp.coeffs[-1], mp.degree) for mp in mps.values()] == [(1, len(c)) for c in mps]
     assert product(field, mps.values()) == x_pow_n_minus_1(field, n)
 
 
@@ -250,7 +251,7 @@ def test_minimal_polynomial_rejects_a_batch_holding_one_bad_set(q, n, picks, bad
 
 def _tampered(ctx, powers):
     """A context like ctx whose table of beta's powers is the given one."""
-    return SimpleNamespace(n=ctx.n, m=ctx.m, emb=ctx.emb, powers=tuple(powers))
+    return SimpleNamespace(n=ctx.n, m=ctx.m, emb=ctx.emb, powers=np.array(powers, np.uint64))
 
 
 def test_minimal_polynomial_rejects_table_roots_that_are_not_a_coset():
@@ -261,8 +262,8 @@ def test_minimal_polynomial_rejects_table_roots_that_are_not_a_coset():
     # a GF(2) cubic with root beta is beta's minimal polynomial, whose roots
     # are exactly beta, beta^2 and beta^4: any other value for beta^2 fails
     for j in (0, 3, 5, 6):
-        powers = list(ctx.powers)
-        powers[2] = ctx.powers[j]
+        powers = ctx.powers.tolist()
+        powers[2] = powers[j]
         with pytest.raises(RuntimeError, match="internal: "):
             minimal_polynomial(_tampered(ctx, powers), [0, 1])
 
@@ -275,7 +276,7 @@ def test_minimal_polynomial_catches_a_tampered_powers_table(data):
     q, n, _ = data.draw(st.sampled_from(TABLE_CASES[1:4]), label="case")
     field = field_create(q.bit_length() - 1)
     ctx = root_context(field, n)
-    powers = list(ctx.powers)
+    powers = ctx.powers.tolist()
     j = data.draw(st.integers(0, n - 1), label="j")
     powers[j] = data.draw(
         st.integers(0, ctx.ext.order - 1).filter(lambda v: v != powers[j]), label="beta^j"
@@ -313,7 +314,16 @@ def test_root_context_builds_the_powers_table_on_first_use(monkeypatch):
 def test_root_context_powers_match_pow_beyond_the_tables():
     ctx = root_context(GF4, 8191)  # beta lives in GF(2^26)
     assert ctx.ext.s == 26
-    assert ctx.powers == tuple(ctx.ext.pow(ctx.beta, j) for j in range(8191))
+    assert ctx.powers.dtype == np.uint64
+    assert ctx.powers.tolist() == [ctx.ext.pow(ctx.beta, j) for j in range(8191)]
+
+
+def test_root_context_powers_are_read_only():
+    # the context is cached and shared by every caller of root_context
+    ctx = root_context(GF4, 63)
+    with pytest.raises(ValueError, match="read-only"):
+        ctx.powers[1] = 1
+    assert ctx.powers[1] == ctx.beta
 
 
 def test_root_context_powers_make_one_scalar_product(monkeypatch):

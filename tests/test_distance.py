@@ -1,4 +1,3 @@
-import time
 import tracemalloc
 
 import numpy as np
@@ -70,23 +69,6 @@ def test_exact_budget_error():
         exact_min_distance(GF4, basis)  # 4^21 - 1 codewords
 
 
-def test_partition_determinism():
-    basis = uuv_14_7()
-    reports = [exact_min_distance(GF2, basis, partitions=p) for p in (1, 2, 4, 8)]
-    assert all(r == reports[0] for r in reports)
-
-
-def test_partition_count_costs_nothing():
-    # no code loops over partitions: with more partitions than messages,
-    # every message is a block of its own and empty blocks cost nothing
-    basis = uuv_14_7()
-    start = time.perf_counter()
-    r = exact_min_distance(GF2, basis, partitions=10**8)
-    assert time.perf_counter() - start < 1.0
-    assert r == exact_min_distance(GF2, basis, partitions=1)
-    assert (r.value, r.enumerated) == (4, 2**7 - 1)
-
-
 def test_dependent_rows_rejected():
     with pytest.raises(ValueError, match="dependent"):
         exact_min_distance(GF2, [[1, 1, 0], [1, 1, 0]])
@@ -152,9 +134,8 @@ def test_both_methods_against_brute_force(data):
     weights = reference.message_weights(field, basis)
     total = field.order**k - 1
     d = min(weights[1:])
-    for partitions in range(1, 5):
-        r = exact_min_distance(field, basis, partitions=partitions)
-        assert (r.value, r.exact, r.enumerated) == (d, True, total)
+    r = exact_min_distance(field, basis)
+    assert (r.value, r.exact, r.enumerated) == (d, True, total)
 
     trials = data.draw(st.integers(1, 3000), label="trials")
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
