@@ -247,7 +247,11 @@ def test_extension_embedding_is_a_ring_map(s, m):
     assert len(set(table)) == base.order
 
 
-# -- scalar products: shift-and-add in every field ----------------------------
+# -- scalar products: shift-and-add in every field, checked on both sides of the
+# -- degrees where array products use log/antilog tables ----------------------
+
+TABLE_DEGREES = range(1, gf.TABLE_MAX_S + 1)
+LOOP_DEGREES = range(gf.TABLE_MAX_S + 1, gf.EXTENSION_MAX_S + 1)
 
 
 def any_field(s):
@@ -257,13 +261,36 @@ def any_field(s):
     return extension_with_embedding(field_create(1), s)[0]
 
 
+def scalar_element(f):
+    return st.one_of(st.just(0), st.just(1), st.just(f.order - 1), st.integers(0, f.order - 1))
+
+
+@pytest.mark.parametrize("s", range(1, 7))
+def test_table_mul_matches_reference_exhaustively(s):
+    f = field_create(s)
+    for a in range(f.order):
+        assert [f.mul(a, b) for b in range(f.order)] == [
+            reference.gf_mul(f, a, b) for b in range(f.order)
+        ]
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
-def test_mul_matches_reference(data):
-    f = any_field(data.draw(st.integers(1, gf.EXTENSION_MAX_S), label="s"))
-    element = st.one_of(st.just(0), st.just(1), st.just(f.order - 1), st.integers(0, f.order - 1))
+def test_table_mul_matches_reference(data):
+    f = any_field(data.draw(st.sampled_from(TABLE_DEGREES), label="s"))
+    element = scalar_element(f)
     a, b = data.draw(element, label="a"), data.draw(element, label="b")
     assert f.mul(a, b) == reference.gf_mul(f, a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_loop_mul_beyond_the_tables_matches_reference(data):
+    f = any_field(data.draw(st.sampled_from(LOOP_DEGREES), label="s"))
+    element = scalar_element(f)
+    a, b = data.draw(element, label="a"), data.draw(element, label="b")
+    assert f.mul(a, b) == reference.gf_mul(f, a, b)
+    assert f not in gf._tables
 
 
 @settings(max_examples=100, deadline=None)
@@ -287,7 +314,7 @@ def test_pow_matches_reference(data):
         assert reference.gf_mul(f, a, f.inv(a)) == 1
 
 
-@pytest.mark.parametrize("s", range(1, gf.TABLE_MAX_S + 1))
+@pytest.mark.parametrize("s", TABLE_DEGREES)
 def test_log_exp_matches_the_walk_one_product_at_a_time(s):
     log, exp = gf.log_exp(field_create(s))
     ref_log, ref_exp = reference.log_exp_tables(field_create(s))
