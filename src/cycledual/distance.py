@@ -1,24 +1,28 @@
 """Minimum-distance computation for linear codes over GF(2^s).
 
 Codewords are packed: a word of length n over GF(2^s) is s bit planes of
-ceil(n/64) uint64 words, plane b holding bit b of every symbol, with the
-padding bits past n zero.  Adding two words is an xor of their planes, and a
-word's weight is the popcount of the OR of its planes.
+W = max(1, ceil(n/64)) uint64 words, plane b holding bit b of every symbol,
+with the padding bits past n zero.  Adding two words is an xor of their
+planes, and a word's weight is the popcount of the OR of its planes.
 
-One weight loop serves both methods; it reads blocks of codeword weights.
-Exhaustive enumeration feeds it at least one message per line of the code.
-As wt(c x) = wt(x) for every nonzero scalar c, the messages whose leading
-nonzero digit is 1 reach the weight of every nonzero codeword, and there are
-only (q^k - 1)/(q - 1) of them.  A table walk yields them: one table holds
-the sums of every combination of the last L rows, and it is weighed whole
-once with the high digits zero, then once per value of the high digits
-whose leading nonzero digit is 1, each costing one xor of the table with
-the high digits' word.  So d is exact, and the one walk serves every
-partition count: neither d nor the reported count, all q^k - 1 nonzero
-codewords, depends on it.  The sampled method feeds the loop seeded messages
-for a reproducible upper bound; it splits the rows into runs of g,
-tabulates each run's q^g combinations, and sums one table entry per run.
-The exhaustive budget counts q^k - 1 codewords and depends on q and k alone.
+One weight loop serves both methods; it takes blocks of m words word-major,
+as (s, W, m), ORs the planes and sums the W rows of popcounts.  Exhaustive
+enumeration weighs each line of the code at least once: as wt(c x) = wt(x)
+for every nonzero scalar c, the (q^k - 1)/(q - 1) messages whose leading
+nonzero digit is 1 reach the weight of every nonzero codeword.  A table walk
+yields them: a low table, laid out (s, W, q^L), holds the sums of every
+combination of the last L rows, L the most whose table fits the cache-sized
+``_WALK_BYTES``.  It is weighed whole once with the high digits zero, then
+once per value of the high digits whose leading nonzero digit is 1, each
+costing one xor with the high digits' word, read from a table of at most q^L
+combinations of the high rows (past it, the top digits make one word per
+pass over that table).  So d is exact, and neither d nor the reported count,
+all q^k - 1 nonzero codewords, depends on the partition count.  The sampled
+method feeds the loop seeded messages for a reproducible upper bound; it
+tabulates the rows' q^g combinations in runs of g, row-major as (q^g, s, W),
+and sums one gathered entry per run.  A zero message weighs 0, so only a
+block whose least weight is 0 is scanned for zero messages.  The exhaustive
+budget counts q^k - 1 codewords and depends on q and k alone.
 
 The sampled messages are the nonzero ones among consecutive k-digit rows of
 the raw stream of ``PCG64(seed)``: each digit is the top s bits of one u-bit
@@ -44,9 +48,9 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 1 << 26
-_WALK_ENTRIES = 1 << 16  # most combinations in the exhaustive low-digit table
+_WALK_BYTES = 1 << 19  # most bytes of the exhaustive low-digit table, which stays in cache
 _GROUP_ENTRIES = 1 << 8  # most combinations in one sampled row-run table
-_TABLE_BYTES = 1 << 24  # cap on the exhaustive table, and on all sampled tables
+_TABLE_BYTES = 1 << 24  # cap on all sampled tables
 _SAMPLED_BYTES = 1 << 29  # most bytes of one-row sampled tables; larger inputs are refused
 _PACK_SYMBOLS = 1 << 22  # row multiples are packed about this many symbols at a time
 
@@ -85,22 +89,25 @@ def _basis(field: Field, basis) -> np.ndarray:
 
 def _pack(field: Field, words: np.ndarray) -> np.ndarray:
     """The symbol array ``words`` of shape (..., n) as packed words of shape
-    (..., s, ceil(n/64)): bit j of uint64 i of plane b is bit b of symbol
-    64i + j.  The planes start zeroed, so the padding bits past n are zero."""
+    (..., s, W), W = max(1, ceil(n/64)): bit j of uint64 i of plane b is bit b
+    of symbol 64i + j.  The planes start zeroed, so the padding bits are zero."""
     n = words.shape[-1]
-    planes = np.zeros(words.shape[:-1] + (field.s, -(-n // 64) * 8), dtype=np.uint8)
+    planes = np.zeros(words.shape[:-1] + (field.s, max(1, -(-n // 64)) * 8), dtype=np.uint8)
     for b in range(field.s):
         planes[..., b, : -(-n // 8)] = np.packbits(words >> b & 1, axis=-1, bitorder="little")
     return planes.view(np.uint64)
 
 
 def _weights(planes: np.ndarray) -> np.ndarray:
-    """The weight of each of m packed words, given plane by plane: (s, m, W)."""
+    """The weight of each of m packed words, given word-major: (s, W, m).  The
+    popcounts of the (W, m) words are summed by W - 1 adds of m-rows."""
     nonzero = planes[0]
     for plane in planes[1:]:  # a loop over the planes beats bitwise_or.reduce
         nonzero = nonzero | plane
-    counts = np.bitwise_count(nonzero)
-    return counts[:, 0] if counts.shape[1] == 1 else counts.sum(axis=1)
+    counts = np.bitwise_count(nonzero, order="C")  # (W, m), each row contiguous
+    if len(counts) == 1:
+        return counts[0]
+    return np.add.reduce(counts, dtype=np.min_scalar_type(64 * len(counts)))
 
 
 def _packed_multiples(field: Field, rows: np.ndarray) -> np.ndarray:
@@ -162,18 +169,31 @@ def _table_walk(multiples: np.ndarray):
     and a nonzero message of weight 0 has a walked multiple of weight 0.  For
     q = 2 the high values are 1..2^(k-L)-1: every nonzero message, once."""
     k, q, s, words = multiples.shape
-    low = _digits_per_table(q, k, _WALK_ENTRIES, lambda x: q**x * s * words * 8)
-    # plane by plane, so that each xor with the high word runs over whole planes
-    table = _combinations(multiples[None, k - low :])[0].transpose(1, 0, 2).copy()
+    entry = s * words * 8
+    low = _digits_per_table(q, k, _WALK_BYTES // entry, lambda x: q**x * entry)
+    table = np.ascontiguousarray(_combinations(multiples[None, k - low :])[0].transpose(1, 2, 0))
     yield _weights(table)[1:]
     codewords = np.empty_like(table)
-    for t in range(k - low):
-        for high in range(q**t, 2 * q**t):
-            word, rest = np.zeros((s, 1, words), dtype=np.uint64), high
-            for i in range(k - low - 1, -1, -1):
+    for word in _high_words(multiples[: k - low], low):
+        yield _weights(np.bitwise_xor(table, word[:, :, None], out=codewords))
+
+
+def _high_words(multiples: np.ndarray, low: int):
+    """The words of the high values with leading nonzero digit 1, in order,
+    from the high rows' multiples (h, q, s, W): entries of a table of the last
+    min(h, L) rows, xored past q^L with one word per value of the top digits."""
+    high, q = multiples.shape[:2]
+    mid = min(high, low)
+    table = _combinations(multiples[None, high - mid :])[0]
+    for t in range(mid):
+        yield from table[q**t : 2 * q**t]
+    for t in range(high - mid):
+        for top in range(q**t, 2 * q**t):
+            word, rest = np.zeros_like(table[0]), top
+            for i in range(high - mid - 1, -1, -1):
                 rest, digit = divmod(rest, q)
-                word[:, 0] ^= multiples[i, digit]
-            yield _weights(np.bitwise_xor(table, word, out=codewords))
+                word ^= multiples[i, digit]
+            yield from table ^ word
 
 
 def _digits(bits: np.random.PCG64, field: Field, rows: int, k: int) -> np.ndarray:
@@ -221,27 +241,12 @@ def _run_indices(digits: np.ndarray, q: int, g: int) -> np.ndarray:
     return index
 
 
-def _sampled_indices(field: Field, k: int, g: int, trials: int, seed: int):
-    """The run indices of ``trials`` seeded nonzero messages, in blocks.  The
-    messages are the nonzero ones among consecutive k-digit rows of one
-    stream, drawn at most 2^14 rows at a time and never many more than are
-    still needed; a message is zero exactly when all its run indices are."""
-    bits = np.random.PCG64(seed)
-    while trials > 0:
-        rows = min(1 << 14, -(-trials // 8) * 8)
-        index = _run_indices(_digits(bits, field, rows, k), field.order, g)
-        keep = index.any(axis=1)
-        index = index[:trials] if keep.all() else index[np.flatnonzero(keep)[:trials]]
-        if len(index):
-            trials -= len(index)
-            yield index
-
-
 def _sampled_weights(field: Field, basis: np.ndarray, trials: int, seed: int):
-    """The weights of the codewords of ``trials`` seeded messages, one block
-    per draw; each codeword is one table lookup per run of g rows."""
+    """The weights of the codewords of ``trials`` seeded nonzero messages, in
+    draws of at most 2^14 rows, never many more than are still needed; each
+    codeword is one table lookup per run of g rows."""
     (k, n), q = basis.shape, field.order
-    entry = field.s * -(-n // 64) * 8
+    entry = field.s * max(1, -(-n // 64)) * 8
 
     def table_bytes(x: int) -> int:
         return -(-k // x) * q**x * entry
@@ -253,13 +258,23 @@ def _sampled_weights(field: Field, basis: np.ndarray, trials: int, seed: int):
             f"limit {_SAMPLED_BYTES}"
         )
     g = _digits_per_table(q, k, _GROUP_ENTRIES, table_bytes)
-    tables = _run_tables(field, basis, g)
-    for index in _sampled_indices(field, k, g, trials, seed):
-        words = np.take(tables[0], index[:, 0], axis=0)
-        term = np.empty_like(words)
+    tables, bits = _run_tables(field, basis, g), np.random.PCG64(seed)
+    buffers = np.empty((2, min(1 << 14, -(-trials // 8) * 8)) + tables.shape[2:], dtype=np.uint64)
+    while trials > 0:
+        rows = min(1 << 14, -(-trials // 8) * 8)
+        index = _run_indices(_digits(bits, field, rows, k), q, g)
+        words, term = buffers[:, :rows]  # reused, so that no draw faults in fresh pages
+        np.take(tables[0], index[:, 0], axis=0, out=words)
         for j in range(1, len(tables)):
             words ^= np.take(tables[j], index[:, j], axis=0, out=term)
-        yield _weights(words.transpose(1, 0, 2))
+        weights = _weights(words.transpose(1, 2, 0))
+        if weights[:trials].min():
+            weights = weights[:trials]
+        else:  # a zero message is a row of zero run indices
+            weights = weights[np.flatnonzero(index.any(axis=1))[:trials]]
+        if len(weights):
+            trials -= len(weights)
+            yield weights
 
 
 def exact_min_distance(field: Field, basis, budget: int = DEFAULT_BUDGET) -> DistanceReport:

@@ -334,7 +334,8 @@ def _fft_product(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     conv -= rounded
     if np.abs(conv, out=conv).max() >= 0.25:
         raise RuntimeError("FFT product lost precision: a convolution is not near an integer")
-    bits = np.fmod(rounded[..., :width], 2).astype(a.dtype)
+    bits = rounded[..., :width].astype(np.int64).astype(a.dtype)
+    bits &= 1  # the parities, by integer casts
     # y^e is bit e of a field value below s, field.pow(2, e) from s on
     y_pow = [1 << e for e in range(s)] + [field.pow(2, e) for e in range(s, 2 * s - 1)]
     bits *= np.array(y_pow, dtype=a.dtype)[:, None, None]

@@ -150,6 +150,11 @@ def _walk(field, basis) -> list[list[int]]:
     return [block.tolist() for block in distance._table_walk(multiples)]
 
 
+def _table_bytes(field, n: int, entries: int) -> int:
+    """The bytes of a low-digit table of ``entries`` packed words of length n."""
+    return entries * field.s * max(1, -(-n // 64)) * 8
+
+
 def _walked_messages(q: int, k: int, table: int) -> list[int]:
     """The messages the walk weighs, in order, for a table of the last L
     rows' q^L = ``table`` combinations: 1..q^L-1, then for t = 0 .. k-L-1 the
@@ -182,7 +187,7 @@ def test_walk_over_the_high_digits_matches_the_brute_force(data):
         basis[j] = [reference.gf_mul(field, c, x) for x in basis[i]]
     weights = reference.message_weights(field, basis)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(distance, "_WALK_ENTRIES", entries)
+        patch.setattr(distance, "_WALK_BYTES", _table_bytes(field, n, entries))
         blocks = _walk(field, basis)
         walked = _walked_messages(q, k, len(blocks[0]) + 1)
         assert sum(blocks, []) == [weights[m] for m in walked]
@@ -207,13 +212,57 @@ def test_walk_weighs_one_message_per_line_of_the_code():
     assert (n, k, q) == (21, 12, 4) and high > 1
     assert sum(map(len, blocks)) == table - 1 + table * (high - 1) // (q - 1)
     assert sum(map(len, blocks)) < q**k - 1
-    # over GF(2) every nonzero message is the one multiple of its line
+    # over GF(2) every nonzero message is the one multiple of its line; the
+    # low table is as many one-word entries as fit _WALK_BYTES
     basis = np.random.default_rng(1).integers(0, 2, size=(18, 40))
-    assert list(map(len, _walk(GF2, basis))) == [2**16 - 1] + [2**16] * 3
+    table = distance._WALK_BYTES // _table_bytes(GF2, 40, 1)
+    assert list(map(len, _walk(GF2, basis))) == [table - 1] + [table] * (2**18 // table - 1)
     weights = reference.message_weights(GF2, uuv_14_7())
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(distance, "_WALK_ENTRIES", 8)
+        patch.setattr(distance, "_WALK_BYTES", _table_bytes(GF2, 14, 8))
         assert sum(_walk(GF2, uuv_14_7()), []) == weights[1:]
+
+
+def test_high_table_holds_no_more_entries_than_the_low_table():
+    # with the low table patched to q^L entries and k - L > L high digits,
+    # the high rows' table holds q^L entries and each value of the top digits
+    # is one word, so the walk still weighs the messages _walked_messages names
+    basis = np.random.default_rng(5).integers(0, 4, size=(5, 70))
+    weights = reference.message_weights(GF4, basis)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(distance, "_WALK_BYTES", _table_bytes(GF4, 70, 4))
+        blocks = _walk(GF4, basis)
+        assert len(blocks[0]) + 1 == 4  # L = 1, four high digits
+        assert sum(blocks, []) == [weights[m] for m in _walked_messages(4, 5, 4)]
+        assert exact_min_distance(GF4, basis).value == min(weights[1:])
+    # over GF(2) every L walks all nonzero messages in order, so a walk with
+    # L = 3 must give the weights of one with the low table at full size; its
+    # memory follows the 8-entry low table, not the 2^11 high values
+    field, n = GF2, 4000
+    basis = np.random.default_rng(6).integers(0, 2, size=(14, n))
+    multiples = distance._packed_multiples(field, basis)
+    expected = np.concatenate(list(distance._table_walk(multiples)))
+    low_bytes, entries, combinations = _table_bytes(field, n, 8), [], distance._combinations
+
+    def counted(runs):  # the walk's tables, low then high, by their entries
+        entries.append(runs.shape[2] ** runs.shape[1])
+        return combinations(runs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(distance, "_WALK_BYTES", low_bytes)
+        patch.setattr(distance, "_combinations", counted)
+        tracemalloc.start()
+        try:
+            done = 0
+            for block in distance._table_walk(multiples):
+                assert len(block) <= 8
+                assert np.array_equal(block, expected[done : done + len(block)])
+                done += len(block)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert done == 2**14 - 1 and entries == [8, 8]
+    assert peak < 16 * low_bytes < 2**11 * _table_bytes(field, n, 1)
 
 
 def test_budget_is_a_rule_of_q_and_k():
@@ -227,23 +276,24 @@ def test_budget_is_a_rule_of_q_and_k():
 
 
 def _packed_weights(field, words):
-    planes = distance._pack(field, words).transpose(1, 0, 2)
+    planes = distance._pack(field, words).transpose(1, 2, 0)  # word-major: (s, W, m)
     return distance._weights(planes)
 
 
 @pytest.mark.parametrize("field", [GF2, GF4, GF16, GF256])
 def test_packed_weight_is_the_count_of_nonzero_symbols(field):
     rng = np.random.default_rng(field.order)
-    for n in (1, 63, 64, 65, 127, 128, 129):
+    for n in (1, 63, 64, 65, 127, 128, 129, 320):
         words = rng.integers(0, field.order, size=(40, n), dtype=dtype_for(field))
         words[rng.random(words.shape) < 0.5] = 0
         words[0] = 0
+        words[1] = 1  # weight n, which passes 255 at n = 320
         packed = distance._pack(field, words)
         assert _packed_weights(field, words).tolist() == np.count_nonzero(words, axis=1).tolist()
-        sums = (packed ^ packed[::-1]).transpose(1, 0, 2)
+        sums = (packed ^ packed[::-1]).transpose(1, 2, 0)
         expected = np.count_nonzero(words ^ words[::-1], axis=1)
         assert distance._weights(sums).tolist() == expected.tolist()
-        assert not distance._weights((packed ^ packed).transpose(1, 0, 2)).any()
+        assert not distance._weights((packed ^ packed).transpose(1, 2, 0)).any()
 
 
 @settings(max_examples=40, deadline=None)
@@ -265,6 +315,9 @@ def test_packed_weight_is_the_count_of_nonzero_symbols(field):
 @example(field=GF2, k=2, n=9, trials=13, seed=2**64 - 1, basis_seed=8)
 @example(field=GF2, k=2, n=70, trials=30_001, seed=3, basis_seed=9)  # past one draw
 @example(field=GF8, k=1, n=3, trials=3, seed=7, basis_seed=10)
+@example(field=GF2, k=20, n=3, trials=100, seed=1, basis_seed=11)  # nonzero messages weigh 0
+@example(field=GF4, k=3, n=0, trials=50, seed=3, basis_seed=12)  # every word weighs 0
+@example(field=GF2, k=3, n=10, trials=20_000, seed=4, basis_seed=13)  # short last draw has zeros
 def test_sampled_matches_the_row_multiple_reference(field, k, n, trials, seed, basis_seed):
     # k up to 20 gives every field of at most 16 elements more than one row
     # run; 40,000 trials take more than one draw of 2^14 messages.  The
