@@ -34,6 +34,7 @@ from .cyclo import KINDS, minimal_polynomial
 from .distance import DEFAULT_BUDGET, exact_min_distance, sampled_weight_upper_bound
 from .distance import _check_budget
 from .gf import field_create
+from .integers import divisors
 from .poly import product, x_pow_n_minus_1
 
 __all__ = ["main"]
@@ -193,7 +194,11 @@ def _cmd_distance(args: argparse.Namespace) -> int:
     if args.method == "exhaustive":
         budget = args.budget
         if budget is None:
-            budget = int(os.environ.get("CYCLEDUAL_BUDGET", DEFAULT_BUDGET))
+            text = os.environ.get("CYCLEDUAL_BUDGET", str(DEFAULT_BUDGET))
+            try:
+                budget = int(text)
+            except ValueError:
+                raise ValueError(f"CYCLEDUAL_BUDGET must be an integer, got {text!r}") from None
         # q and k fix the message count, so refuse before building the basis
         _check_budget(cert.field.order, cert.k_outer, budget)
     basis = linalg.shifted_rows(cert.outer_generator, cert.n_outer)
@@ -235,9 +240,6 @@ def _cmd_distance(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    # imported here: at the top, its code raised every command's peak RSS by 0.1 MB
-    from .integers import divisors
-
     if args.m_max < 1:
         raise ValueError("m-max must be positive")
     if args.mu is not None and args.mu < 1:

@@ -48,7 +48,6 @@ from .poly import Poly, x_pow_n_minus_1
 
 __all__ = [
     "MAX_INNER_LENGTH",
-    "MAX_RHO_STEPS",
     "VerificationError",
     "FamilyParams",
     "family_parameters",
@@ -62,9 +61,6 @@ __all__ = [
 
 # the largest inner length n that build_family and factor accept (Hermitian s=2 m=3 has 4095)
 MAX_INNER_LENGTH = 8191
-# the most Pollard rho steps that table spends factoring one 2^e - 1; all of
-# them, on the prime 2^127 - 1, took 0.5 s on a 2-vCPU VM
-MAX_RHO_STEPS = 1 << 20
 
 
 def check_inner_length(n: int) -> None:

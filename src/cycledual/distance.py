@@ -7,18 +7,17 @@ planes, and a word's weight is the popcount of the OR of its planes.
 
 One weight loop serves both methods; it takes blocks of m words word-major,
 as (s, W, m), ORs the planes and sums the W rows of popcounts.  Exhaustive
-enumeration weighs each line of the code at least once: as wt(c x) = wt(x)
-for every nonzero scalar c, the (q^k - 1)/(q - 1) messages whose leading
-nonzero digit is 1 reach the weight of every nonzero codeword.  A table walk
-yields them: a low table, laid out (s, W, q^L), holds the sums of every
-combination of the last L rows, L the most whose table fits the cache-sized
-``_WALK_BYTES``.  It is weighed whole once with the high digits zero, then
-once per value of the high digits whose leading nonzero digit is 1, each
-costing one xor with the high digits' word, read from a table of at most q^L
-combinations of the high rows (past it, the top digits make one word per
-pass over that table).  So d is exact, and neither d nor the reported count,
-all q^k - 1 nonzero codewords, depends on the partition count.  The sampled
-method feeds the loop seeded messages for a reproducible upper bound; it
+enumeration weighs exactly one message per line of the code: as wt(c x) =
+wt(x) for every nonzero scalar c, the (q^k - 1)/(q - 1) messages whose
+leading nonzero digit is 1 reach the weight of every nonzero codeword, each
+standing for q - 1 of them.  One recursive walk yields them in increasing
+order: a table, laid out (s, W, q^L), holds the sums of every combination of
+the last L rows, L the most whose table fits the cache-sized
+``_WALK_BYTES``.  Its entries with leading digit 1 come first, then the
+whole table xored with each word that the same walk yields for the rows
+above.  So d is exact, and neither d, the walked words nor the reported
+count, all q^k - 1 nonzero codewords, depends on L.  The sampled method
+feeds the loop seeded messages for a reproducible upper bound; it
 tabulates the rows' q^g combinations in runs of g, row-major as (q^g, s, W),
 and sums one gathered entry per run.  A zero message weighs 0, so only a
 block whose least weight is 0 is scanned for zero messages.  The exhaustive
@@ -48,7 +47,7 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 1 << 26
-_WALK_BYTES = 1 << 19  # most bytes of the exhaustive low-digit table, which stays in cache
+_WALK_BYTES = 1 << 19  # most bytes of one exhaustive walk table, which stays in cache
 _GROUP_ENTRIES = 1 << 8  # most combinations in one sampled row-run table
 _TABLE_BYTES = 1 << 24  # cap on all sampled tables
 _SAMPLED_BYTES = 1 << 29  # most bytes of one-row sampled tables; larger inputs are refused
@@ -58,8 +57,9 @@ _PACK_SYMBOLS = 1 << 22  # row multiples are packed about this many symbols at a
 @dataclass(frozen=True)
 class DistanceReport:
     """``enumerated`` is the number of nonzero codewords whose weight the
-    method determined: all q^k - 1 for ``exhaustive``, each the multiple of a
-    walked one, and the trials, repeats included, for ``sampled``."""
+    method determined: all q^k - 1 for ``exhaustive``, each one of the q - 1
+    nonzero multiples of a walked word, and the trials, repeats included, for
+    ``sampled``."""
 
     method: str
     value: int
@@ -155,45 +155,30 @@ def _least_weight(blocks) -> int:
     return min(int(weights.min()) for weights in blocks)
 
 
-def _table_walk(multiples: np.ndarray):
-    """The weights of at least one message per line of the code, in
-    lexicographic order with the first row's coefficient most significant,
-    one block per value of the high digits.  ``multiples`` are the packed
-    row multiples, (k, q, s, W), and the last L rows make the low-digit table.
+def _line_words(multiples: np.ndarray):
+    """The packed words of the messages whose leading nonzero digit is 1, in
+    increasing order with the first row's coefficient most significant, in
+    word-major blocks (s, W, m); ``multiples`` are the packed row multiples,
+    (k, q, s, W).  Every nonzero message is c times exactly one of these,
+    c != 0, so they are (q^k - 1)/(q - 1) words, one per line.
 
-    The first block is messages 1..q^L-1, the high digits zero.  Then, for t
-    = 0 .. k-L-1, come the high values in [q^t, 2 q^t), whose leading nonzero
-    digit is 1: (q^(k-L) - 1)/(q - 1) blocks of q^L messages, where all high
-    values would make q^(k-L) - 1 blocks.  Every nonzero message is c times
-    a walked one for some scalar c != 0, so the least weight is the code's,
-    and a nonzero message of weight 0 has a walked multiple of weight 0.  For
-    q = 2 the high values are 1..2^(k-L)-1: every nonzero message, once."""
+    The last L rows make a table, laid out (s, W, q^L).  Its entries [q^t,
+    2 q^t), t < L, are the messages with the high digits zero; then the whole
+    table, xored with each word this generator yields for the rows above, is
+    one block per high value.  The words do not depend on L, which each level
+    recomputes from q and the word size.  A yielded block is only valid until
+    the next one is asked for."""
     k, q, s, words = multiples.shape
     entry = s * words * 8
     low = _digits_per_table(q, k, _WALK_BYTES // entry, lambda x: q**x * entry)
     table = np.ascontiguousarray(_combinations(multiples[None, k - low :])[0].transpose(1, 2, 0))
-    yield _weights(table)[1:]
-    codewords = np.empty_like(table)
-    for word in _high_words(multiples[: k - low], low):
-        yield _weights(np.bitwise_xor(table, word[:, :, None], out=codewords))
-
-
-def _high_words(multiples: np.ndarray, low: int):
-    """The words of the high values with leading nonzero digit 1, in order,
-    from the high rows' multiples (h, q, s, W): entries of a table of the last
-    min(h, L) rows, xored past q^L with one word per value of the top digits."""
-    high, q = multiples.shape[:2]
-    mid = min(high, low)
-    table = _combinations(multiples[None, high - mid :])[0]
-    for t in range(mid):
-        yield from table[q**t : 2 * q**t]
-    for t in range(high - mid):
-        for top in range(q**t, 2 * q**t):
-            word, rest = np.zeros_like(table[0]), top
-            for i in range(high - mid - 1, -1, -1):
-                rest, digit = divmod(rest, q)
-                word ^= multiples[i, digit]
-            yield from table ^ word
+    for t in range(low):
+        yield table[:, :, q**t : 2 * q**t]
+    if low < k:
+        codewords = np.empty_like(table)
+        for high in _line_words(multiples[: k - low]):
+            for i in range(high.shape[2]):
+                yield np.bitwise_xor(table, high[:, :, i, None], out=codewords)
 
 
 def _digits(bits: np.random.PCG64, field: Field, rows: int, k: int) -> np.ndarray:
@@ -279,13 +264,13 @@ def _sampled_weights(field: Field, basis: np.ndarray, trials: int, seed: int):
 
 def exact_min_distance(field: Field, basis, budget: int = DEFAULT_BUDGET) -> DistanceReport:
     """Exact minimum weight of all q^k - 1 nonzero codewords, which the
-    report counts as enumerated.  The walk weighs one message per line of
-    the code, those whose leading nonzero digit is 1, since every nonzero
-    scalar multiple of a codeword has its weight; the budget still counts
-    q^k - 1."""
+    report counts as enumerated.  The walk weighs exactly one message per
+    line of the code, those whose leading nonzero digit is 1, since the
+    q - 1 nonzero multiples of a codeword share its weight; the budget still
+    counts q^k - 1."""
     basis = _basis(field, basis)
     total = _check_budget(field.order, basis.shape[0], budget)
-    best = _least_weight(_table_walk(_packed_multiples(field, basis)))
+    best = _least_weight(map(_weights, _line_words(_packed_multiples(field, basis))))
     if best == 0:
         raise ValueError("basis rows are linearly dependent")
     return DistanceReport("exhaustive", best, True, total)

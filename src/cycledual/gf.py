@@ -45,6 +45,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .integers import _prime_factors
+
 __all__ = [
     "Field",
     "Embedding",
@@ -140,24 +142,10 @@ def default_modulus(s: int) -> int:
         ) from None
 
 
-def _prime_factors(n: int) -> tuple[int, ...]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return tuple(out)
-
-
 class Field:
     """The finite field GF(2^s), elements represented as s-bit integers."""
 
-    __slots__ = ("s", "modulus", "order", "_factors", "_primitive")
+    __slots__ = ("s", "modulus", "order", "_primitive")
 
     def __init__(self, s: int, modulus: int | None = None):
         if not 1 <= s <= EXTENSION_MAX_S:
@@ -174,7 +162,6 @@ class Field:
         self.s = s
         self.modulus = modulus
         self.order = 1 << s
-        self._factors: tuple[int, ...] | None = None
         self._primitive: int | None = None
 
     # -- raw integer arithmetic -------------------------------------------
@@ -216,12 +203,6 @@ class Field:
 
     # -- structure ---------------------------------------------------------
 
-    def group_factors(self) -> tuple[int, ...]:
-        """Prime factors of the multiplicative group order 2^s - 1."""
-        if self._factors is None:
-            self._factors = _prime_factors(self.order - 1)
-        return self._factors
-
     def primitive_element(self) -> int:
         """Smallest element (by integer value) of order 2^s - 1."""
         if self._primitive is None:
@@ -229,9 +210,9 @@ class Field:
                 self._primitive = 1
             else:
                 q1 = self.order - 1
-                facs = self.group_factors()
+                primes = _prime_factors(q1)
                 for v in range(2, self.order):
-                    if all(self.pow(v, q1 // p) != 1 for p in facs):
+                    if all(self.pow(v, q1 // p) != 1 for p in primes):
                         self._primitive = v
                         break
                 else:  # pragma: no cover - every finite field has one

@@ -1,4 +1,5 @@
-"""The divisors of 2^e - 1: the values of mu that ``table`` sweeps.
+"""Factoring 2^e - 1: the divisors that ``table`` sweeps as mu, and the
+primes by which ``Field.primitive_element`` tests the order of an element.
 
 Trial division by the primes up to 97 comes first.  What is left is split
 by Pollard-Brent rho (Brent 1980) until every part is proven prime by
@@ -13,9 +14,11 @@ from __future__ import annotations
 import itertools
 import math
 
-from .construct import MAX_RHO_STEPS
-
 __all__ = ["divisors"]
+
+# the most Pollard rho steps spent factoring one number; all of them, on the
+# prime 2^127 - 1, took 0.5 s on a 2-vCPU VM
+MAX_RHO_STEPS = 1 << 20
 
 _SMALL_PRIMES = tuple(p for p in range(2, 98) if all(p % d for d in range(2, p)))
 _MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981

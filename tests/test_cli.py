@@ -409,6 +409,12 @@ def test_distance_budget_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CYCLEDUAL_BUDGET", "10")
     rc, _, err = run(capsys, "distance", str(path), "--method", "exhaustive")
     assert rc == 2
+    # a value that is not an integer is named, not reported as int()'s literal
+    for value in ("abc", ""):
+        monkeypatch.setenv("CYCLEDUAL_BUDGET", value)
+        rc, out, err = run(capsys, "distance", str(path), "--method", "exhaustive")
+        assert (rc, out) == (2, "")
+        assert err == f"error: CYCLEDUAL_BUDGET must be an integer, got {value!r}\n"
     monkeypatch.delenv("CYCLEDUAL_BUDGET")
     rc, _, _ = run(capsys, "distance", str(path), "--method", "exhaustive")
     assert rc == 0

@@ -145,23 +145,20 @@ def test_both_methods_against_brute_force(data):
 
 
 def _walk(field, basis) -> list[list[int]]:
-    """The weight blocks of the exhaustive table walk over ``basis``."""
+    """The weight blocks of the exhaustive walk over ``basis``."""
     multiples = distance._packed_multiples(field, np.asarray(basis, dtype=dtype_for(field)))
-    return [block.tolist() for block in distance._table_walk(multiples)]
+    return [distance._weights(block).tolist() for block in distance._line_words(multiples)]
 
 
 def _table_bytes(field, n: int, entries: int) -> int:
-    """The bytes of a low-digit table of ``entries`` packed words of length n."""
+    """The bytes of a walk table of ``entries`` packed words of length n."""
     return entries * field.s * max(1, -(-n // 64)) * 8
 
 
-def _walked_messages(q: int, k: int, table: int) -> list[int]:
-    """The messages the walk weighs, in order, for a table of the last L
-    rows' q^L = ``table`` combinations: 1..q^L-1, then for t = 0 .. k-L-1 the
-    high values in [q^t, 2 q^t), whose leading digit is 1, each with every
-    low value."""
-    high = [h for t in range(k) if q**t * table < q**k for h in range(q**t, 2 * q**t)]
-    return list(range(1, table)) + [h * table + j for h in high for j in range(table)]
+def _walked_messages(q: int, k: int) -> list[int]:
+    """The messages the walk weighs, in order: those 1 <= m < q^k whose
+    leading nonzero digit is 1, one per line of the code."""
+    return [m for t in range(k) for m in range(q**t, 2 * q**t)]
 
 
 # the largest k per field keeps the brute force at 2^16 symbol steps or fewer
@@ -171,13 +168,14 @@ WALK_MAX_K = {GF2: 12, GF4: 6, GF8: 4, GF16: 3}
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_walk_over_the_high_digits_matches_the_brute_force(data):
-    # a table of q or q^2 entries leaves k - 1 or k - 2 high digits, so the
-    # walk over their values with leading digit 1 is checked, not only the
-    # table; one row a multiple of another makes a dependent basis
+    # tables of 1, q or q^2 entries leave k - 1 or k - 2 high digits, so the
+    # walk recurses over the rows above its table; at the default rule the
+    # table holds every row.  One row a multiple of another makes a
+    # dependent basis
     field = data.draw(st.sampled_from(list(WALK_MAX_K)), label="field")
     q = field.order
     k = data.draw(st.integers(2, WALK_MAX_K[field]), label="k")
-    entries = data.draw(st.sampled_from([q, q * q]), label="entries")
+    entries = data.draw(st.sampled_from([1, q, q * q, None]), label="entries")
     n = data.draw(st.integers(k, max(k, min(130, (1 << 16) // q**k))), label="n")
     row = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
     basis = data.draw(st.lists(row, min_size=k, max_size=k), label="basis")
@@ -187,10 +185,13 @@ def test_walk_over_the_high_digits_matches_the_brute_force(data):
         basis[j] = [reference.gf_mul(field, c, x) for x in basis[i]]
     weights = reference.message_weights(field, basis)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(distance, "_WALK_BYTES", _table_bytes(field, n, entries))
-        blocks = _walk(field, basis)
-        walked = _walked_messages(q, k, len(blocks[0]) + 1)
-        assert sum(blocks, []) == [weights[m] for m in walked]
+        if entries is not None:
+            patch.setattr(distance, "_WALK_BYTES", _table_bytes(field, n, entries))
+        walked = sum(_walk(field, basis), [])
+        assert walked == [weights[m] for m in _walked_messages(q, k)]
+        # each walked word stands for its q - 1 nonzero multiples
+        spectrum = (q - 1) * np.bincount(walked, minlength=n + 1)
+        assert spectrum.tolist() == np.bincount(weights[1:], minlength=n + 1).tolist()
         if reference.rank(field, basis) < k:
             with pytest.raises(ValueError, match="linearly dependent"):
                 exact_min_distance(field, basis)
@@ -200,23 +201,22 @@ def test_walk_over_the_high_digits_matches_the_brute_force(data):
 
 
 def test_walk_weighs_one_message_per_line_of_the_code():
-    # the [21,12] GF(4) inner code of E s=2 m=3 mu=3: the table of the last L
-    # rows, then q^L messages for each of the (q^(k-L) - 1)/(q - 1) high
-    # values whose leading digit is 1, not for all q^(k-L) - 1 of them
+    # the [21,12] GF(4) inner code of E s=2 m=3 mu=3: (q^k - 1)/(q - 1)
+    # messages, one per line, not all q^k - 1
     params = family_parameters("euclidean", 2, 3, 3)
     n, q = params.n_inner, params.alphabet.order
     code = CyclicCode.from_defining_set(GF4, n, bch_defining_set(n, q, params.b_default))
     blocks, k = _walk(GF4, code.generator_matrix()), code.k
-    table = len(blocks[0]) + 1
-    high = q**k // table  # q^(k-L)
-    assert (n, k, q) == (21, 12, 4) and high > 1
-    assert sum(map(len, blocks)) == table - 1 + table * (high - 1) // (q - 1)
-    assert sum(map(len, blocks)) < q**k - 1
+    assert (n, k, q) == (21, 12, 4)
+    assert sum(map(len, blocks)) == (q**k - 1) // (q - 1) < q**k - 1
     # over GF(2) every nonzero message is the one multiple of its line; the
-    # low table is as many one-word entries as fit _WALK_BYTES
+    # table is as many one-word entries as fit _WALK_BYTES, and its entries
+    # [2^t, 2^(t+1)) come before one block per value of the two rows above
     basis = np.random.default_rng(1).integers(0, 2, size=(18, 40))
     table = distance._WALK_BYTES // _table_bytes(GF2, 40, 1)
-    assert list(map(len, _walk(GF2, basis))) == [table - 1] + [table] * (2**18 // table - 1)
+    assert table == 2**16
+    sizes = [2**t for t in range(16)] + [table] * 3
+    assert list(map(len, _walk(GF2, basis))) == sizes
     weights = reference.message_weights(GF2, uuv_14_7())
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(distance, "_WALK_BYTES", _table_bytes(GF2, 14, 8))
@@ -224,27 +224,27 @@ def test_walk_weighs_one_message_per_line_of_the_code():
 
 
 def test_high_table_holds_no_more_entries_than_the_low_table():
-    # with the low table patched to q^L entries and k - L > L high digits,
-    # the high rows' table holds q^L entries and each value of the top digits
-    # is one word, so the walk still weighs the messages _walked_messages names
+    # with the table patched to q^L entries and k - L > L, every level of the
+    # walk builds a table of at most q^L entries, and the walk still weighs
+    # the messages _walked_messages names
     basis = np.random.default_rng(5).integers(0, 4, size=(5, 70))
     weights = reference.message_weights(GF4, basis)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(distance, "_WALK_BYTES", _table_bytes(GF4, 70, 4))
         blocks = _walk(GF4, basis)
-        assert len(blocks[0]) + 1 == 4  # L = 1, four high digits
-        assert sum(blocks, []) == [weights[m] for m in _walked_messages(4, 5, 4)]
+        assert len(blocks[0]) == 1  # L = 1: the entries [1, 2), then five levels
+        assert sum(blocks, []) == [weights[m] for m in _walked_messages(4, 5)]
         assert exact_min_distance(GF4, basis).value == min(weights[1:])
     # over GF(2) every L walks all nonzero messages in order, so a walk with
-    # L = 3 must give the weights of one with the low table at full size; its
-    # memory follows the 8-entry low table, not the 2^11 high values
+    # L = 3 must give the weights of one with the table at full size; its
+    # memory follows the 8-entry tables, not the 2^11 high values
     field, n = GF2, 4000
     basis = np.random.default_rng(6).integers(0, 2, size=(14, n))
     multiples = distance._packed_multiples(field, basis)
-    expected = np.concatenate(list(distance._table_walk(multiples)))
+    expected = np.concatenate([distance._weights(b) for b in distance._line_words(multiples)])
     low_bytes, entries, combinations = _table_bytes(field, n, 8), [], distance._combinations
 
-    def counted(runs):  # the walk's tables, low then high, by their entries
+    def counted(runs):  # the walk's tables, one per level, by their entries
         entries.append(runs.shape[2] ** runs.shape[1])
         return combinations(runs)
 
@@ -254,14 +254,16 @@ def test_high_table_holds_no_more_entries_than_the_low_table():
         tracemalloc.start()
         try:
             done = 0
-            for block in distance._table_walk(multiples):
+            for words in distance._line_words(multiples):
+                block = distance._weights(words)
                 assert len(block) <= 8
                 assert np.array_equal(block, expected[done : done + len(block)])
                 done += len(block)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-    assert done == 2**14 - 1 and entries == [8, 8]
+    assert done == 2**14 - 1
+    assert max(entries) <= 8 and len(entries) == -(-14 // 3)
     assert peak < 16 * low_bytes < 2**11 * _table_bytes(field, n, 1)
 
 

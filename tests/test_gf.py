@@ -220,6 +220,15 @@ def test_primitive_element_is_canonical():
             assert order(f, g) == f.order - 1
 
 
+def test_primitive_elements_are_pinned():
+    # the primitive element fixes beta, and so every certificate; Field, not
+    # field_create, reaches past GF(2^16)
+    assert [Field(s).primitive_element() for s in range(1, 33)] == [
+        1, 2, 2, 2, 2, 2, 2, 2, 7, 2, 2, 3, 2, 7, 2, 3,
+        2, 10, 2, 2, 2, 2, 2, 2, 2, 3, 2, 7, 2, 19, 2, 3,
+    ]
+
+
 def test_field_equality_and_hash():
     assert field_create(2) == Field(2)
     assert field_create(2) != field_create(3)
