@@ -8,8 +8,10 @@ certificate's outer code), table (sweep a parameter grid), and factor
 
 Exit codes: 0 all requested checks passed, 1 a mathematical check failed,
 2 usage or parameter error, 141 stdout was closed before the output was
-written (as when piped into ``head``).  CYCLEDUAL_BUDGET overrides the default
-exhaustive-enumeration budget.
+written (as when piped into ``head``).  ``distance`` refuses, with exit 2,
+more codewords than its budget: q^k - 1 for exhaustive enumeration, --trials
+for sampling.  --budget or else CYCLEDUAL_BUDGET overrides the default
+budget.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("distance", help="measure a certificate's outer code")
     d.add_argument("certificate")
     d.add_argument("--method", required=True, choices=("exhaustive", "sampled"))
-    d.add_argument("--budget", type=int, default=None)
+    d.add_argument("--budget", type=int, default=None, help="most codewords to weigh")
     d.add_argument("--partitions", type=int, default=1)
     d.add_argument("--trials", type=int, default=10000)
     d.add_argument("--seed", type=int, default=0)
@@ -191,16 +193,19 @@ def _check_outer_shape(cert: SelfDualCertificate) -> None:
 def _cmd_distance(args: argparse.Namespace) -> int:
     cert = _read(args.certificate)
     _check_outer_shape(cert)
+    budget = args.budget
+    if budget is None:
+        text = os.environ.get("CYCLEDUAL_BUDGET", str(DEFAULT_BUDGET))
+        try:
+            budget = int(text)
+        except ValueError:
+            raise ValueError(f"CYCLEDUAL_BUDGET must be an integer, got {text!r}") from None
+    # the budget counts the codewords either method weighs: q and k fix the
+    # exhaustive count, --trials the sampled one; refuse before the basis
     if args.method == "exhaustive":
-        budget = args.budget
-        if budget is None:
-            text = os.environ.get("CYCLEDUAL_BUDGET", str(DEFAULT_BUDGET))
-            try:
-                budget = int(text)
-            except ValueError:
-                raise ValueError(f"CYCLEDUAL_BUDGET must be an integer, got {text!r}") from None
-        # q and k fix the message count, so refuse before building the basis
         _check_budget(cert.field.order, cert.k_outer, budget)
+    elif args.trials > budget:
+        raise ValueError(f"sampled distance infeasible: {args.trials} trials, budget {budget}")
     basis = linalg.shifted_rows(cert.outer_generator, cert.n_outer)
     if args.method == "exhaustive":
         # --partitions is accepted for compatibility and changes nothing else

@@ -19,9 +19,13 @@ above.  So d is exact, and neither d, the walked words nor the reported
 count, all q^k - 1 nonzero codewords, depends on L.  The sampled method
 feeds the loop seeded messages for a reproducible upper bound; it
 tabulates the rows' q^g combinations in runs of g, row-major as (q^g, s, W),
-and sums one gathered entry per run.  A zero message weighs 0, so only a
-block whose least weight is 0 is scanned for zero messages.  The exhaustive
-budget counts q^k - 1 codewords and depends on q and k alone.
+and sums one gathered entry per run.  Each draw shifts its digits into one
+reused buffer of whole runs, the last run padded with zero digits, and holds
+at most ``_DRAW_BYTES`` of raw units and digits.  Every run index is then
+below q^g, so the gathers clip, which lets numpy write them in place
+unbuffered.  A zero message weighs 0, so only a block whose least weight is
+0 is scanned for zero messages.  The exhaustive budget counts q^k - 1
+codewords and depends on q and k alone.
 
 The sampled messages are the nonzero ones among consecutive k-digit rows of
 the raw stream of ``PCG64(seed)``: each digit is the top s bits of one u-bit
@@ -51,6 +55,7 @@ _WALK_BYTES = 1 << 19  # most bytes of one exhaustive walk table, which stays in
 _GROUP_ENTRIES = 1 << 8  # most combinations in one sampled row-run table
 _TABLE_BYTES = 1 << 24  # cap on all sampled tables
 _SAMPLED_BYTES = 1 << 29  # most bytes of one-row sampled tables; larger inputs are refused
+_DRAW_BYTES = 1 << 20  # most bytes of one sampled draw's raw units and padded digits
 _PACK_SYMBOLS = 1 << 22  # row multiples are packed about this many symbols at a time
 
 
@@ -181,17 +186,18 @@ def _line_words(multiples: np.ndarray):
                 yield np.bitwise_xor(table, high[:, :, i, None], out=codewords)
 
 
-def _digits(bits: np.random.PCG64, field: Field, rows: int, k: int) -> np.ndarray:
-    """The next ``rows`` x k digits of the stream the module docstring
-    defines; ``rows`` is a multiple of 8, so that no raw word is split.  As q
-    divides 2^u, Lemire's method never rejects, and these are the digits
-    ``default_rng(seed).integers(0, q, dtype=dtype_for(field))`` draws."""
-    unit = np.dtype(dtype_for(field)).newbyteorder("<")
+def _digits(bits: np.random.PCG64, field: Field, out: np.ndarray) -> None:
+    """Write the next rows x k digits of the stream the module docstring
+    defines into ``out``, a (rows, k) view of the draw buffer, by one shift
+    of the raw units; rows is a multiple of 8, so that no raw word is split.
+    As q divides 2^u, Lemire's method never rejects, and these are the
+    digits ``default_rng(seed).integers(0, q, dtype=dtype_for(field))``
+    draws."""
+    rows, k = out.shape
+    unit = out.dtype.newbyteorder("<")
     u = unit.itemsize * 8
     raw = bits.random_raw(rows * k * u // 64).astype("<u8", copy=False)
-    digits = raw.view(unit).reshape(rows, k)
-    digits >>= u - field.s  # in place: no second buffer
-    return digits
+    np.right_shift(raw.view(unit).reshape(rows, k), u - field.s, out=out)
 
 
 def _run_tables(field: Field, basis: np.ndarray, g: int) -> np.ndarray:
@@ -212,24 +218,26 @@ def _run_tables(field: Field, basis: np.ndarray, g: int) -> np.ndarray:
 
 def _run_indices(digits: np.ndarray, q: int, g: int) -> np.ndarray:
     """Each run of g digits as one base-q index into its run's table, the
-    first digit most significant and the last run padded with zero digits:
-    shape (trials, ceil(k/g))."""
+    first digit most significant: shape (rows, runs) from the draw buffer,
+    (rows, runs * g), whose digits past k are zero.  So every index is below
+    q^g, and over GF(2) with g = 8 a row is whole bytes of bits."""
     if g == 1:
         return digits
     if q == 2 and g == 8:  # a run is one byte of bits
-        return np.packbits(digits, axis=1)
-    k = digits.shape[1]
-    index = np.zeros((len(digits), -(-k // g)), dtype=digits.dtype)  # q^g <= 256 fits
-    for t in range(g):
+        return np.packbits(digits).reshape(len(digits), -1)
+    index = digits[:, ::g].copy()  # q^g <= 256 fits
+    for t in range(1, g):
         index *= q
-        index[:, : len(range(t, k, g))] += digits[:, t::g]
+        index += digits[:, t::g]
     return index
 
 
 def _sampled_weights(field: Field, basis: np.ndarray, trials: int, seed: int):
-    """The weights of the codewords of ``trials`` seeded nonzero messages, in
-    draws of at most 2^14 rows, never many more than are still needed; each
-    codeword is one table lookup per run of g rows."""
+    """The weights of the codewords of ``trials`` seeded nonzero messages;
+    each codeword is one table lookup per run of g rows.  A draw's raw units
+    and padded digits take at most _DRAW_BYTES (4,112 rows at k = 127 over
+    GF(2)), and it draws never many more rows than are still needed.  The
+    digit buffer and the two word buffers are allocated once."""
     (k, n), q = basis.shape, field.order
     entry = field.s * max(1, -(-n // 64)) * 8
 
@@ -244,14 +252,22 @@ def _sampled_weights(field: Field, basis: np.ndarray, trials: int, seed: int):
         )
     g = _digits_per_table(q, k, _GROUP_ENTRIES, table_bytes)
     tables, bits = _run_tables(field, basis, g), np.random.PCG64(seed)
-    buffers = np.empty((2, min(1 << 14, -(-trials // 8) * 8)) + tables.shape[2:], dtype=np.uint64)
+    unit = np.dtype(dtype_for(field))
+    per_row = (k + len(tables) * g) * unit.itemsize  # raw units and padded digits
+    size = min(max(8, _DRAW_BYTES // per_row // 8 * 8), -(-trials // 8) * 8)
+    # reused, so that no draw faults in fresh pages; the padding digits stay 0
+    digits = np.zeros((size, len(tables) * g), dtype=unit)
+    buffers = np.empty((2, size) + tables.shape[2:], dtype=np.uint64)
     while trials > 0:
-        rows = min(1 << 14, -(-trials // 8) * 8)
-        index = _run_indices(_digits(bits, field, rows, k), q, g)
-        words, term = buffers[:, :rows]  # reused, so that no draw faults in fresh pages
-        np.take(tables[0], index[:, 0], axis=0, out=words)
+        rows = min(size, -(-trials // 8) * 8)
+        _digits(bits, field, digits[:rows, :k])
+        index = _run_indices(digits[:rows], q, g)
+        words, term = buffers[:, :rows]
+        # no index reaches q^g, so "clip" changes none; unlike "raise", it
+        # lets take write into ``out`` without a buffered copy
+        np.take(tables[0], index[:, 0], axis=0, out=words, mode="clip")
         for j in range(1, len(tables)):
-            words ^= np.take(tables[j], index[:, j], axis=0, out=term)
+            words ^= np.take(tables[j], index[:, j], axis=0, out=term, mode="clip")
         weights = _weights(words.transpose(1, 2, 0))
         if weights[:trials].min():
             weights = weights[:trials]

@@ -420,6 +420,32 @@ def test_distance_budget_env_override(tmp_path, capsys, monkeypatch):
     assert rc == 0
 
 
+def test_distance_sampled_trials_count_against_the_budget(tmp_path, capsys, monkeypatch):
+    # the trials are the codewords a sampled run weighs, so a count past the
+    # budget exits 2 before the basis or any table is built
+    path = build_cert(tmp_path, capsys)
+    text = path.read_text()
+    monkeypatch.delenv("CYCLEDUAL_BUDGET", raising=False)
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "shifted_rows", None)  # building the basis would fail
+        trials = "99999999999999999999999"
+        rc, out, err = run(capsys, "distance", str(path), "--method", "sampled", "--trials", trials)
+        assert (rc, out) == (2, "")
+        assert err == f"error: sampled distance infeasible: {trials} trials, budget 67108864\n"
+        rc, _, err = run(
+            capsys, "distance", str(path), "--method", "sampled", "--trials", "11", "--budget", "10"
+        )
+        assert (rc, err) == (2, "error: sampled distance infeasible: 11 trials, budget 10\n")
+        patch.setenv("CYCLEDUAL_BUDGET", "10")
+        rc, _, err = run(capsys, "distance", str(path), "--method", "sampled", "--trials", "11")
+        assert (rc, err) == (2, "error: sampled distance infeasible: 11 trials, budget 10\n")
+    assert path.read_text() == text
+    rc, out, _ = run(
+        capsys, "distance", str(path), "--method", "sampled", "--trials", "10", "--budget", "10"
+    )
+    assert (rc, out) == (0, "d ≤ 6 (sampled, 10 trials, seed 0)\n")
+
+
 def test_distance_floor_violation_exits_1(tmp_path, capsys):
     path = build_cert(tmp_path, capsys)
     # inflate the recorded floor; the file stays canonical, so distance runs

@@ -26,6 +26,10 @@ GF16 = field_create(4)
 GF256 = field_create(8)
 GF512 = field_create(9)
 
+# the rows of one sampled draw: raw units and padded digits share _DRAW_BYTES
+DRAW_254 = distance._DRAW_BYTES // (127 + 128) // 8 * 8  # GF(2), k = 127: runs of 8
+DRAW_GF4_19 = distance._DRAW_BYTES // (19 + 20) // 8 * 8  # GF(4), k = 19: runs of 4
+
 
 def hamming():
     return CyclicCode.from_defining_set(GF2, 7, bch_defining_set(7, 2, 1))
@@ -320,11 +324,16 @@ def test_packed_weight_is_the_count_of_nonzero_symbols(field):
 @example(field=GF2, k=20, n=3, trials=100, seed=1, basis_seed=11)  # nonzero messages weigh 0
 @example(field=GF4, k=3, n=0, trials=50, seed=3, basis_seed=12)  # every word weighs 0
 @example(field=GF2, k=3, n=10, trials=20_000, seed=4, basis_seed=13)  # short last draw has zeros
+@example(field=GF2, k=127, n=254, trials=DRAW_254 - 1, seed=3, basis_seed=14)
+@example(field=GF2, k=127, n=254, trials=DRAW_254 + 1, seed=2**64 - 1, basis_seed=15)
+@example(field=GF4, k=19, n=40, trials=DRAW_GF4_19 + 1, seed=6, basis_seed=16)  # 4, ..., 4, 3
+@example(field=GF8, k=3, n=10, trials=5_000, seed=8, basis_seed=17)  # runs 2, 1; zero messages
 def test_sampled_matches_the_row_multiple_reference(field, k, n, trials, seed, basis_seed):
     # k up to 20 gives every field of at most 16 elements more than one row
     # run; 40,000 trials take more than one draw of 2^14 messages.  The
-    # reference draws 2^14 messages every time, so it also checks that drawing
-    # only the messages still needed does not change them
+    # reference draws 2^14 messages every time, where a draw here is sized by
+    # _DRAW_BYTES, so it also checks that neither the draw size nor drawing
+    # only the messages still needed changes them
     basis = np.random.default_rng(basis_seed).integers(0, field.order, size=(k, n))
     r = sampled_weight_upper_bound(field, basis, trials, seed)
     assert r.value == reference.sampled_min_weight(field, basis, trials, seed)
@@ -333,16 +342,48 @@ def test_sampled_matches_the_row_multiple_reference(field, k, n, trials, seed, b
 @pytest.mark.parametrize("s", range(1, 17))
 def test_digits_are_the_generator_integers(s):
     # the top s bits of the raw units are what Generator.integers draws for
-    # q = 2^s, over consecutive draws of one stream
+    # q = 2^s, over consecutive draws of one stream; they are shifted into
+    # the first k columns of a zero-padded buffer and leave the padding zero
     field = field_create(s)
     for seed in (0, 7, 2**64 - 1):
         for k in (1, 7, 127):
             rng, bits = np.random.default_rng(seed), np.random.PCG64(seed)
+            digits = np.zeros((24, k + 5), dtype=dtype_for(field))
             for rows in (24, 8):
                 expected = rng.integers(0, 2**s, size=(rows, k), dtype=dtype_for(field))
-                digits = distance._digits(bits, field, rows, k)
-                assert digits.dtype == expected.dtype
-                assert np.array_equal(digits, expected)
+                distance._digits(bits, field, digits[:rows, :k])
+                assert np.array_equal(digits[:rows, :k], expected)
+                assert not digits[:, k:].any()
+
+
+@pytest.mark.parametrize("s", range(1, 17))
+def test_clipping_changes_no_run_index(s, monkeypatch):
+    # the gathers clip their indices, which must change none: every run index
+    # of every draw, the zero-padded last run's included, is below q^g, the
+    # length of its run's table.  Zero tables stand in for the real ones,
+    # which over GF(2^16) at k = 127 would take 1 GB
+    field, drawn = field_create(s), []
+    run_indices = distance._run_indices
+
+    def recorded(digits, q, g):
+        index = run_indices(digits, q, g)
+        drawn.append((index.copy(), g))
+        return index
+
+    def zero_tables(field, basis, g):
+        runs = -(-len(basis) // g)
+        return np.broadcast_to(np.uint64(0), (runs, field.order**g, field.s, 1))
+
+    monkeypatch.setattr(distance, "_SAMPLED_BYTES", 1 << 62)
+    monkeypatch.setattr(distance, "_run_tables", zero_tables)
+    monkeypatch.setattr(distance, "_run_indices", recorded)
+    for k in (1, 7, 127):
+        for seed in (0, 2**64 - 1):
+            drawn.clear()
+            assert sampled_weight_upper_bound(field, np.zeros((k, 1)), 5000, seed).value == 0
+            for index, g in drawn:
+                assert index.shape[1] == -(-k // g)
+                assert int(index.max()) < field.order**g
 
 
 def test_few_trials_draw_only_the_messages_they_need():
@@ -356,6 +397,20 @@ def test_few_trials_draw_only_the_messages_they_need():
     finally:
         tracemalloc.stop()
     assert peak < (1 << 14) * k
+
+
+def test_draw_buffers_peak_below_2_14_rows_of_digits():
+    # draws are sized by _DRAW_BYTES: all buffers of a [254, 127] run,
+    # tables included, peak below 2^14 rows of k one-byte digits
+    k, n = 127, 254
+    basis = np.random.default_rng(2).integers(0, 2, size=(k, n))
+    tracemalloc.start()
+    try:
+        sampled_weight_upper_bound(GF2, basis, trials=40_000, seed=7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= (1 << 14) * k
 
 
 def test_sampled_refuses_one_row_tables_past_the_limit(monkeypatch):
