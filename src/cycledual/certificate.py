@@ -2,9 +2,10 @@
 
 The writer is canonical (fixed section and key order, one space around "=",
 one blank line between sections, trailing newline), and the reader rejects
-anything that does not round-trip byte for byte.  That strictness is what
-makes tampering detectable: any edit either breaks parsing or changes a
-parsed value that re-verification then contradicts.
+anything that does not round-trip byte for byte or holds a carriage return;
+files are read and written as ASCII bytes.  That strictness is what makes
+tampering detectable: any edit either breaks parsing or changes a parsed
+value that re-verification then contradicts.
 
 Sections: [params], [field], [inner_code], [outer_code], [bounds], [checks];
 the file ends with "format_version = 1".  Distance reports appended later by
@@ -97,6 +98,8 @@ def dumps(cert: SelfDualCertificate) -> str:
 def _split_sections(text: str) -> dict[str, dict[str, str]]:
     if not text.endswith("\n"):
         raise CertificateFormatError("missing trailing newline")
+    if "\r" in text:  # a free-text value, such as paper_floor_exact, would keep it
+        raise CertificateFormatError("carriage return in certificate")
     sections: dict[str, dict[str, str]] = {}
     current: dict[str, str] | None = None
     tail_seen = False
@@ -302,10 +305,10 @@ def write_certificate(cert: SelfDualCertificate, path: str | Path) -> None:
     path = Path(path).resolve()
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "x", encoding="ascii", newline="\n") as fh:
+        with open(tmp, "xb") as fh:
             if path.exists():
                 os.chmod(fh.fileno(), stat.S_IMODE(path.stat().st_mode))
-            fh.write(dumps(cert))
+            fh.write(dumps(cert).encode("ascii"))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -315,4 +318,4 @@ def write_certificate(cert: SelfDualCertificate, path: str | Path) -> None:
 
 
 def read_certificate(path: str | Path) -> SelfDualCertificate:
-    return loads(Path(path).read_text(encoding="ascii"))
+    return loads(Path(path).read_bytes().decode("ascii"))

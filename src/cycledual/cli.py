@@ -34,7 +34,7 @@ from .construct import (
 from .cyclic import _extension_degree, root_context
 from .cyclo import KINDS, minimal_polynomial
 from .distance import DEFAULT_BUDGET, exact_min_distance, sampled_weight_upper_bound
-from .distance import _check_budget
+from .distance import _check_budget, _check_trials
 from .gf import field_create
 from .integers import divisors
 from .poly import product, x_pow_n_minus_1
@@ -204,8 +204,8 @@ def _cmd_distance(args: argparse.Namespace) -> int:
     # exhaustive count, --trials the sampled one; refuse before the basis
     if args.method == "exhaustive":
         _check_budget(cert.field.order, cert.k_outer, budget)
-    elif args.trials > budget:
-        raise ValueError(f"sampled distance infeasible: {args.trials} trials, budget {budget}")
+    else:
+        _check_trials(args.trials, budget)
     basis = linalg.shifted_rows(cert.outer_generator, cert.n_outer)
     if args.method == "exhaustive":
         # --partitions is accepted for compatibility and changes nothing else
@@ -214,7 +214,7 @@ def _cmd_distance(args: argparse.Namespace) -> int:
         report = exact_min_distance(cert.field, basis, budget)
         print(f"d = {report.value} (exact, {report.enumerated} codewords)")
     else:
-        report = sampled_weight_upper_bound(cert.field, basis, args.trials, args.seed)
+        report = sampled_weight_upper_bound(cert.field, basis, args.trials, args.seed, budget)
         print(
             f"d ≤ {report.value} (sampled, {report.enumerated} trials, "
             f"seed {report.seed})"
@@ -286,7 +286,7 @@ def _cmd_factor(args: argparse.Namespace) -> int:
     field = field_create(q.bit_length() - 1)
     _extension_degree(field, n)  # raises when the extension is infeasible
     check_inner_length(n)
-    mps = minimal_polynomial(root_context(field, n), range(n))
+    mps = minimal_polynomial(root_context(field, n))
     if product(field, mps.values()) != x_pow_n_minus_1(field, n):
         raise VerificationError("coset factorization does not multiply back to x^n - 1")
     for orbit, mp in mps.items():

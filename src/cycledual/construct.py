@@ -13,11 +13,11 @@ construction time rather than assumed.
 
 The four recorded checks are identities on g1, the dual generator g_dual,
 their check polynomials h1 and h_dual, and G = g1 g_dual = g1^2 g2, and
-pipeline_checks is the one place that decides them.  Every division is by
-the short g1, none by G:
+pipeline_checks is the one place that decides them.  h1, h_dual and g2 are
+products of the coset table (see cycledual.cyclic), g2 over T^perp minus T;
+the only divisions are the two by the short g1 in _seeds_in_ideal:
 
-- dual_containing: the defining-set predicate, cross-checked against g1
-  dividing the dual generator;
+- dual_containing: the defining-set predicate, cross-checked by g1 g2 = g_dual;
 - cyclic_invariance: G h1 h_dual = x^(2n) - 1;
 - self_dual: G equals its own dual generator, the monic reversal of
   h1 h_dual (for Hermitian codes, the q-conjugate of it);
@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclic import CyclicCode, _conjugation_power, _dual_from_check, root_context
+from .cyclic import CyclicCode, _conjugation_power, _coset_product, _dual_from_check, root_context
 from .cyclo import (
     EUCLIDEAN,
     KINDS,
@@ -84,8 +84,8 @@ def _seeds_in_ideal(g1: Poly, g_dual: Poly, h_dual: Poly) -> bool:
     membership forces equality."""
     even = list(g_dual.coeffs)
     even[1::2] = [0] * (len(even) // 2)
-    even_mod_g1 = Poly(g1.field, even) % g1
-    return ((Poly.one(g1.field) + h_dual * even_mod_g1) % g1).is_zero
+    _, even_mod_g1 = Poly(g1.field, even).divrem(g1)
+    return (Poly.one(g1.field) + h_dual * even_mod_g1).divrem(g1)[1].is_zero
 
 
 # -- pipeline families ---------------------------------------------------------
@@ -221,12 +221,13 @@ def pipeline_checks(
 ) -> tuple[CyclicCode | None, Poly | None, Poly | None, dict[str, bool]]:
     """Run the four recorded checks for an inner code and return its dual,
     g2, the outer generator G = g1 g_dual = g1^2 g2 derived from the inner
-    code, and the verdicts.  The dual generator is divided by g1 once: the
-    remainder must agree with the defining-set predicate, and the quotient is
-    g2.  G's check polynomial is h_out = h1 h_dual, with no division: the
-    compare G h_out = x^(2n) - 1 decides cyclic_invariance and the
-    divisibility part of van_lint_equivalence, and self_dual reads the
-    reversal of h_out.  Never raises on a mathematical failure."""
+    code, and the verdicts.  g2 is the coset table's product over T^perp
+    minus T, so g1 g2 = g_dual exactly when T lies in T^perp, which must
+    agree with the defining-set predicate.  G's check polynomial is
+    h_out = h1 h_dual: the compare G h_out = x^(2n) - 1 decides
+    cyclic_invariance and the divisibility part of van_lint_equivalence,
+    and self_dual reads the reversal of h_out.  Never raises on a
+    mathematical failure."""
     checks = {
         "dual_containing": False,
         "self_dual": False,
@@ -234,10 +235,10 @@ def pipeline_checks(
         "cyclic_invariance": False,
     }
     dual_code = inner.dual(kind)
-    g2, rem = dual_code.g.divrem(inner.g)
+    g2 = _coset_product(inner.field, inner.n, lambda i: i in dual_code.T and i not in inner.T)
     checks["dual_containing"] = inner.is_dual_containing(kind)
-    if checks["dual_containing"] != rem.is_zero:
-        raise RuntimeError("internal: containment predicate and generator division disagree")
+    if checks["dual_containing"] != (inner.g * g2 == dual_code.g):
+        raise RuntimeError("internal: containment predicate and g1 g2 = g_dual disagree")
     if not checks["dual_containing"]:
         return None, None, None, checks
     g_out = inner.g * dual_code.g

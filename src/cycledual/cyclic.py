@@ -7,18 +7,20 @@ T^perp = -q (Z_n minus T), and one product ties the two together.
 The primitive n-th root beta used to pin defining sets is canonical per
 (field, n): it is gamma^((2^(s*m)-1)/n) for the canonical primitive element
 gamma of the extension GF(2^(s*m)), m the multiplicative order of 2^s mod n.
-The table of its powers, from which the minimal polynomials read their
-roots, is :func:`cycledual.gf.power_table`'s doubling walk.  A generator is
-the product of the minimal polynomials of its defining set's cosets, which
-:func:`cycledual.cyclo.minimal_polynomial` finds from the set's residues.
-Repeated-root codes (even length) are deliberately rejected here; they are
-built by the construct module.
+The root context caches beta's powers (:func:`cycledual.gf.power_table`) and
+the coset table, the minimal polynomials of every coset of Z_n
+(:func:`cycledual.cyclo.minimal_polynomial`).  Every generator and check
+polynomial is a product of the table's rows: g over T, h over the cosets
+outside T, checked by g h = x^n - 1.  Repeated-root codes (even length) are
+deliberately rejected here; they are built by the construct module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -70,6 +72,11 @@ class RootContext:
         powers.flags.writeable = False
         return powers
 
+    @cached_property
+    def minimal_polynomials(self) -> Mapping[tuple[int, ...], Poly]:
+        """The coset table, minimal_polynomial(self), on first use; read-only."""
+        return MappingProxyType(minimal_polynomial(self))
+
 
 def _extension_degree(field: Field, n: int) -> int:
     """The multiplicative order m of |field| modulo n: GF(|field|^m) is the
@@ -97,10 +104,11 @@ def root_context(field: Field, n: int) -> RootContext:
     return RootContext(n, m, ext, emb, beta, (ext.order - 1) // n)
 
 
-def _generator(field: Field, n: int, T: DefiningSet) -> Poly:
-    """The monic polynomial with roots beta^i for i in the coset-closed T:
-    the product of the minimal polynomials of T's cosets."""
-    return product(field, minimal_polynomial(root_context(field, n), T).values())
+def _coset_product(field: Field, n: int, keep: Callable[[int], bool]) -> Poly:
+    """The product of the coset table's rows whose smallest member passes keep:
+    for the membership test of a coset-closed S, the roots are beta^S."""
+    table = root_context(field, n).minimal_polynomials
+    return product(field, [mp for members, mp in table.items() if keep(members[0])])
 
 
 def hermitian_base(field: Field) -> int:
@@ -130,8 +138,7 @@ class CyclicCode:
     __slots__ = ("field", "n", "g", "h", "T", "k")
 
     def __init__(self, field: Field, n: int, g: Poly, h: Poly, T: DefiningSet):
-        """The caller has checked g h = x^n - 1: from_defining_set by
-        dividing, dual by its product check."""
+        """The caller has checked g h = x^n - 1 by one product."""
         if len(T) != g.degree:
             raise RuntimeError("internal: |T| != deg(g)")
         self.field = field
@@ -153,11 +160,10 @@ class CyclicCode:
             raise ValueError("defining set base does not match the field order")
         if not T.is_coset_closed():
             raise ValueError("defining set not coset-closed")
-        root_context(field, n)  # validates feasibility up front
-        g = _generator(field, n, T)
-        h, rem = x_pow_n_minus_1(field, n).divrem(g)
-        if not rem.is_zero:
-            raise RuntimeError("internal: the generator does not divide x^n - 1")
+        g = _coset_product(field, n, T.__contains__)  # raises first if n is infeasible
+        h = _coset_product(field, n, lambda i: i not in T)
+        if g * h != x_pow_n_minus_1(field, n):
+            raise RuntimeError("internal: the coset table does not multiply back to x^n - 1")
         return cls(field, n, g, h, T)
 
     # kept because the benchmark reaches it: perfbench/tracing.py METHODS wraps it
@@ -174,7 +180,7 @@ class CyclicCode:
         # roots of a GF(q)-coefficient polynomial come in whole cosets:
         # g(beta^(q i)) = g(beta^i)^q, so one representative decides the orbit
         members: set[int] = set()
-        for orbit in minimal_polynomial(ctx, range(n)):
+        for orbit in ctx.minimal_polynomials:
             if g.eval(int(ctx.powers[orbit[0]]), ctx.emb) == 0:
                 members.update(orbit)
         code = cls.from_defining_set(field, n, DefiningSet(n, field.order, frozenset(members)))
@@ -192,16 +198,15 @@ class CyclicCode:
         """The dual code: generator the (conjugated) reversal of the check
         polynomial, defining set T^perp = -q (Z_n minus T).  Since x^n - 1
         is squarefree, that generator has exactly the roots T^perp iff its
-        product with the generator of -q T, the complement of T^perp, is
-        x^n - 1.  The check builds the latter from minimal polynomials, not
-        from the reversal or the conjugation, so it catches a fault in
-        either.  It also makes the generator of -q T the dual's h."""
+        product with the coset table's product over -q T, the complement of
+        T^perp, is x^n - 1, which catches a fault in the reversal or the
+        conjugation.  That product over -q T is also the dual's h."""
         q = _conjugation_power(self.field, kind)
         gd = self._dual_generator(kind)
-        complement_g = _generator(self.field, self.n, set_map(self.T, -q))
-        if gd * complement_g != x_pow_n_minus_1(self.field, self.n):
+        hd = _coset_product(self.field, self.n, set_map(self.T, -q).__contains__)
+        if gd * hd != x_pow_n_minus_1(self.field, self.n):
             raise RuntimeError("internal: the dual generator has a root outside T^perp")
-        return CyclicCode(self.field, self.n, gd, complement_g, set_map(complement(self.T), -q))
+        return CyclicCode(self.field, self.n, gd, hd, set_map(complement(self.T), -q))
 
     def is_dual_containing(self, kind: str = EUCLIDEAN) -> bool:
         """The defining-set predicate: the dual lies in the code."""

@@ -6,22 +6,20 @@ A defining set is a subset of Z_n tagged with the coset base q (the alphabet
 order; q^2-cyclotomic work simply uses that square as the base).  Sets
 serialize as comma-separated decimal residues in ascending order.
 
-:func:`minimal_polynomial` takes residues and expands the minimal
-polynomials of all the cosets they meet in one numpy pass: it finds the
-cosets by walking every residue's orbit at once, reads the roots beta^j from
-the table of beta's powers that :func:`cycledual.cyclic.root_context` builds
-once per (field, n), one coset per column of an (L, N) matrix padded with
-the root 0 (L the largest coset size), expands the products as one
-(L + 1, N) coefficient matrix in L row steps, one
-:func:`cycledual.gf.times` call each, and pulls the coefficients back to
-the base field through the embedding's inverse.
+:func:`minimal_polynomial` expands the minimal polynomials of every coset of
+Z_n in one numpy pass, the coset table that the root context caches once per
+(field, n): it reads the roots beta^j from the context's powers, one coset
+per column of an (L, N) matrix padded with the root 0 (L the largest coset
+size), expands the products as one (L + 1, N) coefficient matrix in L row
+steps, one :func:`cycledual.gf.times` call each, and pulls the coefficients
+back to the base field through the embedding's inverse.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -201,36 +199,23 @@ def gcd_lemma(q: int, a: int, b: int, form: str) -> int:
     raise ValueError(f"unknown form {form!r}")
 
 
-def minimal_polynomial(ctx: RootContext, residues: Iterable[int]) -> dict[tuple[int, ...], Poly]:
-    """The minimal polynomial prod_{j in C} (x - beta^j) of each q-coset C
-    that meets residues, with its coefficients pulled back to the base field
-    GF(q).  ctx is the :func:`cycledual.cyclic.root_context` of GF(q) and n,
-    whose table of beta's powers supplies the roots.  Residues lie in
-    0..n-1, in any order and with repeats.  Each key is its coset's members
-    in ascending order, and the entries come in order of smallest member.
+def minimal_polynomial(ctx: RootContext) -> dict[tuple[int, ...], Poly]:
+    """The minimal polynomial prod_{j in C} (x - beta^j) of every q-coset C
+    of Z_n, with its coefficients pulled back to the base field GF(q).  ctx
+    is the :func:`cycledual.cyclic.root_context` of GF(q) and n, whose table
+    of beta's powers supplies the roots.  Each key is its coset's members in
+    ascending order, and the entries come in order of smallest member.
 
-    Each residue walks r q^t mod n for 0 <= t <= m, m = ctx.m the order of q
-    mod n, one column each.  A column's smallest entry is its coset's
-    representative, and the walk is taken again from the distinct
-    representatives, one column each.  A column returns to its
-    representative first at step |C|, and at the latest at step m."""
+    Each residue r walks r q^t mod n for 0 <= t <= m, m = ctx.m the order of
+    q mod n, one column each; a column whose smallest entry is r is its
+    coset's, and returns to r first at step |C|, at the latest at step m."""
     n = ctx.n
-    try:  # neither a negative residue nor one of 2^64 or more fits
-        r = np.fromiter(residues, np.uint64)
-    except OverflowError:
-        raise ValueError("residues must lie in 0..n-1") from None
-    if not r.size:
-        return {}
-    if r.max() >= n:
-        raise ValueError("residues must lie in 0..n-1")
-    # the residues are below n < 2^32, so the products fit in uint64
     q = ctx.emb.base.order
+    # the residues are below n < 2^32, so the products fit in uint64
     steps = np.array([pow(q, t, n) for t in range(ctx.m + 1)], dtype=np.uint64)[:, None]
-    walk = steps * r
+    walk = steps * np.arange(n, dtype=np.uint64)
     walk %= n  # in place: the walk over all residues is the largest array here
-    seen = np.zeros(n, dtype=bool)
-    seen[walk.min(axis=0)] = True
-    walk = steps * np.flatnonzero(seen).astype(np.uint64) % n
+    walk = walk[:, walk.min(axis=0) == walk[0]]
     sizes = (walk[1:] == walk[0]).argmax(axis=0) + 1
     width = int(sizes.max())
     # padding with the root 0 makes column i x^(width - |C_i|) times its

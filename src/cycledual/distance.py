@@ -82,6 +82,12 @@ def _check_budget(q: int, k: int, budget: int) -> int:
     return total
 
 
+def _check_trials(trials: int, budget: int) -> None:
+    """ValueError when the trials, the codewords sampling weighs, exceed the budget."""
+    if trials > budget:
+        raise ValueError(f"sampled distance infeasible: {trials} trials, budget {budget}")
+
+
 def _basis(field: Field, basis) -> np.ndarray:
     basis = np.asarray(basis, dtype=dtype_for(field))
     if basis.ndim != 2 or basis.shape[0] < 1:
@@ -293,11 +299,13 @@ def exact_min_distance(field: Field, basis, budget: int = DEFAULT_BUDGET) -> Dis
 
 
 def sampled_weight_upper_bound(
-    field: Field, basis, trials: int, seed: int
+    field: Field, basis, trials: int, seed: int, budget: int = DEFAULT_BUDGET
 ) -> DistanceReport:
-    """Minimum weight over ``trials`` seeded pseudo-random nonzero codewords."""
+    """Minimum weight over ``trials`` seeded pseudo-random nonzero codewords,
+    refused before any table is built when they exceed the budget."""
     basis = _basis(field, basis)
     if trials < 1:
         raise ValueError("trials must be positive")
+    _check_trials(trials, budget)
     best = _least_weight(_sampled_weights(field, basis, trials, seed))
     return DistanceReport("sampled", best, False, trials, seed)

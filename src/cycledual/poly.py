@@ -131,9 +131,6 @@ class Poly:
         # quot[-1] = lead(self) / lead(other) is nonzero
         return Poly._trusted(f, tuple(quot)), Poly._trusted(f, rem)
 
-    def __mod__(self, other: "Poly") -> "Poly":
-        return self.divrem(other)[1]
-
     def monic(self) -> "Poly":
         if self.is_zero:
             raise ValueError("zero polynomial has no monic form")

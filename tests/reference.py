@@ -28,7 +28,7 @@ generator modulo x^n - 1 (``encode``) and the remainder by the generator
 The partition of Z_n into q-cyclotomic cosets, one ``cycledual.cyclo.coset``
 orbit per residue not yet met (``all_cosets``), is the reference for the
 cosets that ``cycledual.cyclo.minimal_polynomial`` finds by one walk over
-all its residues at once.  A coset's roots walked by Frobenius steps from
+every residue of Z_n at once.  A coset's roots walked by Frobenius steps from
 one power of beta, multiplied out one linear factor at a time with the
 carry-less multiply, are the reference for its minimal polynomials, whose
 roots it reads from the table of beta's powers.

@@ -177,6 +177,40 @@ def test_verify_detects_every_single_edit(tmp_path, capsys):
         assert out == f"{name}: recorded fail, recomputed pass\n"
 
 
+def test_a_carriage_return_exits_2_and_leaves_the_file(tmp_path, capsys):
+    # the reader sees the file's bytes: universal newlines would read "\r\n"
+    # as "\n", and paper_floor_exact's free text would keep a stray "\r"
+    path = build_cert(tmp_path, capsys)
+    assert run(capsys, "distance", str(path), "--method", "exhaustive")[0] == 0
+    data = path.read_bytes()
+    lines = data.splitlines(keepends=True)
+    damaged = [
+        b"".join(lines[:i] + [line[:-1] + b"\r\n"] + lines[i + 1 :])
+        for i, line in enumerate(lines)
+    ]
+    damaged.append(data.replace(b"\n", b"\r\n"))
+    assert len(damaged) == len(lines) + 1 > 40
+    for bad in damaged:
+        path.write_bytes(bad)
+        for argv in (["verify", str(path)], ["distance", str(path), "--method", "exhaustive"]):
+            rc, out, err = run(capsys, *argv)
+            assert (rc, out) == (2, ""), bad
+            assert err == "error: carriage return in certificate\n"
+            assert path.read_bytes() == bad
+
+
+def test_a_non_ascii_byte_exits_2(tmp_path, capsys):
+    path = build_cert(tmp_path, capsys)
+    path.write_bytes(path.read_bytes().replace(b"euclidean", b"eucl\xc3\xa9dean"))
+    for argv in (["verify", str(path)], ["distance", str(path), "--method", "exhaustive"]):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, "")
+        assert err == (
+            "error: 'ascii' codec can't decode byte 0xc3 in position 20: "
+            "ordinal not in range(128)\n"
+        )
+
+
 def test_verify_check_failing_in_the_rebuild_exits_1(tmp_path, capsys, monkeypatch):
     path = build_cert(tmp_path, capsys)
     failing = dataclasses.replace(read_certificate(path), self_dual=False)
@@ -764,8 +798,8 @@ def _drop_a_root(mp):
 def test_factor_rejects_a_corrupted_factor(capsys, monkeypatch, corrupt):
     build = cli.minimal_polynomial
 
-    def corrupted(ctx, residues):
-        mps = build(ctx, residues)
+    def corrupted(ctx):
+        mps = build(ctx)
         return {orbit: corrupt(mp) if orbit == (0,) else mp for orbit, mp in mps.items()}
 
     monkeypatch.setattr(cli, "minimal_polynomial", corrupted)
@@ -779,8 +813,8 @@ def test_factor_expands_every_coset_in_one_call(capsys, monkeypatch):
     calls = []
     build = cli.minimal_polynomial
 
-    def counted(ctx, residues):
-        mps = build(ctx, residues)
+    def counted(ctx):
+        mps = build(ctx)
         calls.append(len(mps))
         return mps
 

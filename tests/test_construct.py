@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from cycledual import (
     CyclicCode,
@@ -12,10 +14,11 @@ from cycledual import (
     build_family,
     exact_min_distance,
     family_parameters,
+    field_create,
     paper_floor,
     x_pow_n_minus_1,
 )
-from cycledual import construct
+from cycledual import construct, cyclic
 from cycledual.certificate import dumps
 from cycledual.cli import main
 from cycledual.construct import pipeline_checks
@@ -100,9 +103,9 @@ def test_pipeline_evaluates_no_polynomial(monkeypatch, tmp_path, capsys):
 
 
 def test_build_family_divides_only_by_the_inner_generator(monkeypatch):
-    # four divisions per pipeline, each by the short g1: x^n - 1 (the inner
-    # code's check polynomial), the dual generator (g2), and the two that
-    # decide the seed [0|g_dual]; none by G = g1 g_dual or by g_dual
+    # two divisions per pipeline, both by the short g1, that decide the seed
+    # [0|g_dual]; h1 and g2 are products of the coset table, and nothing is
+    # divided by G = g1 g_dual or by g_dual
     divisors = []
     divrem = Poly.divrem
 
@@ -115,7 +118,43 @@ def test_build_family_divides_only_by_the_inner_generator(monkeypatch):
         divisors.clear()
         cert = build_family(*cell)
         assert cert.all_checks_pass, cell
-        assert divisors == [cert.inner_generator] * 4, cell
+        assert divisors == [cert.inner_generator] * 2, cell
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    s=st.sampled_from([1, 2, 4]),
+    n=st.integers(0, 31).map(lambda i: 2 * i + 1),
+    picks=st.integers(0, 2**64 - 1),
+    hermitian=st.booleans(),
+)
+@example(s=1, n=7, picks=0b010, hermitian=False)  # the Hamming code: T = {1, 2, 4}
+@example(s=2, n=21, picks=0b110, hermitian=True)
+@example(s=2, n=63, picks=2**64 - 1, hermitian=True)  # every coset: the zero code
+@example(s=4, n=63, picks=0, hermitian=False)  # no coset: the whole space
+def test_table_products_equal_the_quotients(s, n, picks, hermitian):
+    # h1 and g2 are products of the coset table where the pipeline divided
+    # before; here they must equal those quotients, and g1 g2 = g_dual must
+    # agree with the defining-set predicate and the remainder of g_dual by g1
+    field = field_create(s)
+    try:
+        cyclic.root_context(field, n)
+    except ValueError:  # past GF(2^32)
+        assume(False)
+    kind = "hermitian" if hermitian and s % 2 == 0 else "euclidean"
+    cosets = list(reference.all_cosets(n, field.order).values())
+    members = frozenset(i for j, c in enumerate(cosets) if picks >> j & 1 for i in c)
+    code = CyclicCode.from_defining_set(field, n, DefiningSet(n, field.order, members))
+    assert (code.h, Poly(field)) == x_pow_n_minus_1(field, n).divrem(code.g)
+    dual_code, g2, g_out, checks = pipeline_checks(code, kind)
+    quotient, rem = code.dual(kind).g.divrem(code.g)
+    assert checks["dual_containing"] == code.is_dual_containing(kind) == rem.is_zero
+    if rem.is_zero:
+        assert g2 == quotient
+        assert g_out == code.g * code.g * quotient
+        assert all(checks.values())
+    else:
+        assert g2 is None
 
 
 def test_build_family_past_the_length_cap_is_pinned(monkeypatch):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,28 @@ def test_from_defining_set_errors():
         CyclicCode.from_defining_set(GF2, 7, DefiningSet(7, 2, frozenset({1})))
     with pytest.raises(ValueError, match="base"):
         CyclicCode.from_defining_set(GF4, 7, DefiningSet(7, 2, frozenset({1, 2, 4})))
+
+
+@pytest.mark.parametrize("dropped", [(0,), (3, 5, 6)])
+def test_from_defining_set_checks_that_the_table_multiplies_back(monkeypatch, dropped):
+    # g1 and h1 are products of the coset table over T and outside it: a
+    # table short of a coset outside T gives a wrong h1, which only the
+    # product check g1 h1 = x^n - 1 sees
+    ctx = dataclasses.replace(cyclic.root_context(GF2, 7))  # a fresh context
+    table = dict(cyclic.root_context(GF2, 7).minimal_polynomials)
+    del table[dropped]
+    vars(ctx)["minimal_polynomials"] = table
+    monkeypatch.setattr(cyclic, "root_context", lambda field, n: ctx)
+    with pytest.raises(RuntimeError, match="^internal: the coset table does not multiply back"):
+        CyclicCode.from_defining_set(GF2, 7, bch_defining_set(7, 2, 1))
+
+
+def test_root_context_table_is_read_only():
+    # the context is cached and shared by every caller of root_context
+    table = cyclic.root_context(GF2, 7).minimal_polynomials
+    with pytest.raises(TypeError):
+        table[(0,)] = Poly.one(GF2)
+    assert table[(0,)] == Poly(GF2, (1, 1))
 
 
 def test_from_generator():
@@ -260,20 +284,17 @@ def test_self_orthogonality_via_matrix():
 
 
 def test_each_generator_expands_its_cosets_in_one_call(monkeypatch):
-    calls = {"generator": 0, "minimal_polynomial": 0}
-    generator, build = cyclic._generator, cyclic.minimal_polynomial
+    # g1, h1, the dual's h and g2 are products of one table, which each root
+    # context expands once, on first use
+    calls = []
+    build = cyclic.minimal_polynomial
 
-    def counted_generator(field, n, T):
-        calls["generator"] += 1
-        return generator(field, n, T)
+    def counted(ctx):
+        calls.append((ctx.emb.base.order, ctx.n))
+        return build(ctx)
 
-    def counted_build(ctx, residues):
-        calls["minimal_polynomial"] += 1
-        mps = build(ctx, residues)
-        assert set().union(*mps) == set(residues)  # T's cosets, and nothing more
-        return mps
-
-    monkeypatch.setattr(cyclic, "_generator", counted_generator)
-    monkeypatch.setattr(cyclic, "minimal_polynomial", counted_build)
-    build_family("hermitian", 1, 3, 1)  # the inner code, and the dual check's -qT
-    assert calls["minimal_polynomial"] == calls["generator"] > 0
+    monkeypatch.setattr(cyclic, "minimal_polynomial", counted)
+    cyclic.root_context.cache_clear()  # a fresh context, whose table is unexpanded
+    for _ in range(2):
+        assert build_family("hermitian", 1, 3, 1).all_checks_pass
+    assert calls == [(4, 63)]

@@ -1,3 +1,4 @@
+import signal
 import tracemalloc
 
 import numpy as np
@@ -419,3 +420,29 @@ def test_sampled_refuses_one_row_tables_past_the_limit(monkeypatch):
     basis = np.zeros((8, 1024), dtype=np.uint16)
     with pytest.raises(ValueError, match="sampled distance infeasible: .* 1073741824 bytes"):
         sampled_weight_upper_bound(field_create(16), basis, 10, 0)
+
+
+def test_sampled_refuses_more_trials_than_the_budget_at_once(monkeypatch):
+    # the trials are the codewords weighed, counted against the budget before
+    # any table is built; an alarm stops a run that would draw them
+    monkeypatch.setattr(distance, "_run_tables", None)  # a table build would fail
+
+    def expire(signum, frame):
+        raise TimeoutError("the refusal did not come at once")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(10)
+    try:
+        with pytest.raises(ValueError) as caught:
+            sampled_weight_upper_bound(field_create(1), np.eye(3, dtype=np.uint8), 10**23, 0)
+        assert str(caught.value) == (
+            f"sampled distance infeasible: {10**23} trials, budget {distance.DEFAULT_BUDGET}"
+        )
+        with pytest.raises(ValueError, match="^sampled distance infeasible: 11 trials, budget 10$"):
+            sampled_weight_upper_bound(GF2, np.eye(3, dtype=np.uint8), 11, 0, budget=10)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    monkeypatch.undo()
+    report = sampled_weight_upper_bound(GF2, np.eye(3, dtype=np.uint8), 10, 0, budget=10)
+    assert (report.value, report.enumerated) == (1, 10)

@@ -265,7 +265,7 @@ def _long_poly(draw, field, t):
 
 def test_product_of_the_1375_minimal_polynomials_mod_4095_over_gf16():
     field = field_create(4)
-    mps = minimal_polynomial(root_context(field, 4095), range(4095))
+    mps = minimal_polynomial(root_context(field, 4095))
     assert len(mps) == 1375
     with mock.patch.object(poly, "_fft_product", wraps=poly._fft_product) as fft:
         assert product(field, mps.values()) == x_pow_n_minus_1(field, 4095)
