@@ -28,7 +28,6 @@ from .cyclo import (
     bch_bound,
     bch_defining_set,
     complement,
-    coset,
     gcd_lemma,
     is_dual_containing_set,
     minimal_polynomial,
@@ -73,7 +72,6 @@ __all__ = [
     "build_family",
     "complement",
     "conjugate_poly",
-    "coset",
     "dumps",
     "exact_min_distance",
     "extension_with_embedding",

@@ -18,7 +18,7 @@ import os
 import stat
 from pathlib import Path
 
-from .construct import DistanceSummary, SelfDualCertificate
+from .construct import DistanceSummary, SelfDualCertificate, check_inner_length
 from .cyclo import KINDS, DefiningSet
 from .gf import field_create
 from .poly import Poly
@@ -199,6 +199,7 @@ def loads(text: str) -> SelfDualCertificate:
     k_inner = _int(_take(ic, "inner_code", "k"), "inner k")
     if n_inner < 1:
         raise CertificateFormatError("inner n must be positive")
+    check_inner_length(n_inner)  # before the length-n defining-set mask
     try:
         defining_set = DefiningSet.from_string(
             n_inner, field.order, _take(ic, "inner_code", "defining_set")

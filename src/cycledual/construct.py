@@ -235,7 +235,7 @@ def pipeline_checks(
         "cyclic_invariance": False,
     }
     dual_code = inner.dual(kind)
-    g2 = _coset_product(inner.field, inner.n, lambda i: i in dual_code.T and i not in inner.T)
+    g2 = _coset_product(inner.field, inner.n, dual_code.T.mask & ~inner.T.mask)
     checks["dual_containing"] = inner.is_dual_containing(kind)
     if checks["dual_containing"] != (inner.g * g2 == dual_code.g):
         raise RuntimeError("internal: containment predicate and g1 g2 = g_dual disagree")

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import compress
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -104,11 +105,11 @@ def root_context(field: Field, n: int) -> RootContext:
     return RootContext(n, m, ext, emb, beta, (ext.order - 1) // n)
 
 
-def _coset_product(field: Field, n: int, keep: Callable[[int], bool]) -> Poly:
-    """The product of the coset table's rows whose smallest member passes keep:
-    for the membership test of a coset-closed S, the roots are beta^S."""
+def _coset_product(field: Field, n: int, mask: np.ndarray) -> Poly:
+    """The product of the coset table's rows whose smallest member the mask
+    holds: for the membership mask of a coset-closed S, the roots are beta^S."""
     table = root_context(field, n).minimal_polynomials
-    return product(field, [mp for members, mp in table.items() if keep(members[0])])
+    return product(field, compress(table.values(), mask[[members[0] for members in table]]))
 
 
 def hermitian_base(field: Field) -> int:
@@ -160,8 +161,8 @@ class CyclicCode:
             raise ValueError("defining set base does not match the field order")
         if not T.is_coset_closed():
             raise ValueError("defining set not coset-closed")
-        g = _coset_product(field, n, T.__contains__)  # raises first if n is infeasible
-        h = _coset_product(field, n, lambda i: i not in T)
+        g = _coset_product(field, n, T.mask)  # raises first if n is infeasible
+        h = _coset_product(field, n, ~T.mask)
         if g * h != x_pow_n_minus_1(field, n):
             raise RuntimeError("internal: the coset table does not multiply back to x^n - 1")
         return cls(field, n, g, h, T)
@@ -179,11 +180,10 @@ class CyclicCode:
         ctx = root_context(field, n)
         # roots of a GF(q)-coefficient polynomial come in whole cosets:
         # g(beta^(q i)) = g(beta^i)^q, so one representative decides the orbit
-        members: set[int] = set()
+        mask = np.zeros(n, dtype=bool)
         for orbit in ctx.minimal_polynomials:
-            if g.eval(int(ctx.powers[orbit[0]]), ctx.emb) == 0:
-                members.update(orbit)
-        code = cls.from_defining_set(field, n, DefiningSet(n, field.order, frozenset(members)))
+            mask[list(orbit)] = g.eval(int(ctx.powers[orbit[0]]), ctx.emb) == 0
+        code = cls.from_defining_set(field, n, DefiningSet._of(n, field.order, mask))
         # x^n - 1 is squarefree, so g divides it iff g is the product of x - beta^i over its roots
         if code.g != g:
             raise ValueError("not a divisor: g does not divide x^n - 1")
@@ -196,17 +196,19 @@ class CyclicCode:
 
     def dual(self, kind: str = EUCLIDEAN) -> "CyclicCode":
         """The dual code: generator the (conjugated) reversal of the check
-        polynomial, defining set T^perp = -q (Z_n minus T).  Since x^n - 1
-        is squarefree, that generator has exactly the roots T^perp iff its
-        product with the coset table's product over -q T, the complement of
-        T^perp, is x^n - 1, which catches a fault in the reversal or the
-        conjugation.  That product over -q T is also the dual's h."""
+        polynomial, defining set T^perp = -q (Z_n minus T), the complement
+        of -q T, since multiplying by the unit -q permutes Z_n.  Since
+        x^n - 1 is squarefree, that generator has exactly the roots T^perp
+        iff its product with the coset table's product over -q T is
+        x^n - 1, which catches a fault in the reversal or the conjugation.
+        That product over -q T is also the dual's h."""
         q = _conjugation_power(self.field, kind)
         gd = self._dual_generator(kind)
-        hd = _coset_product(self.field, self.n, set_map(self.T, -q).__contains__)
+        image = set_map(self.T, -q)
+        hd = _coset_product(self.field, self.n, image.mask)
         if gd * hd != x_pow_n_minus_1(self.field, self.n):
             raise RuntimeError("internal: the dual generator has a root outside T^perp")
-        return CyclicCode(self.field, self.n, gd, hd, set_map(complement(self.T), -q))
+        return CyclicCode(self.field, self.n, gd, hd, complement(image))
 
     def is_dual_containing(self, kind: str = EUCLIDEAN) -> bool:
         """The defining-set predicate: the dual lies in the code."""

@@ -3,8 +3,10 @@ BCH bound, the gcd(q^a±1, q^b-1) closed forms, and minimal polynomials of
 cosets.
 
 A defining set is a subset of Z_n tagged with the coset base q (the alphabet
-order; q^2-cyclotomic work simply uses that square as the base).  Sets
-serialize as comma-separated decimal residues in ascending order.
+order; q^2-cyclotomic work simply uses that square as the base), held as one
+read-only bool mask of length n, so that the set operations are array
+expressions with no Python pass over residues.  Sets still serialize as
+comma-separated decimal residues in ascending order.
 
 :func:`minimal_polynomial` expands the minimal polynomials of every coset of
 Z_n in one numpy pass, the coset table that the root context caches once per
@@ -18,8 +20,7 @@ back to the base field through the embedding's inverse.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -34,7 +35,6 @@ __all__ = [
     "HERMITIAN",
     "KINDS",
     "DefiningSet",
-    "coset",
     "set_map",
     "complement",
     "bch_defining_set",
@@ -54,39 +54,58 @@ def _check_kind(kind: str) -> None:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
 
 
-@dataclass(frozen=True)
 class DefiningSet:
-    """A subset of Z_n with its coset base recorded."""
+    """A subset of Z_n with its coset base q recorded, held as a read-only
+    bool mask of length n: residue i is a member iff mask[i]."""
 
-    n: int
-    q: int
-    members: frozenset[int]
+    __slots__ = ("n", "q", "mask")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int, q: int, members: Iterable[int]):
+        if n < 1:
             raise ValueError("modulus n must be positive")
-        if self.q < 2:
+        if q < 2:
             raise ValueError("coset base q must be at least 2")
-        members = frozenset(int(i) for i in self.members)
-        if any(i < 0 or i >= self.n for i in members):
-            raise ValueError("residues must lie in 0..n-1")
-        object.__setattr__(self, "members", members)
+        try:
+            residues = np.fromiter(members, dtype=np.int64)
+            if ((residues < 0) | (residues >= n)).any():
+                raise OverflowError
+        except OverflowError:
+            raise ValueError("residues must lie in 0..n-1") from None
+        mask = np.zeros(n, dtype=bool)
+        mask[residues] = True
+        mask.flags.writeable = False
+        self.n, self.q, self.mask = n, q, mask
+
+    @classmethod
+    def _of(cls, n: int, q: int, mask: np.ndarray) -> "DefiningSet":
+        """The set with membership mask mask, which it takes over read-only."""
+        T = cls.__new__(cls)
+        mask.flags.writeable = False
+        T.n, T.q, T.mask = n, q, mask
+        return T
 
     @property
     def sorted_members(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
+        return tuple(np.flatnonzero(self.mask).tolist())
 
     def is_coset_closed(self) -> bool:
-        return all((i * self.q) % self.n in self.members for i in self.members)
-
-    def __contains__(self, i: int) -> bool:
-        return i in self.members
+        return bool(self.mask[np.flatnonzero(self.mask) * (self.q % self.n) % self.n].all())
 
     def __len__(self) -> int:
-        return len(self.members)
+        return int(np.count_nonzero(self.mask))
 
-    def __iter__(self):
-        return iter(self.sorted_members)
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, DefiningSet)
+            and (self.n, self.q) == (other.n, other.q)
+            and np.array_equal(self.mask, other.mask)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.q, self.mask.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"DefiningSet({self.n}, {self.q}, [{self.to_string()}])"
 
     def to_string(self) -> str:
         return ",".join(str(i) for i in self.sorted_members)
@@ -94,7 +113,7 @@ class DefiningSet:
     @classmethod
     def from_string(cls, n: int, q: int, text: str) -> "DefiningSet":
         if text == "":
-            return cls(n, q, frozenset())
+            return cls(n, q, ())
         vals = []
         for t in text.split(","):
             try:
@@ -106,66 +125,42 @@ class DefiningSet:
             vals.append(v)
         if vals != sorted(set(vals)):
             raise ValueError("residues must be distinct and ascending")
-        return cls(n, q, frozenset(vals))
-
-
-def coset(n: int, q: int, i: int) -> tuple[int, ...]:
-    """The orbit of i under multiplication by q modulo n, sorted."""
-    if n < 1:
-        raise ValueError("modulus n must be positive")
-    i %= n
-    orbit = set()
-    j = i
-    while j not in orbit:
-        orbit.add(j)
-        j = (j * q) % n
-    return tuple(sorted(orbit))
+        return cls(n, q, vals)
 
 
 def set_map(T: DefiningSet, c: int) -> DefiningSet:
     """{c*i mod n : i in T}; c = -1 gives T^-1 and c = -q gives T^-q."""
-    return DefiningSet(T.n, T.q, frozenset((c * i) % T.n for i in T.members))
+    mask = np.zeros(T.n, dtype=bool)
+    mask[np.flatnonzero(T.mask) * (c % T.n) % T.n] = True
+    return DefiningSet._of(T.n, T.q, mask)
 
 
 def complement(T: DefiningSet) -> DefiningSet:
-    return DefiningSet(T.n, T.q, frozenset(range(T.n)) - T.members)
+    return DefiningSet._of(T.n, T.q, ~T.mask)
 
 
 def bch_defining_set(n: int, q: int, b: int) -> DefiningSet:
-    """Union of the cosets of 1..b (so b = delta - 1); empty for b = 0."""
+    """Union of the cosets of 1..b (so b = delta - 1); empty for b = 0.
+    The residues 1..b walk i q^t mod n together, marking their cosets, until
+    all are back at their start, after ord_n(q) steps."""
     if b < 0:
         raise ValueError("coset count b must be nonnegative")
-    members: set[int] = set()
-    for i in range(1, b + 1):
-        members.update(coset(n, q, i))
-    return DefiningSet(n, q, frozenset(members))
+    mask = DefiningSet(n, q, np.arange(1, min(b, n) + 1) % n).mask.copy()
+    start = np.flatnonzero(mask)
+    step = q % n
+    walk = start * step % n
+    while (walk != start).any():
+        mask[walk] = True
+        walk = walk * step % n
+    return DefiningSet._of(n, q, mask)
 
 
 def bch_bound(T: DefiningSet) -> int:
-    """1 + the longest cyclically-consecutive run of residues inside T."""
-    mem = T.sorted_members
-    if not mem:
-        return 1
-    n = T.n
-    if len(mem) == n:
-        return n + 1
-    best = 0
-    cur = 0
-    prev = None
-    for v in mem:
-        cur = cur + 1 if prev is not None and v == prev + 1 else 1
-        if cur > best:
-            best = cur
-        prev = v
-    if mem[0] == 0 and mem[-1] == n - 1:
-        lead = 1
-        while lead < len(mem) and mem[lead] == lead:
-            lead += 1
-        tail = 1
-        while tail < len(mem) and mem[-1 - tail] == n - 1 - tail:
-            tail += 1
-        best = max(best, lead + tail)
-    return best + 1
+    """1 + the longest cyclically-consecutive run of residues inside T: the
+    largest gap between the zeros of T's mask laid twice end to end, or
+    n + 1 for the full set."""
+    zeros = np.flatnonzero(~np.concatenate((T.mask, T.mask)))
+    return int(np.diff(zeros).max()) if zeros.size else T.n + 1
 
 
 def is_dual_containing_set(T: DefiningSet, kind: str, q: int | None = None) -> bool:
@@ -174,15 +169,12 @@ def is_dual_containing_set(T: DefiningSet, kind: str, q: int | None = None) -> b
     _check_kind(kind)
     if not T.is_coset_closed():
         raise ValueError("defining set not coset-closed")
-    if kind == EUCLIDEAN:
-        mapped = {(-i) % T.n for i in T.members}
-    else:
+    if kind == HERMITIAN:
         if q is None:
             raise ValueError("hermitian containment test needs the conjugation base q")
         if q * q != T.q:
             raise ValueError(f"hermitian defining sets use base q^2; got q={q}, base={T.q}")
-        mapped = {(-q * i) % T.n for i in T.members}
-    return T.members.isdisjoint(mapped)
+    return not (T.mask & set_map(T, -1 if kind == EUCLIDEAN else -q).mask).any()
 
 
 def gcd_lemma(q: int, a: int, b: int, form: str) -> int:

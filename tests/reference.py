@@ -25,10 +25,14 @@ lookups.  A message times the
 generator modulo x^n - 1 (``encode``) and the remainder by the generator
 (``contains``) are the brute-force span and membership of a cyclic code.
 
-The partition of Z_n into q-cyclotomic cosets, one ``cycledual.cyclo.coset``
-orbit per residue not yet met (``all_cosets``), is the reference for the
-cosets that ``cycledual.cyclo.minimal_polynomial`` finds by one walk over
-every residue of Z_n at once.  A coset's roots walked by Frobenius steps from
+The partition of Z_n into q-cyclotomic cosets, one ``coset`` orbit per
+residue not yet met (``all_cosets``), is the reference for the cosets that
+``cycledual.cyclo.minimal_polynomial`` finds by one walk over every residue
+of Z_n at once.  Frozensets of residues, mapped, complemented and scanned one
+member at a time, are the reference for the defining-set masks of
+cycledual.cyclo: ``set_map``, ``complement``, ``is_coset_closed``, the
+containment predicate ``is_dual_containing_set`` and the run scan of
+``bch_bound``.  A coset's roots walked by Frobenius steps from
 one power of beta, multiplied out one linear factor at a time with the
 carry-less multiply, are the reference for its minimal polynomials, whose
 roots it reads from the table of beta's powers.
@@ -72,7 +76,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from cycledual import CyclicCode, Embedding, Field, Poly, x_pow_n_minus_1
-from cycledual.cyclo import HERMITIAN, KINDS, coset
+from cycledual.cyclo import HERMITIAN, KINDS
 from cycledual.gf import _gf2_mod, dtype_for, is_irreducible, log_exp, times
 from cycledual.linalg import shifted_rows
 
@@ -102,6 +106,19 @@ def divisors(n: int) -> list[int]:
 # -- cyclotomic cosets -----------------------------------------------------------
 
 
+def coset(n: int, q: int, i: int) -> tuple[int, ...]:
+    """The orbit of i under multiplication by q modulo n, sorted."""
+    if n < 1:
+        raise ValueError("modulus n must be positive")
+    i %= n
+    orbit = set()
+    j = i
+    while j not in orbit:
+        orbit.add(j)
+        j = (j * q) % n
+    return tuple(sorted(orbit))
+
+
 def all_cosets(n: int, q: int) -> dict[int, tuple[int, ...]]:
     """Partition of Z_n into q-cyclotomic cosets, keyed by minimal element."""
     if n < 1:
@@ -117,6 +134,55 @@ def all_cosets(n: int, q: int) -> dict[int, tuple[int, ...]]:
         out[i] = orb
         seen.update(orb)
     return out
+
+
+# -- defining sets as frozensets ------------------------------------------------
+
+
+def set_map(members: frozenset[int], n: int, c: int) -> frozenset[int]:
+    """{c*i mod n : i in members}."""
+    return frozenset((c * i) % n for i in members)
+
+
+def complement(members: frozenset[int], n: int) -> frozenset[int]:
+    return frozenset(range(n)) - members
+
+
+def is_coset_closed(members: frozenset[int], n: int, q: int) -> bool:
+    return all((i * q) % n in members for i in members)
+
+
+def is_dual_containing_set(members: frozenset[int], n: int, c: int) -> bool:
+    """The containment predicate: members disjoint from their image under c
+    (c = -1 Euclidean, c = -q Hermitian)."""
+    return members.isdisjoint(set_map(members, n, c))
+
+
+def bch_bound(members: frozenset[int], n: int) -> int:
+    """1 + the longest cyclically-consecutive run of residues in members,
+    by a scan over the sorted residues and the run that wraps past n - 1."""
+    mem = sorted(members)
+    if not mem:
+        return 1
+    if len(mem) == n:
+        return n + 1
+    best = 0
+    cur = 0
+    prev = None
+    for v in mem:
+        cur = cur + 1 if prev is not None and v == prev + 1 else 1
+        if cur > best:
+            best = cur
+        prev = v
+    if mem[0] == 0 and mem[-1] == n - 1:
+        lead = 1
+        while lead < len(mem) and mem[lead] == lead:
+            lead += 1
+        tail = 1
+        while tail < len(mem) and mem[-1 - tail] == n - 1 - tail:
+            tail += 1
+        best = max(best, lead + tail)
+    return best + 1
 
 
 # -- scalars in GF(2^s) ----------------------------------------------------------

@@ -33,6 +33,7 @@ def test_roundtrip(cert):
     text = dumps(cert)
     assert loads(text) == cert
     assert dumps(loads(text)) == text
+    assert hash(loads(text)) == hash(cert)
 
 
 def test_deterministic_bytes(cert):

@@ -540,6 +540,35 @@ def test_distance_over_size_limit_exits_2_before_the_basis(tmp_path, capsys, mon
     assert err == "error: inner length n = 8193 exceeds MAX_INNER_LENGTH = 8191\n"
 
 
+@pytest.mark.parametrize("argv", [["verify"], ["distance", "--method", "exhaustive"]])
+@pytest.mark.parametrize(
+    "old,new,error",
+    [
+        (
+            "[inner_code]\nn = 7\n",
+            f"[inner_code]\nn = {10**18}\n",
+            f"inner length n = {10**18} exceeds MAX_INNER_LENGTH = 8191",
+        ),
+        (
+            "defining_set = 1,2,4\n",
+            f"defining_set = 1,2,{2**64}\n",
+            "bad [inner_code] value: residues must lie in 0..n-1",
+        ),
+    ],
+    ids=["inner-n-1e18", "residue-2^64"],
+)
+def test_an_untrusted_inner_n_or_residue_exits_2_before_the_mask(
+    tmp_path, capsys, argv, old, new, error
+):
+    # the defining set is a mask of length n, so the parser bounds n first
+    path = build_cert(tmp_path, capsys)
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new))
+    rc, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert (rc, out, err) == (2, "", f"error: {error}\n")
+
+
 def test_construct_over_size_limit_exits_2(capsys):
     # n = 2^15 - 1 = 32767 exceeds MAX_INNER_LENGTH = 8191
     rc, out, err = run(

@@ -14,7 +14,6 @@ from cycledual import (
     bch_bound,
     bch_defining_set,
     complement,
-    coset,
     field_create,
     gcd_lemma,
     is_dual_containing_set,
@@ -28,6 +27,7 @@ from cycledual import gf
 
 import reference
 from conftest import GF2, GF4
+from reference import coset
 
 
 def DS(n, q, members):
@@ -136,6 +136,62 @@ def test_is_dual_containing_set():
         is_dual_containing_set(DS(21, 4, {7}), "hermitian", q=4)
     with pytest.raises(ValueError):
         is_dual_containing_set(DS(7, 2, {1, 2, 4}), "unitary")
+
+
+@st.composite
+def residue_sets(draw):
+    """(n, q, members): an arbitrary or a coset-closed subset of Z_n, odd n."""
+    q = draw(st.sampled_from([2, 4, 16]))
+    n = 2 * draw(st.integers(0, 127)) + 1
+    members = draw(st.frozensets(st.integers(0, n - 1)))
+    if draw(st.booleans()):
+        members = frozenset().union(*(coset(n, q, i) for i in members))
+    return n, q, members
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=residue_sets(), c=st.integers(-300, 300))
+@example(case=(7, 2, frozenset()), c=-1)
+@example(case=(7, 2, frozenset(range(7))), c=-1)
+@example(case=(9, 2, frozenset({7, 8, 0, 1})), c=-2)  # a run that wraps past 8 -> 0
+@example(case=(15, 4, frozenset({0, 1, 4, 7, 13, 14})), c=-2)  # runs 13..1, {4}, {7}
+def test_mask_set_algebra_matches_the_frozenset_reference(case, c):
+    n, q, members = case
+    T = DefiningSet(n, q, members)
+    assert T.sorted_members == tuple(sorted(members)) and len(T) == len(members)
+    assert T == DefiningSet.from_string(n, q, T.to_string())
+    mapped, comp = set_map(T, c), complement(T)
+    assert set(mapped.sorted_members) == reference.set_map(members, n, c)
+    assert set(comp.sorted_members) == reference.complement(members, n)
+    assert not (T.mask.flags.writeable or mapped.mask.flags.writeable or comp.mask.flags.writeable)
+    assert bch_bound(T) == reference.bch_bound(members, n)
+    closed = T.is_coset_closed()
+    assert closed == reference.is_coset_closed(members, n, q)
+    if closed:
+        assert is_dual_containing_set(T, "euclidean") == reference.is_dual_containing_set(
+            members, n, -1
+        )
+        if q > 2:
+            r = math.isqrt(q)
+            assert is_dual_containing_set(T, "hermitian", r) == (
+                reference.is_dual_containing_set(members, n, -r)
+            )
+
+
+def test_bch_defining_set_is_the_union_of_the_reference_cosets():
+    for q in (2, 4, 16):
+        for n in range(1, 64, 2):
+            for b in range(n + 2):
+                union = frozenset().union(*(coset(n, q, i) for i in range(1, b + 1)))
+                assert bch_defining_set(n, q, b) == DefiningSet(n, q, union), (n, q, b)
+
+
+def test_defining_set_rejects_residues_outside_z_n():
+    for bad in ([7], [-1], [2**64], [-(2**70)]):
+        with pytest.raises(ValueError, match="residues must lie in 0..n-1"):
+            DefiningSet(7, 2, bad)
+    with pytest.raises(ValueError, match="residues must lie in 0..n-1"):
+        DefiningSet.from_string(7, 2, f"1,2,{2**64}")
 
 
 def test_gcd_lemma_examples():
