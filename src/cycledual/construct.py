@@ -82,8 +82,8 @@ def _seeds_in_ideal(g1: Poly, g_dual: Poly, h_dual: Poly) -> bool:
     Every other [u|u+v] basis row interleaves to a seed times x^(t(n+1))
     mod x^(2n) - 1, so when G divides x^(2n) - 1 and the dimensions agree,
     membership forces equality."""
-    even = list(g_dual.coeffs)
-    even[1::2] = [0] * (len(even) // 2)
+    even = g_dual.coeffs.copy()
+    even[1::2] = 0
     _, even_mod_g1 = Poly(g1.field, even).divrem(g1)
     return (Poly.one(g1.field) + h_dual * even_mod_g1).divrem(g1)[1].is_zero
 

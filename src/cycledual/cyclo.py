@@ -14,7 +14,8 @@ Z_n in one numpy pass, the coset table that the root context caches once per
 per column of an (L, N) matrix padded with the root 0 (L the largest coset
 size), expands the products as one (L + 1, N) coefficient matrix in L row
 steps, one :func:`cycledual.gf.times` call each, and pulls the coefficients
-back to the base field through the embedding's inverse.
+back to the base field by a binary search among the embedding's images, into
+one array of which each minimal polynomial is a slice.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .gf import Field, times
+from .gf import Field, dtype_for, times
 from .poly import Poly
 
 if TYPE_CHECKING:
@@ -214,19 +215,21 @@ def minimal_polynomial(ctx: RootContext) -> dict[tuple[int, ...], Poly]:
     # minimal polynomial
     roots = ctx.powers[walk[:width]]
     roots[np.arange(width)[:, None] >= sizes] = 0
-    coeffs = _expand(roots, ctx.emb.ext).T.ravel().tolist()
-    try:
-        coeffs = list(map(ctx.emb.inverse.__getitem__, coeffs))
-    except KeyError:
+    coeffs = _expand(roots, ctx.emb.ext).T.ravel()
+    images = sorted(ctx.emb.inverse)
+    base = np.array([ctx.emb.inverse[c] for c in images], dtype=dtype_for(ctx.emb.base))
+    images = np.array(images, dtype=np.uint64)
+    at = np.searchsorted(images, coeffs)
+    if (images.take(at, mode="clip") != coeffs).any():
         raise RuntimeError(
             "internal: a minimal polynomial has a coefficient outside the base field"
-        ) from None
+        )
+    coeffs = base[at]
+    coeffs.setflags(write=False)  # and so is each minimal polynomial's slice
     out = {}
     for i, (members, size) in enumerate(zip(walk.T.tolist(), sizes.tolist())):
         end = (i + 1) * (width + 1)  # monic, past the padding's zeros
-        out[tuple(sorted(members[:size]))] = Poly._trusted(
-            ctx.emb.base, tuple(coeffs[end - size - 1 : end])
-        )
+        out[tuple(sorted(members[:size]))] = Poly._of(ctx.emb.base, coeffs[end - size - 1 : end])
     return out
 
 

@@ -6,7 +6,7 @@ in the polynomial basis, so GF(4) is {0, 1, 2, 3} with 2 = x and 3 = x + 1.
 Addition is xor; multiplication reduces modulo an irreducible binary
 polynomial stored the same way (x^2 + x + 1 is 0b111 = 7).
 
-:class:`Field` operates on raw ints, and so does every caller.
+:class:`Field` operates on raw ints, and numpy scalars by ``operator.index``.
 
 Canonical choices (so that independent runs agree bit for bit):
 
@@ -42,6 +42,7 @@ over the bits of its second operand.  The vectorised arithmetic of
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import index
 
 import numpy as np
 
@@ -167,7 +168,7 @@ class Field:
     # -- raw integer arithmetic -------------------------------------------
 
     def mul(self, a: int, b: int) -> int:
-        return self._mul_loop(a, b)
+        return self._mul_loop(index(a), index(b))
 
     def _mul_loop(self, a: int, b: int) -> int:
         """Shift-and-add product, one step per bit of b.  ``pow`` and the
@@ -185,6 +186,7 @@ class Field:
 
     def pow(self, a: int, e: int) -> int:
         """a^e by square-and-multiply; a negative e inverts a first."""
+        a, e = index(a), index(e)
         if e < 0:
             a = self.inv(a)
             e = -e

@@ -1,8 +1,8 @@
 """Dense univariate polynomials over GF(2^s).
 
-Coefficients are raw field values stored low degree first with trailing
-zeros trimmed, so the zero polynomial has an empty coefficient tuple.  The
-serialized form is a comma-separated list of lowercase hex coefficients,
+Coefficients are raw field values in one read-only array of dtype_for(field),
+low degree first with trailing zeros trimmed: the zero polynomial's is empty.
+The serialized form is a comma-separated list of lowercase hex coefficients,
 low degree first: 1 + x + x^3 over GF(2) is "1,1,0,1".
 
 Division runs one numpy kernel over the field's log/antilog tables
@@ -26,7 +26,7 @@ lie within 1/4 of an integer, and their parities fold back into GF(2^s).
 The crossovers are measured; see :func:`product`.
 
 The monic reversal and the q-th power of dual generators are one table
-lookup each.  Results come back as tuples of plain Python ints.
+lookup each.  Every kernel takes and returns coefficient arrays.
 """
 
 from __future__ import annotations
@@ -44,33 +44,34 @@ class Poly:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: Field, coeffs: Iterable[int] = ()):
-        vals = []
-        for c in coeffs:
-            c = int(c)
-            if not 0 <= c < field.order:
-                raise ValueError(f"coefficient {c} out of range for {field!r}")
-            vals.append(c)
-        while vals and vals[-1] == 0:
-            vals.pop()
+        # a negative int overflows uint64, and a negative array entry wraps past |F|
+        try:
+            vals = np.asarray(coeffs if isinstance(coeffs, np.ndarray) else [*coeffs], np.uint64)
+            if np.count_nonzero(vals >= field.order):
+                raise OverflowError
+        except OverflowError:
+            raise ValueError(f"coefficient out of range for {field!r}") from None
+        nonzero = vals.nonzero()[0]
         self.field = field
-        self.coeffs = tuple(vals)
+        self.coeffs = vals[: nonzero[-1] + 1 if nonzero.size else 0].astype(dtype_for(field))
+        self.coeffs.setflags(write=False)
 
     @classmethod
-    def _trusted(cls, field: Field, coeffs: tuple[int, ...]) -> "Poly":
-        """A polynomial from plain in-range ints with no trailing zero: the
-        kernel's results, which need none of the constructor's checks."""
+    def _of(cls, field: Field, coeffs: np.ndarray) -> "Poly":
+        """Takes over a kernel's result, of the field's dtype, in range and trimmed, read-only."""
         p = object.__new__(cls)
-        p.field = field
-        p.coeffs = coeffs
+        if coeffs.flags.writeable:  # a view of a read-only array is read-only already
+            coeffs.setflags(write=False)
+        p.field, p.coeffs = field, coeffs
         return p
 
     @classmethod
     def zero(cls, field: Field) -> "Poly":
-        return cls(field)
+        return cls._of(field, np.zeros(0, dtype_for(field)))
 
     @classmethod
     def one(cls, field: Field) -> "Poly":
-        return cls(field, (1,))
+        return cls._of(field, np.ones(1, dtype_for(field)))
 
     # -- basic queries -------------------------------------------------------
 
@@ -81,7 +82,7 @@ class Poly:
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.coeffs.size
 
     def _check(self, other: "Poly") -> None:
         if not isinstance(other, Poly) or other.field != self.field:
@@ -94,9 +95,8 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] ^= c
+        out = a.copy()
+        out[: len(b)] ^= b
         return Poly(self.field, out)
 
     __sub__ = __add__
@@ -111,25 +111,22 @@ class Poly:
             raise ValueError("division by zero polynomial")
         f = self.field
         log, exp = log_exp(f)
-        db = other.degree
+        b, db = other.coeffs, other.degree
         if len(self.coeffs) <= db:
-            return Poly(f), self
+            return Poly.zero(f), self
         q1 = f.order - 1
-        arr_b = np.array(other.coeffs, dtype=dtype_for(f))
-        log_b = log[arr_b]
-        r = np.array(self.coeffs, dtype=arr_b.dtype)
-        quot = [0] * (len(r) - db)
-        log_lead_inv = -int(log[other.coeffs[-1]]) % q1
+        log_b = log[b]
+        r = self.coeffs.copy()
+        quot = np.zeros(len(r) - db, dtype=r.dtype)
+        log_lead_inv = -int(log_b[-1]) % q1
         for i in range(len(r) - 1 - db, -1, -1):
-            c = int(r[i + db])
+            c = r[i + db]
             if c:
                 log_t = (int(log[c]) + log_lead_inv) % q1
-                quot[i] = int(exp[log_t])
-                _add_scaled(r, i, arr_b, log_b, exp, log_t)
-        nonzero = np.flatnonzero(r[:db])
-        rem = tuple(r[: nonzero[-1] + 1].tolist()) if nonzero.size else ()
+                quot[i] = exp[log_t]
+                _add_scaled(r, i, b, log_b, exp, log_t)
         # quot[-1] = lead(self) / lead(other) is nonzero
-        return Poly._trusted(f, tuple(quot)), Poly._trusted(f, rem)
+        return Poly._of(f, quot), Poly(f, r[:db])
 
     def monic(self) -> "Poly":
         if self.is_zero:
@@ -137,9 +134,8 @@ class Poly:
         lead = self.coeffs[-1]
         if lead == 1:
             return self
-        f = self.field
-        inv = f.inv(lead)
-        return Poly(f, [f.mul(inv, c) for c in self.coeffs])
+        log, exp = log_exp(self.field)
+        return Poly._of(self.field, exp[log[self.coeffs] + log[self.field.inv(lead)]])
 
     # -- evaluation ------------------------------------------------------------
 
@@ -155,7 +151,7 @@ class Poly:
             raise ValueError(f"value {x} out of range for {target!r}")
         acc = 0
         table = emb.table if emb is not None else None
-        for c in reversed(self.coeffs):
+        for c in reversed(self.coeffs.tolist()):
             cv = table[c] if table is not None else c
             acc = target.mul(acc, x) ^ cv
         return acc
@@ -163,9 +159,7 @@ class Poly:
     # -- serialization ------------------------------------------------------
 
     def to_string(self) -> str:
-        if not self.coeffs:
-            return "0"
-        return ",".join(format(c, "x") for c in self.coeffs)
+        return ",".join([format(c, "x") for c in self.coeffs.tolist()]) or "0"
 
     @classmethod
     def from_string(cls, field: Field, text: str) -> "Poly":
@@ -181,9 +175,7 @@ class Poly:
             if v >= field.order:
                 raise ValueError(f"coefficient {t!r} out of range for {field!r}")
             vals.append(v)
-        if vals == [0]:
-            return cls(field)
-        if vals[-1] == 0:
+        if vals[-1] == 0 and vals != [0]:  # "0" is the zero polynomial
             raise ValueError("trailing zero coefficient in serialized polynomial")
         return cls(field, vals)
 
@@ -193,11 +185,11 @@ class Poly:
         return (
             isinstance(other, Poly)
             and self.field == other.field
-            and self.coeffs == other.coeffs
+            and np.array_equal(self.coeffs, other.coeffs)
         )
 
     def __hash__(self) -> int:
-        return hash((self.field, self.coeffs))
+        return hash((self.field, self.coeffs.tobytes()))
 
     def __repr__(self) -> str:
         return f"Poly({self.field!r}, [{self.to_string()}])"
@@ -257,26 +249,26 @@ def product(field: Field, polys: Iterable[Poly]) -> Poly:
         rows.append(p.coeffs)
     if not rows:
         return Poly.one(field)
-    if not all(rows):
-        return Poly.zero(field)
-    dtype = dtype_for(field)
     # lens[r] is the length of row r's polynomial: a product of nonzero
     # polynomials has length la + lb - 1, so no level searches for zeros
     lens = [len(c) for c in rows]
+    if 0 in lens:
+        return Poly.zero(field)
+    dtype = dtype_for(field)
     if sum(lens) - len(lens) + 1 < _TREE_MIN_LENGTH:
-        acc = np.array(rows[0], dtype=dtype)
-        for coeffs in rows[1:]:
-            if len(coeffs) > acc.size:  # B, the array, is the longer operand
-                coeffs, acc = acc.tolist(), np.array(coeffs, dtype=dtype)
+        acc = rows[0]
+        for b in rows[1:]:
+            if len(b) > len(acc):  # B, the scaled operand, is the longer one
+                acc, b = b, acc
             log_acc = log[acc]
-            out = np.zeros(acc.size + len(coeffs) - 1, dtype=dtype)
-            for i, c in enumerate(coeffs):
+            out = np.zeros(len(acc) + len(b) - 1, dtype=dtype)
+            for i, c in enumerate(b.tolist()):
                 if c:
                     _add_scaled(out, i, acc, log_acc, exp, int(log[c]))
             acc = out
-        return Poly._trusted(field, tuple(acc.tolist()))
-    width = max(lens)
-    m = np.array([c + (0,) * (width - len(c)) for c in rows], dtype=dtype)
+        return Poly._of(field, acc)
+    m = np.zeros((len(rows), max(lens)), dtype=dtype)
+    m[np.arange(m.shape[1]) < np.array(lens)[:, None]] = np.concatenate(rows)
     while len(m) > 1:
         pairs = len(m) // 2
         la, lb = lens[0 : 2 * pairs : 2], lens[1 : 2 * pairs : 2]
@@ -294,7 +286,7 @@ def product(field: Field, polys: Iterable[Poly]) -> Poly:
             out = grown
         m = out
     # every factor is nonzero, so is the product: its leading coefficient too
-    return Poly._trusted(field, tuple(m[0, : lens[0]].tolist()))
+    return Poly._of(field, m[0, : lens[0]])
 
 
 def _columns(a: np.ndarray, b: np.ndarray, log: np.ndarray, exp: np.ndarray) -> np.ndarray:
@@ -358,7 +350,9 @@ def x_pow_n_minus_1(field: Field, n: int) -> Poly:
     """x^n - 1, which in characteristic two is x^n + 1."""
     if n < 1:
         raise ValueError("n must be positive")
-    return Poly._trusted(field, (1,) + (0,) * (n - 1) + (1,))
+    coeffs = np.zeros(n + 1, dtype=dtype_for(field))
+    coeffs[[0, n]] = 1
+    return Poly._of(field, coeffs)
 
 
 def _monic_reversal(h: Poly) -> Poly:
@@ -366,8 +360,7 @@ def _monic_reversal(h: Poly) -> Poly:
     with leading coefficient h(0) / h(0) = 1 (x does not divide x^n - 1)."""
     f = h.field
     log, exp = log_exp(f)
-    rev = np.array(h.coeffs[::-1], dtype=dtype_for(f))
-    return Poly._trusted(f, tuple(exp[log[rev] + log[f.inv(h.coeffs[0])]].tolist()))
+    return Poly._of(f, exp[log[h.coeffs[::-1]] + log[f.inv(h.coeffs[0])]])
 
 
 def conjugate_poly(p: Poly, q: int) -> Poly:
@@ -376,7 +369,7 @@ def conjugate_poly(p: Poly, q: int) -> Poly:
     if q < 1 or q & (q - 1) or q > f.order:
         raise ValueError("q must be a power of two not exceeding the field order")
     log, exp = log_exp(f)
-    c = np.array(p.coeffs, dtype=dtype_for(f))
     # c^q = exp[q log c mod (|F| - 1)]; log[0] is a sentinel, not a logarithm
-    out = np.where(c != 0, exp[log[c].astype(np.int64) * q % (f.order - 1)], 0)
-    return Poly._trusted(f, tuple(out.tolist()))
+    out = exp[log[p.coeffs].astype(np.int64) * q % (f.order - 1)]
+    out[p.coeffs == 0] = 0
+    return Poly._of(f, out)

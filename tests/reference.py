@@ -21,7 +21,8 @@ Schoolbook polynomial multiply and long division, one lookup in those walked
 log/antilog tables per coefficient pair, are the reference for the numpy
 kernel of cycledual.poly; the monic reversal and the coefficient-wise q-th
 power, one ``Field.mul`` or Frobenius map per coefficient, for its table
-lookups.  A message times the
+lookups.  They read ``p.coeffs.tolist()``, so their arithmetic is on Python
+ints, never on numpy scalars.  A message times the
 generator modulo x^n - 1 (``encode``) and the remainder by the generator
 (``contains``) are the brute-force span and membership of a cyclic code.
 
@@ -266,8 +267,8 @@ def poly_mul(a: Poly, b: Poly) -> Poly:
         return Poly(f)
     log, exp = _log_exp_lists(f)
     out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
-    for i, x in enumerate(a.coeffs):
-        for j, y in enumerate(b.coeffs):
+    for i, x in enumerate(a.coeffs.tolist()):
+        for j, y in enumerate(b.coeffs.tolist()):
             out[i + j] ^= exp[log[x] + log[y]]
     return Poly(f, out)
 
@@ -280,16 +281,17 @@ def poly_divrem(a: Poly, b: Poly) -> tuple[Poly, Poly]:
         raise ValueError("division by zero polynomial")
     f = a.field
     db = b.degree
-    r = list(a.coeffs)
+    r = a.coeffs.tolist()
     if len(r) <= db:
         return Poly(f), Poly(f, r)
     log, exp = _log_exp_lists(f)
     q = [0] * (len(r) - db)
-    log_lead_inv = log[f.inv(b.coeffs[-1])]
+    divisor = b.coeffs.tolist()
+    log_lead_inv = log[f.inv(divisor[-1])]
     for i in range(len(r) - 1 - db, -1, -1):
         t = exp[log[r[i + db]] + log_lead_inv]
         q[i] = t
-        for j, y in enumerate(b.coeffs):
+        for j, y in enumerate(divisor):
             r[i + j] ^= exp[log[t] + log[y]]
     return Poly(f, q), Poly(f, r)
 
@@ -297,14 +299,15 @@ def poly_divrem(a: Poly, b: Poly) -> tuple[Poly, Poly]:
 def monic_reversal(h: Poly) -> Poly:
     """x^k h(1/x) / h(0) for h of degree k with h(0) != 0."""
     f = h.field
-    inv0 = f.inv(h.coeffs[0])
-    return Poly(f, [f.mul(inv0, c) for c in reversed(h.coeffs)])
+    coeffs = h.coeffs.tolist()
+    inv0 = f.inv(coeffs[0])
+    return Poly(f, [f.mul(inv0, c) for c in reversed(coeffs)])
 
 
 def conjugate_poly(p: Poly, q: int) -> Poly:
     """Every coefficient raised to the q-th power, q a power of two."""
     k = q.bit_length() - 1
-    return Poly(p.field, [frobenius(p.field, c, k) for c in p.coeffs])
+    return Poly(p.field, [frobenius(p.field, c, k) for c in p.coeffs.tolist()])
 
 
 def minimal_polynomial(coset_residues, beta: int, emb: Embedding) -> Poly:
@@ -332,7 +335,7 @@ def encode(code: CyclicCode, message) -> tuple[int, ...]:
         raise ValueError(f"message length {len(msg)} != dimension {code.k}")
     product = poly_mul(Poly(code.field, msg), code.g)
     word = poly_divrem(product, x_pow_n_minus_1(code.field, code.n))[1]
-    return tuple(word.coeffs) + (0,) * (code.n - len(word.coeffs))
+    return tuple(word.coeffs.tolist()) + (0,) * (code.n - len(word.coeffs))
 
 
 def contains(code: CyclicCode, word) -> bool:
@@ -350,7 +353,7 @@ def dense_shifted_rows(g: Poly, length: int) -> np.ndarray:
     ``cycledual.linalg.shifted_rows``."""
     mat = np.zeros((length - g.degree, length), dtype=dtype_for(g.field))
     for i in range(mat.shape[0]):
-        mat[i, i : i + len(g.coeffs)] = g.coeffs
+        mat[i, i : i + len(g.coeffs)] = g.coeffs.tolist()
     return mat
 
 
@@ -600,7 +603,7 @@ def poly_word(p: Poly, n: int) -> list[int]:
     x^n - 1 of degree n is x^n - 1 itself, which generates the zero code."""
     if p.degree >= n:
         return [0] * n
-    return list(p.coeffs) + [0] * (n - len(p.coeffs))
+    return p.coeffs.tolist() + [0] * (n - len(p.coeffs))
 
 
 def interleave(x: list[int], y: list[int]) -> list[int]:
@@ -678,7 +681,7 @@ def verify_van_lint_equivalence(
     if rank(field, basis) != basis.shape[0] or basis.shape[0] != 2 * n - outer_generator.degree:
         return False
     permuted = interleave_permutation(n).apply(basis)
-    if poly_remainder_rows(field, permuted, outer_generator.coeffs).any():
+    if poly_remainder_rows(field, permuted, outer_generator.coeffs.tolist()).any():
         return False
     if full:
         lhs = span_packed(field, permuted, limit=FULL_COMPARE_LIMIT)

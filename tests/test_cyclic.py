@@ -212,7 +212,7 @@ def test_encode_examples():
     c = hamming()
     assert encode(c, (1, 0, 0, 0)) == (1, 1, 0, 1, 0, 0, 0)
     assert encode(c, (0, 1, 0, 0)) == (0, 1, 1, 0, 1, 0, 0)
-    expected = (Poly(GF2, (1, 1, 1, 1)) * c.g).coeffs
+    expected = tuple((Poly(GF2, (1, 1, 1, 1)) * c.g).coeffs.tolist())
     assert encode(c, (1, 1, 1, 1)) == expected + (0,) * (7 - len(expected))
     for i, row in enumerate(c.generator_matrix()):
         assert encode(c, [int(j == i) for j in range(c.k)]) == tuple(row.tolist())

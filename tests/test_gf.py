@@ -113,6 +113,25 @@ def test_field_laws_exhaustive(s):
                 assert f.mul(a, b ^ c) == f.mul(a, b) ^ f.mul(a, c)
 
 
+@pytest.mark.parametrize("s", [4, 8, 16])
+def test_numpy_scalar_operands_give_int_results(s):
+    # coefficients read from a dtype_for(field) array are numpy scalars, and
+    # shift-and-add must not shift them past their width
+    f = field_create(s)
+    dtype = gf.dtype_for(f)
+    top = 1 << (s - 1)
+    cases = [
+        (f.mul(dtype(top), dtype(3)), reference.gf_mul(f, top, 3)),
+        (f.mul(dtype(3), dtype(top)), reference.gf_mul(f, 3, top)),
+        (f.pow(dtype(top), dtype(5)), f.pow(top, 5)),
+        (f.pow(dtype(top), np.int64(-1)), f.inv(top)),
+        (f.inv(dtype(top)), f.inv(top)),
+    ]
+    for got, expected in cases:
+        assert type(got) is int and got == expected
+    assert reference.gf_mul(f, top, f.inv(dtype(top))) == 1
+
+
 @pytest.mark.parametrize("s", [1, 2, 3, 4, 8])
 def test_inverse_law(s):
     f = field_create(s)

@@ -153,6 +153,8 @@ def test_serialization():
     assert Poly.from_string(GF2, "0") == Poly.zero(GF2)
     f16 = field_create(4)
     assert Poly.from_string(f16, "a,f").to_string() == "a,f"
+    for field, text in ((GF2, "0"), (GF4, "3,0,2"), (f16, "a,f"), (field_create(16), "ffff,1")):
+        assert _canonical(Poly.from_string(field, text))
     for bad in ("", "1,,1", "1,2", "1,1,0", "01,1", "A,1", "1, 1"):
         with pytest.raises(ValueError):
             Poly.from_string(GF2, bad)
@@ -163,28 +165,52 @@ def test_constructor_checks():
         Poly(GF2, [2])
     with pytest.raises(ValueError, match="out of range"):
         Poly(GF4, [1, -1])
+    with pytest.raises(ValueError, match="out of range"):
+        Poly(GF2, [2**70])
+    with pytest.raises(ValueError, match="out of range"):
+        Poly(GF4, [-(2**70)])
+    for entries in ([1, -1], [4, 1]):  # array entries, negative or too large
+        with pytest.raises(ValueError, match="out of range"):
+            Poly(GF4, np.array(entries, dtype=np.int64))
     assert Poly(GF4, [np.uint8(2), 1]) == P(GF4, 2, 1)
-    assert P(GF2, 1, 1, 0, 0).coeffs == (1, 1)  # trailing zeros trimmed
+    assert P(GF2, 1, 1, 0, 0).coeffs.tolist() == [1, 1]  # trailing zeros trimmed
+    source = np.array([3, 0, 0], dtype=np.int64)
+    wide = field_create(16)
+    for p in (P(GF4, 0, 0), P(GF4, 1, 3, 0), Poly(GF4, source), Poly(wide, (7, 9)), Poly.zero(wide)):
+        assert _canonical(p) and _canonical(Poly.one(p.field))
+    source[0] = 1  # the constructor stores a copy of its argument
+    assert Poly(GF4, source) != Poly(GF4, [3])
 
 
 # -- the numpy kernel against the schoolbook reference -------------------------
 
 
-def _plain_ints(p):
-    return all(type(c) is int for c in p.coeffs)
+def _canonical(p):
+    """The representation invariant: a read-only 1-d array of the field's
+    dtype whose last entry, if any, is nonzero."""
+    c = p.coeffs
+    return (
+        isinstance(c, np.ndarray)
+        and c.ndim == 1
+        and c.dtype == gf.dtype_for(p.field)
+        and not c.flags.writeable
+        and (c.size == 0 or c[-1] != 0)
+    )
 
 
 def _check_against_reference(a, b):
     """Product of a and b, and each divided by the other where defined."""
     prod = a * b
     assert prod == reference.poly_mul(a, b)
+    # equal polynomials reached by the kernel and by the constructor
+    assert hash(prod) == hash(reference.poly_mul(a, b))
     assert b * a == prod
-    assert _plain_ints(prod)
+    assert _canonical(prod)
     for x, y in ((a, b), (b, a)):
         if not y.is_zero:
             q, r = x.divrem(y)
             assert (q, r) == reference.poly_divrem(x, y)
-            assert _plain_ints(q) and _plain_ints(r)
+            assert _canonical(q) and _canonical(r)
 
 
 @st.composite
@@ -223,7 +249,7 @@ def test_product_matches_reference_fold(data):
         expected = reference.poly_mul(expected, p)
     result = product(field, iter(factors))
     assert result == expected
-    assert _plain_ints(result)
+    assert _canonical(result)
 
 
 def _fft_length(field):
@@ -249,7 +275,7 @@ def test_product_tree_through_the_fft_matches_reference_fold(data):
     with mock.patch.object(poly, "_fft_product", wraps=poly._fft_product) as fft:
         result = product(field, factors)
     assert result == expected
-    assert _plain_ints(result)
+    assert _canonical(result)
     assert fft.called or expected.is_zero
 
 
@@ -267,9 +293,13 @@ def test_product_of_the_1375_minimal_polynomials_mod_4095_over_gf16():
     field = field_create(4)
     mps = minimal_polynomial(root_context(field, 4095))
     assert len(mps) == 1375
+    assert all(_canonical(mp) for mp in mps.values())
     with mock.patch.object(poly, "_fft_product", wraps=poly._fft_product) as fft:
-        assert product(field, mps.values()) == x_pow_n_minus_1(field, 4095)
+        result = product(field, mps.values())
     assert fft.called
+    assert result == x_pow_n_minus_1(field, 4095) and _canonical(result)
+    assert hash(result) == hash(x_pow_n_minus_1(field, 4095))
+    assert hash(result) == hash(Poly.from_string(field, result.to_string()))
 
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=lambda f: f"GF(2^{f.s})")
@@ -321,7 +351,8 @@ def test_fft_only_past_both_crossovers(s, lengths, through_fft):
         for j, length in enumerate(lengths)
     ]
     with mock.patch.object(poly, "_fft_product", wraps=poly._fft_product) as fft:
-        assert product(field, factors).degree == sum(lengths) - len(lengths)
+        result = product(field, factors)
+    assert result.degree == sum(lengths) - len(lengths) and _canonical(result)
     # the first level is the one with len(lengths) / 2 pairs
     first_level = [call for call in fft.call_args_list if len(call.args[1]) == len(lengths) // 2]
     assert bool(first_level) == through_fft
@@ -381,6 +412,7 @@ def test_kernel_edge_cases(field):
         (long * short + one, long),  # the remainder collapses to a constant
         (x_pow_n_minus_1(field, 63), short),
     ]
+    assert _canonical(x_pow_n_minus_1(field, 63)) and _canonical(x_pow_n_minus_1(field, 1))
     for a, b in cases:
         _check_against_reference(a, b)
     assert (short * long).divrem(short) == (long, zero)
@@ -413,8 +445,8 @@ def test_reversal_and_conjugation_match_reference(data):
     for k in range(field.s + 1):  # every valid q, 1 through |F|
         conj = conjugate_poly(p, 1 << k)
         assert conj == reference.conjugate_poly(p, 1 << k)
-        assert _plain_ints(conj)
-    h = Poly(field, [data.draw(st.integers(1, field.order - 1), label="h(0)")] + list(p.coeffs))
+        assert _canonical(conj)
+    h = Poly(field, [data.draw(st.integers(1, field.order - 1), label="h(0)")] + p.coeffs.tolist())
     rev = _monic_reversal(h)
     assert rev == reference.monic_reversal(h)
-    assert _plain_ints(rev)
+    assert _canonical(rev)
