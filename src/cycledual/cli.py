@@ -6,6 +6,9 @@ every field), distance (exhaustive or sampled minimum distance of a
 certificate's outer code), table (sweep a parameter grid), and factor
 (cyclotomic cosets and the matching irreducible factors of x^n - 1).
 
+The commands and their flags are one table in :mod:`cycledual.options`,
+which parses argv with argparse's grammar.
+
 Exit codes: 0 all requested checks passed, 1 a mathematical check failed,
 2 usage or parameter error, 141 stdout was closed before the output was
 written (as when piped into ``head``).  ``distance`` refuses, with exit 2,
@@ -16,10 +19,10 @@ budget.
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import os
 import sys
+from types import SimpleNamespace
 
 from . import linalg
 from .certificate import read_certificate, write_certificate
@@ -32,11 +35,12 @@ from .construct import (
     family_parameters,
 )
 from .cyclic import _extension_degree, root_context
-from .cyclo import KINDS, minimal_polynomial
+from .cyclo import minimal_polynomial
 from .distance import DEFAULT_BUDGET, exact_min_distance, sampled_weight_upper_bound
 from .distance import _check_budget, _check_trials
 from .gf import field_create
 from .integers import divisors
+from .options import _parse
 from .poly import product, x_pow_n_minus_1
 
 __all__ = ["main"]
@@ -44,47 +48,7 @@ __all__ = ["main"]
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer whose reader left
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cycledual",
-        description="Self-dual repeated-root cyclic codes over GF(2^s) "
-        "from dual-containing BCH codes, with re-checkable certificates.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    c = sub.add_parser("construct", help="run one pipeline cell")
-    c.add_argument("--kind", required=True, choices=KINDS)
-    c.add_argument("--s", type=int, required=True, help="alphabet exponent (q = 2^s)")
-    c.add_argument("--m", type=int, required=True, help="odd extension degree")
-    c.add_argument("--mu", type=int, required=True, help="length divisor")
-    c.add_argument("--b", type=int, default=None, help="override the coset count")
-    c.add_argument("--out", default=None, help="write the certificate here")
-
-    v = sub.add_parser("verify", help="re-check a certificate from scratch")
-    v.add_argument("certificate")
-
-    d = sub.add_parser("distance", help="measure a certificate's outer code")
-    d.add_argument("certificate")
-    d.add_argument("--method", required=True, choices=("exhaustive", "sampled"))
-    d.add_argument("--budget", type=int, default=None, help="most codewords to weigh")
-    d.add_argument("--partitions", type=int, default=1)
-    d.add_argument("--trials", type=int, default=10000)
-    d.add_argument("--seed", type=int, default=0)
-
-    t = sub.add_parser("table", help="sweep a parameter grid")
-    t.add_argument("--kind", required=True, choices=KINDS)
-    t.add_argument("--s", type=int, required=True)
-    t.add_argument("--m-max", dest="m_max", type=int, required=True)
-    t.add_argument("--mu", type=int, default=None, help="restrict to one divisor")
-
-    f = sub.add_parser("factor", help="cosets and irreducible factors of x^n - 1")
-    f.add_argument("--q", type=int, required=True)
-    f.add_argument("--n", type=int, required=True)
-
-    return parser
-
-
-def _cmd_construct(args: argparse.Namespace) -> int:
+def _cmd_construct(args: SimpleNamespace) -> int:
     cert = build_family(args.kind, args.s, args.m, args.mu, b_override=args.b)
     print(f"[{cert.n_outer}, {cert.k_outer}, ≥{cert.floor_min}]")
     for name, ok in cert.checks.items():
@@ -149,7 +113,7 @@ def _read(path: str) -> SelfDualCertificate:
         raise ValueError(f"cannot read certificate: {exc}") from exc
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     cert = _read(args.certificate)
     failures = _reverify(cert)
     if failures:
@@ -190,7 +154,7 @@ def _check_outer_shape(cert: SelfDualCertificate) -> None:
         )
 
 
-def _cmd_distance(args: argparse.Namespace) -> int:
+def _cmd_distance(args: SimpleNamespace) -> int:
     cert = _read(args.certificate)
     _check_outer_shape(cert)
     budget = args.budget
@@ -244,7 +208,7 @@ def _cmd_distance(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
+def _cmd_table(args: SimpleNamespace) -> int:
     if args.m_max < 1:
         raise ValueError("m-max must be positive")
     if args.mu is not None and args.mu < 1:
@@ -277,7 +241,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_factor(args: argparse.Namespace) -> int:
+def _cmd_factor(args: SimpleNamespace) -> int:
     q, n = args.q, args.n
     if q < 2 or q & (q - 1):
         raise ValueError("q must be a power of two")
@@ -304,9 +268,8 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -14,8 +14,9 @@ Z_n in one numpy pass, the coset table that the root context caches once per
 per column of an (L, N) matrix padded with the root 0 (L the largest coset
 size), expands the products as one (L + 1, N) coefficient matrix in L row
 steps, one :func:`cycledual.gf.times` call each, and pulls the coefficients
-back to the base field by a binary search among the embedding's images, into
-one array of which each minimal polynomial is a slice.
+back to the base field by a binary search among the embedding's sorted
+images, which it holds as arrays built once, into one array of which each
+minimal polynomial is a slice.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .gf import Field, dtype_for, times
+from .gf import Field, times
 from .poly import Poly
 
 if TYPE_CHECKING:
@@ -216,15 +217,13 @@ def minimal_polynomial(ctx: RootContext) -> dict[tuple[int, ...], Poly]:
     roots = ctx.powers[walk[:width]]
     roots[np.arange(width)[:, None] >= sizes] = 0
     coeffs = _expand(roots, ctx.emb.ext).T.ravel()
-    images = sorted(ctx.emb.inverse)
-    base = np.array([ctx.emb.inverse[c] for c in images], dtype=dtype_for(ctx.emb.base))
-    images = np.array(images, dtype=np.uint64)
+    images = ctx.emb.sorted_images
     at = np.searchsorted(images, coeffs)
     if (images.take(at, mode="clip") != coeffs).any():
         raise RuntimeError(
             "internal: a minimal polynomial has a coefficient outside the base field"
         )
-    coeffs = base[at]
+    coeffs = ctx.emb.preimages[at]
     coeffs.setflags(write=False)  # and so is each minimal polynomial's slice
     out = {}
     for i, (members, size) in enumerate(zip(walk.T.tolist(), sizes.tolist())):

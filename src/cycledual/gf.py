@@ -346,18 +346,31 @@ def _walk(field: Field, product, x: int, count: int) -> np.ndarray:
 class Embedding:
     """A ring embedding of GF(2^s) into GF(2^(s*m)).
 
-    ``table`` maps each base value to its image, and ``inverse`` maps each
-    image back to its base value, both as ints; an element of the extension
-    lies in the embedded subfield iff it is a key of ``inverse``.
+    ``table`` maps each base value to its image, as ints.  ``sorted_images``
+    holds the images in ascending order, as a read-only uint64 array, and
+    ``preimages`` the base value of each, as a read-only array of the base
+    field's dtype: an element of the extension lies in the embedded subfield
+    iff it is among ``sorted_images``, and one ``np.searchsorted`` pulls
+    many back at once.
     """
 
-    __slots__ = ("base", "ext", "table", "inverse")
+    __slots__ = ("base", "ext", "table", "sorted_images", "preimages")
 
-    def __init__(self, base: Field, ext: Field, table: tuple[int, ...]):
+    def __init__(self, base: Field, ext: Field, images: np.ndarray):
         self.base = base
         self.ext = ext
-        self.table = table
-        self.inverse = {img: v for v, img in enumerate(table)}
+        self.table = tuple(images.tolist())
+        # ascending already over GF(2) and for m = 1; the other tables are
+        # short, and a Python sort keeps numpy's sort code, about 0.2 MB of
+        # peak RSS, out of the process
+        if (images[1:] > images[:-1]).all():
+            order = np.arange(base.order)
+        else:
+            order = np.array(sorted(range(base.order), key=self.table.__getitem__))
+        self.sorted_images = images[order]
+        self.preimages = order.astype(dtype_for(base))
+        self.sorted_images.setflags(write=False)
+        self.preimages.setflags(write=False)
 
     def __repr__(self) -> str:
         return f"Embedding({self.base!r} -> {self.ext!r})"
@@ -366,11 +379,10 @@ class Embedding:
 @lru_cache(maxsize=None)
 def _extension_with_embedding(base: Field, m: int) -> tuple[Field, Embedding]:
     if m == 1:
-        return base, Embedding(base, base, tuple(range(base.order)))
+        return base, Embedding(base, base, np.arange(base.order, dtype=np.uint64))
     ext = _get_field(base.s * m, None)
-    if base.s == 1:
-        table: tuple[int, ...] = (0, 1)
-    else:
+    images = np.arange(2, dtype=np.uint64)
+    if base.s > 1:
         # The roots of the base modulus all lie in the subfield of size 2^s,
         # whose nonzero elements are the powers of gamma^step; 0 is no root,
         # as the modulus has constant term 1.  Horner evaluates the modulus
@@ -387,8 +399,7 @@ def _extension_with_embedding(base: Field, m: int) -> tuple[Field, Embedding]:
         images = np.zeros(base.order, dtype=np.uint64)
         for i, power in enumerate(power_table(ext, alpha_img, base.s)):
             images[1 << i : 2 << i] = images[: 1 << i] ^ power
-        table = tuple(images.tolist())
-    return ext, Embedding(base, ext, table)
+    return ext, Embedding(base, ext, images)
 
 
 def extension_with_embedding(base: Field, m: int) -> tuple[Field, Embedding]:

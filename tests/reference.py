@@ -66,10 +66,15 @@ assignments of ``interleave``.  The interleaved seed rows [g1|g1] and
 [0|g_dual], each divided by the outer generator (``seeds_in_ideal``, which
 takes any G), are the reference for the product identities that decide them
 in cycledual.construct for G = g1 g_dual.
+
+The argparse parser that the command line had (``_build_parser``) is the
+reference for the grammar of ``cycledual.options._parse``, which reads one
+option table without importing argparse.
 """
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import math
 from dataclasses import dataclass
@@ -321,7 +326,8 @@ def minimal_polynomial(coset_residues, beta: int, emb: Embedding) -> Poly:
     for _ in coset_residues:  # times x - root: c_(k-1) + root c_k
         coeffs = [a ^ gf_mul(ext, b, root) for a, b in zip([0] + coeffs, coeffs + [0])]
         root = frobenius(ext, root, emb.base.s)
-    return Poly(emb.base, [emb.inverse[c] for c in coeffs])
+    inverse = {img: v for v, img in enumerate(emb.table)}
+    return Poly(emb.base, [inverse[c] for c in coeffs])
 
 
 # -- cyclic codes, by their polynomials ------------------------------------------
@@ -727,3 +733,46 @@ def pipeline_checks(
         field, permuted, cyclic_shift_permutation(2 * n)
     )
     return checks
+
+
+# -- the command line -----------------------------------------------------------
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="cycledual",
+        description="Self-dual repeated-root cyclic codes over GF(2^s) "
+        "from dual-containing BCH codes, with re-checkable certificates.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    c = sub.add_parser("construct", help="run one pipeline cell")
+    c.add_argument("--kind", required=True, choices=KINDS)
+    c.add_argument("--s", type=int, required=True, help="alphabet exponent (q = 2^s)")
+    c.add_argument("--m", type=int, required=True, help="odd extension degree")
+    c.add_argument("--mu", type=int, required=True, help="length divisor")
+    c.add_argument("--b", type=int, default=None, help="override the coset count")
+    c.add_argument("--out", default=None, help="write the certificate here")
+
+    v = sub.add_parser("verify", help="re-check a certificate from scratch")
+    v.add_argument("certificate")
+
+    d = sub.add_parser("distance", help="measure a certificate's outer code")
+    d.add_argument("certificate")
+    d.add_argument("--method", required=True, choices=("exhaustive", "sampled"))
+    d.add_argument("--budget", type=int, default=None, help="most codewords to weigh")
+    d.add_argument("--partitions", type=int, default=1)
+    d.add_argument("--trials", type=int, default=10000)
+    d.add_argument("--seed", type=int, default=0)
+
+    t = sub.add_parser("table", help="sweep a parameter grid")
+    t.add_argument("--kind", required=True, choices=KINDS)
+    t.add_argument("--s", type=int, required=True)
+    t.add_argument("--m-max", dest="m_max", type=int, required=True)
+    t.add_argument("--mu", type=int, default=None, help="restrict to one divisor")
+
+    f = sub.add_parser("factor", help="cosets and irreducible factors of x^n - 1")
+    f.add_argument("--q", type=int, required=True)
+    f.add_argument("--n", type=int, required=True)
+
+    return parser

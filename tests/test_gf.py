@@ -11,7 +11,7 @@ from cycledual import (
     gf,
     nth_root_of_unity,
 )
-from cycledual.gf import default_modulus, is_irreducible
+from cycledual.gf import default_modulus, dtype_for, is_irreducible
 
 
 def test_field_create_defaults():
@@ -171,7 +171,7 @@ def test_extension_prime_subfield():
     ext, emb = extension_with_embedding(f2, 3)
     assert ext.order == 8
     assert emb.table == (0, 1)
-    assert emb.inverse == {0: 0, 1: 1}
+    assert pullback(emb) == {0: 0, 1: 1}
 
 
 def test_extension_gf4_into_gf64():
@@ -195,10 +195,21 @@ def test_embedding_pullback():
     f4 = field_create(2)
     ext, emb = extension_with_embedding(f4, 3)
     for v in range(f4.order):
-        assert emb.inverse[emb.table[v]] == v
+        assert pullback(emb)[emb.table[v]] == v
     # the subfield is exactly the fixed points of e -> e^4
     subfield = {x for x in range(ext.order) if ext.pow(x, 4) == x}
-    assert set(emb.inverse) == subfield and len(emb.inverse) == f4.order
+    assert set(pullback(emb)) == subfield and len(emb.sorted_images) == f4.order
+
+
+def pullback(emb):
+    """The embedding's image -> base value map, read from its two arrays,
+    after checking their form: read-only, the images strictly ascending, the
+    base values in the base field's dtype."""
+    images, values = emb.sorted_images, emb.preimages
+    assert not images.flags.writeable and not values.flags.writeable
+    assert images.dtype == np.uint64 and values.dtype == dtype_for(emb.base)
+    assert (images[1:] > images[:-1]).all()
+    return dict(zip(images.tolist(), values.tolist()))
 
 
 def test_extension_size_limit():
@@ -257,12 +268,13 @@ def test_field_equality_and_hash():
 
 @pytest.mark.parametrize(
     "s,m",
-    [(2, 6), (4, 3), (8, 2), (2, 13)],
-    ids=["gf4-gf2^12", "gf16-gf2^12", "gf256-gf2^16", "gf4-gf2^26"],
+    [(2, 6), (4, 3), (8, 2), (2, 13), (8, 1)],
+    ids=["gf4-gf2^12", "gf16-gf2^12", "gf256-gf2^16", "gf4-gf2^26", "gf256-itself"],
 )
 def test_extension_embedding_is_a_ring_map(s, m):
     # the embedding is built by array products: GF(2^12) and GF(2^16) by
-    # table, GF(2^26) by shift-and-add
+    # table, GF(2^26) by shift-and-add; GF(256) into itself is the identity,
+    # whose images need no sort
     base = field_create(s)
     ext, emb = extension_with_embedding(base, m)
     assert ext.s == s * m
@@ -273,6 +285,7 @@ def test_extension_embedding_is_a_ring_map(s, m):
             assert table[base.mul(a, b)] == ext.mul(table[a], table[b])
     assert all(ext.pow(img, 1 << s) == img for img in table)
     assert len(set(table)) == base.order
+    assert pullback(emb) == {img: v for v, img in enumerate(table)}
 
 
 # -- scalar products: shift-and-add in every field, checked on both sides of the
