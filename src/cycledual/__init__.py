@@ -29,6 +29,7 @@ from .cyclo import (
     bch_defining_set,
     complement,
     gcd_lemma,
+    is_coset_table,
     is_dual_containing_set,
     minimal_polynomial,
     set_map,
@@ -79,6 +80,7 @@ __all__ = [
     "field_create",
     "gcd_lemma",
     "hermitian_base",
+    "is_coset_table",
     "is_dual_containing_set",
     "loads",
     "minimal_polynomial",

@@ -4,7 +4,9 @@ Subcommands: construct (run a pipeline cell, optionally writing its
 certificate), verify (rebuild a certificate from its parameters and compare
 every field), distance (exhaustive or sampled minimum distance of a
 certificate's outer code), table (sweep a parameter grid), and factor
-(cyclotomic cosets and the matching irreducible factors of x^n - 1).
+(cyclotomic cosets and the matching irreducible factors of x^n - 1, which
+:func:`cycledual.cyclo.is_coset_table` proves one root per coset, with no
+product, before they are written).
 
 The commands and their flags are one table in :mod:`cycledual.options`,
 which parses argv with argparse's grammar.
@@ -35,13 +37,12 @@ from .construct import (
     family_parameters,
 )
 from .cyclic import _extension_degree, root_context
-from .cyclo import minimal_polynomial
+from .cyclo import is_coset_table, minimal_polynomial
 from .distance import DEFAULT_BUDGET, exact_min_distance, sampled_weight_upper_bound
 from .distance import _check_budget, _check_trials
 from .gf import field_create
 from .integers import divisors
 from .options import _parse
-from .poly import product, x_pow_n_minus_1
 
 __all__ = ["main"]
 
@@ -250,11 +251,12 @@ def _cmd_factor(args: SimpleNamespace) -> int:
     field = field_create(q.bit_length() - 1)
     _extension_degree(field, n)  # raises when the extension is infeasible
     check_inner_length(n)
-    mps = minimal_polynomial(root_context(field, n))
-    if product(field, mps.values()) != x_pow_n_minus_1(field, n):
+    ctx = root_context(field, n)
+    mps = minimal_polynomial(ctx)
+    if not is_coset_table(ctx, mps):
         raise VerificationError("coset factorization does not multiply back to x^n - 1")
-    for orbit, mp in mps.items():
-        print(f"{{{','.join(str(i) for i in orbit)}}}: {mp.to_string()}")
+    lines = [f"{{{','.join(map(str, orbit))}}}: {mp.to_string()}\n" for orbit, mp in mps.items()]
+    sys.stdout.write("".join(lines))
     return 0
 
 

@@ -17,12 +17,18 @@ steps, one :func:`cycledual.gf.times` call each, and pulls the coefficients
 back to the base field by a binary search among the embedding's sorted
 images, which it holds as arrays built once, into one array of which each
 minimal polynomial is a slice.
+
+:func:`is_coset_table` proves such a table without multiplying it back to
+x^n - 1: the keys must be the cosets, and each row monic over GF(q), of the
+coset's size and zero at one root, which one Horner pass over all rows
+checks at once.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterable
+from itertools import chain
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
@@ -44,6 +50,7 @@ __all__ = [
     "is_dual_containing_set",
     "gcd_lemma",
     "minimal_polynomial",
+    "is_coset_table",
 ]
 
 EUCLIDEAN = "euclidean"
@@ -230,6 +237,72 @@ def minimal_polynomial(ctx: RootContext) -> dict[tuple[int, ...], Poly]:
         end = (i + 1) * (width + 1)  # monic, past the padding's zeros
         out[tuple(sorted(members[:size]))] = Poly._of(ctx.emb.base, coeffs[end - size - 1 : end])
     return out
+
+
+def is_coset_table(ctx: RootContext, table: Mapping[tuple[int, ...], Poly]) -> bool:
+    """Whether table is the coset table of ctx: each key one q-coset C of
+    Z_n and its row C's minimal polynomial prod_{j in C} (x - beta^j) over
+    the base field GF(q), with the keys partitioning Z_n.  Then the product
+    of the rows is prod_{j in Z_n} (x - beta^j) = x^n - 1.
+
+    It checks that
+      1. the keys partition Z_n;
+      2. each key C is closed under r -> r q mod n, and |C| is the orbit
+         length of its smallest member c;
+      3. each row is over GF(q), monic, and of degree |C|;
+      4. each row vanishes at beta^c.
+    These suffice (MacWilliams & Sloane, Ch. 4 §4).  ctx.powers proves that
+    beta has order exactly n, so beta^(c q^t) = beta^c iff c q^t = c mod n,
+    and the minimal polynomial M of beta^c over GF(q) is monic of degree the
+    orbit length of c.  By 2, the orbit of c lies in C and is as large, so it
+    is C, and M = prod_{j in C} (x - beta^j).  By 3 and 4, M divides the
+    row, which is monic of the same degree, so the row is M.  By 1, the
+    rows' roots are every beta^j once.
+
+    The rows are evaluated at their beta^c by one Horner pass over all rows
+    at once: one (N, L + 1) matrix of their embedded coefficients, zero
+    above each row's degree, L the largest degree, with one
+    :func:`cycledual.gf.times` call per degree step."""
+    n, base = ctx.n, ctx.emb.base
+    q = base.order
+    keys, rows = list(table), list(table.values())
+    sizes = np.fromiter(map(len, keys), dtype=np.intp, count=len(keys))
+    members = np.fromiter(chain.from_iterable(keys), dtype=np.int64, count=int(sizes.sum()))
+    # 1: n distinct residues in 0..n-1, each in one nonempty key
+    if not (len(members) == n and (sizes > 0).all()):
+        return False
+    if not np.array_equal(np.sort(members), np.arange(n)):
+        return False
+    # 2: closure through the key of each residue; the smallest members walk
+    # c q^t mod n for 1 <= t <= ctx.m and are back at c by step ctx.m
+    owner = np.empty(n, dtype=np.intp)
+    owner[members] = np.repeat(np.arange(len(keys)), sizes)
+    if not (owner[members * (q % n) % n] == owner[members]).all():
+        return False
+    least = np.minimum.reduceat(members, np.cumsum(sizes) - sizes).astype(np.uint64)
+    steps = np.array([pow(q, t, n) for t in range(1, ctx.m + 1)], dtype=np.uint64)[:, None]
+    if not ((steps * least % np.uint64(n) == least).argmax(axis=0) + 1 == sizes).all():
+        return False
+    # 3: over GF(q), monic, of degree |C|
+    if not all(row.field is base or row.field == base for row in rows):
+        return False
+    arrays = [row.coeffs for row in rows]
+    lens = np.fromiter(map(len, arrays), dtype=np.intp, count=len(arrays))
+    if not (lens == sizes + 1).all():
+        return False
+    coeffs = np.concatenate(arrays)
+    if not (coeffs[np.cumsum(lens) - 1] == 1).all():
+        return False
+    # 4: Horner at beta^c, every row at once
+    width = int(sizes.max())
+    padded = np.zeros((len(rows), width + 1), dtype=coeffs.dtype)
+    padded[np.arange(width + 1) < lens[:, None]] = coeffs
+    embedded = np.array(ctx.emb.table, dtype=np.uint64)[padded]
+    x = ctx.powers[least]
+    acc = embedded[:, width]
+    for k in range(width - 1, -1, -1):
+        acc = times(ctx.emb.ext, acc, x) ^ embedded[:, k]
+    return not acc.any()
 
 
 def _expand(roots: np.ndarray, ext: Field) -> np.ndarray:

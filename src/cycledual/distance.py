@@ -302,7 +302,11 @@ def sampled_weight_upper_bound(
     field: Field, basis, trials: int, seed: int, budget: int = DEFAULT_BUDGET
 ) -> DistanceReport:
     """Minimum weight over ``trials`` seeded pseudo-random nonzero codewords,
-    refused before any table is built when they exceed the budget."""
+    refused before any table is built when they exceed the budget.  A
+    negative seed is refused first, with the message of ``PCG64``, which
+    would refuse it only after the tables are built."""
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
     basis = _basis(field, basis)
     if trials < 1:
         raise ValueError("trials must be positive")

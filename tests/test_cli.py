@@ -403,6 +403,15 @@ def test_distance_rejects_a_negative_seed(tmp_path, capsys):
     assert path.read_text() == before
 
 
+def test_distance_refuses_a_negative_seed_before_building_tables(tmp_path, capsys, monkeypatch):
+    path = build_cert(tmp_path, capsys)
+    monkeypatch.setattr(distance, "_run_tables", None)  # a table build would fail
+    rc, out, err = run(
+        capsys, "distance", str(path), "--method", "sampled", "--trials", "10", "--seed", "-1"
+    )
+    assert (rc, out, err) == (2, "", "error: expected non-negative integer\n")
+
+
 def test_distance_infeasible_exhaustive_exits_2(tmp_path, capsys):
     path = tmp_path / "c3.txt"
     run(
@@ -814,28 +823,82 @@ def test_factor_checks_the_cap_before_building_the_extension(capsys, monkeypatch
     assert "length n = 65537 exceeds MAX_INNER_LENGTH = 8191" in err
 
 
-def _change_a_coefficient(mp):
-    return Poly(mp.field, (mp.coeffs[0] ^ 1, *mp.coeffs[1:]))
+def _change_a_coefficient(mps):
+    mp = mps[(0,)]
+    return {**mps, (0,): Poly(mp.field, (mp.coeffs[0] ^ 1, *mp.coeffs[1:]))}
 
 
-def _drop_a_root(mp):
-    quotient, _ = mp.divrem(Poly(mp.field, (1, 1)))  # only {0}'s x + 1 is split off
-    return quotient
+def _drop_a_root(mps):
+    mp = mps[(0,)]
+    return {**mps, (0,): mp.divrem(Poly(mp.field, (1, 1)))[0]}  # only x + 1 is split off
 
 
-@pytest.mark.parametrize("corrupt", [_change_a_coefficient, _drop_a_root])
+def _scale_a_row(mps):
+    # the row still vanishes on its coset, but is not monic
+    mp = mps[(1, 4, 16)]
+    return {**mps, (1, 4, 16): Poly(mp.field, [mp.field.mul(c, 2) for c in mp.coeffs])}
+
+
+def _swap_two_rows(mps):
+    # {0} and {21} keep their keys and trade their linear rows; the
+    # product of all rows is unchanged
+    out = dict(mps)
+    out[(0,)], out[(21,)] = mps[(21,)], mps[(0,)]
+    return out
+
+
+def _merge_two_cosets(mps):
+    # {21} and {42} become one key, closed under r -> 4r, whose row is the
+    # product of theirs; the product of all rows is unchanged
+    out = {key: mp for key, mp in mps.items() if key not in ((21,), (42,))}
+    out[(21, 42)] = mps[(21,)] * mps[(42,)]
+    return out
+
+
+def _drop_a_residue(mps):
+    # no key holds 16 any more; the rows, and so their product, are unchanged
+    return {(1, 4) if key == (1, 4, 16) else key: mp for key, mp in mps.items()}
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _change_a_coefficient,
+        _drop_a_root,
+        _scale_a_row,
+        _swap_two_rows,
+        _merge_two_cosets,
+        _drop_a_residue,
+    ],
+)
 def test_factor_rejects_a_corrupted_factor(capsys, monkeypatch, corrupt):
     build = cli.minimal_polynomial
-
-    def corrupted(ctx):
-        mps = build(ctx)
-        return {orbit: corrupt(mp) if orbit == (0,) else mp for orbit, mp in mps.items()}
-
-    monkeypatch.setattr(cli, "minimal_polynomial", corrupted)
+    monkeypatch.setattr(cli, "minimal_polynomial", lambda ctx: corrupt(build(ctx)))
     rc, out, err = run(capsys, "factor", "--q", "4", "--n", "63")
     assert rc == 1
     assert out == ""
     assert err == "check failed: coset factorization does not multiply back to x^n - 1\n"
+
+
+_FFT_IMPORT = """
+import sys
+
+from cycledual.cli import main
+
+rc = main(["factor", "--q", "16", "--n", "4095"])
+print(rc, "numpy.fft" in sys.modules, file=sys.stderr)
+"""
+
+
+def test_factor_does_not_load_the_fft():
+    # the coset table is certified root by root, with no product of its rows
+    src = str(Path(cycledual.__file__).resolve().parents[1])
+    paths = (src, os.environ.get("PYTHONPATH"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FFT_IMPORT], env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.stderr == "0 False\n"
 
 
 def test_factor_expands_every_coset_in_one_call(capsys, monkeypatch):

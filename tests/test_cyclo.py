@@ -16,6 +16,7 @@ from cycledual import (
     complement,
     field_create,
     gcd_lemma,
+    is_coset_table,
     is_dual_containing_set,
     minimal_polynomial,
     product,
@@ -298,8 +299,8 @@ def test_minimal_polynomial_rejects_table_roots_that_are_not_a_coset():
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_minimal_polynomial_catches_a_tampered_powers_table(data):
-    # a wrong power ends in the internal error or fails factor's product
-    # check, and never yields a wrong factor that passes
+    # a wrong power ends in the internal error or fails factor's check,
+    # which reads the true powers, and never yields a wrong factor that passes
     q, n, _ = data.draw(st.sampled_from(TABLE_CASES[1:4]), label="case")
     field = field_create(q.bit_length() - 1)
     ctx = root_context(field, n)
@@ -313,7 +314,68 @@ def test_minimal_polynomial_catches_a_tampered_powers_table(data):
     except RuntimeError as exc:
         assert str(exc).startswith("internal: ")
     else:
+        assert not is_coset_table(ctx, mps)
         assert product(field, mps.values()) != x_pow_n_minus_1(field, n)
+
+
+def _table_lengths(q):
+    """The odd n <= 255 whose n-th roots of unity lie in GF(2^TABLE_MAX_S),
+    so that every product over the extension reads the log/antilog tables."""
+    s = q.bit_length() - 1
+    return [
+        n for n in range(1, 256, 2)
+        if any((q**m - 1) % n == 0 for m in range(1, gf.TABLE_MAX_S // s + 1))
+    ]
+
+
+_TABLE_CONTEXTS = st.sampled_from([2, 4, 16]).flatmap(
+    lambda q: st.tuples(st.just(q), st.sampled_from(_table_lengths(q)))
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_TABLE_CONTEXTS)
+@example(case=(2, 1))
+@example(case=(4, 63))
+@example(case=(16, 255))
+def test_is_coset_table_accepts_the_coset_table_as_the_product_identity_does(case):
+    q, n = case
+    field = field_create(q.bit_length() - 1)
+    ctx = root_context(field, n)
+    mps = minimal_polynomial(ctx)
+    assert is_coset_table(ctx, mps)
+    assert product(field, mps.values()) == x_pow_n_minus_1(field, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_TABLE_CONTEXTS, data=st.data())
+def test_is_coset_table_refuses_any_changed_coefficient(case, data):
+    # the coset table is the only table that passes, so every change fails
+    q, n = case
+    field = field_create(q.bit_length() - 1)
+    ctx = root_context(field, n)
+    mps = minimal_polynomial(ctx)
+    orbit = data.draw(st.sampled_from(list(mps)), label="orbit")
+    coeffs = mps[orbit].coeffs.tolist()
+    i = data.draw(st.integers(0, len(coeffs) - 1), label="i")
+    coeffs[i] = data.draw(st.integers(0, q - 1).filter(lambda c: c != coeffs[i]), label="c")
+    assert not is_coset_table(ctx, {**mps, orbit: Poly(field, coeffs)})
+
+
+def test_is_coset_table_refuses_keys_that_are_not_one_coset():
+    ctx = root_context(GF2, 7)
+    mps = minimal_polynomial(ctx)
+    cubic = mps[(1, 2, 4)]
+    # {1, 2, 4} and {3, 5, 6} split and rejoined: a partition of Z_7 with
+    # keys of the right sizes, but not closed under r -> 2r
+    assert not is_coset_table(ctx, {(0,): mps[(0,)], (1, 2, 3): cubic, (4, 5, 6): mps[(3, 5, 6)]})
+    # {1, 2, 4} and {3, 5, 6} merged, closed, with their product as the row
+    merged = {(0,): mps[(0,)], (1, 2, 3, 4, 5, 6): cubic * mps[(3, 5, 6)]}
+    assert product(GF2, merged.values()) == x_pow_n_minus_1(GF2, 7)
+    assert not is_coset_table(ctx, merged)
+    # a residue twice, or a row over the extension
+    assert not is_coset_table(ctx, {**mps, (0, 0): mps[(0,)]})
+    assert not is_coset_table(ctx, {**mps, (0,): Poly(ctx.ext, (1, 1))})
 
 
 def test_root_context_builds_the_powers_table_on_first_use(monkeypatch):
