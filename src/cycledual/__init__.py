@@ -24,6 +24,7 @@ from .cyclo import (
     EUCLIDEAN,
     HERMITIAN,
     KINDS,
+    CosetTable,
     DefiningSet,
     bch_bound,
     bch_defining_set,
@@ -53,6 +54,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CertificateFormatError",
+    "CosetTable",
     "CyclicCode",
     "DEFAULT_BUDGET",
     "DefiningSet",

@@ -4,9 +4,10 @@ Subcommands: construct (run a pipeline cell, optionally writing its
 certificate), verify (rebuild a certificate from its parameters and compare
 every field), distance (exhaustive or sampled minimum distance of a
 certificate's outer code), table (sweep a parameter grid), and factor
-(cyclotomic cosets and the matching irreducible factors of x^n - 1, which
-:func:`cycledual.cyclo.is_coset_table` proves one root per coset, with no
-product, before they are written).
+(cyclotomic cosets and the matching irreducible factors of x^n - 1: the
+coset table's record, which :func:`cycledual.cyclo.is_coset_table` proves
+one root per coset, with no product, before its arrays are formatted and
+written in one write).
 
 The commands and their flags are one table in :mod:`cycledual.options`,
 which parses argv with argparse's grammar.
@@ -26,6 +27,8 @@ import os
 import sys
 from types import SimpleNamespace
 
+import numpy as np
+
 from . import linalg
 from .certificate import read_certificate, write_certificate
 from .construct import (
@@ -37,7 +40,7 @@ from .construct import (
     family_parameters,
 )
 from .cyclic import _extension_degree, root_context
-from .cyclo import is_coset_table, minimal_polynomial
+from .cyclo import CosetTable, is_coset_table, minimal_polynomial
 from .distance import DEFAULT_BUDGET, exact_min_distance, sampled_weight_upper_bound
 from .distance import _check_budget, _check_trials
 from .gf import field_create
@@ -252,12 +255,35 @@ def _cmd_factor(args: SimpleNamespace) -> int:
     _extension_degree(field, n)  # raises when the extension is infeasible
     check_inner_length(n)
     ctx = root_context(field, n)
-    mps = minimal_polynomial(ctx)
-    if not is_coset_table(ctx, mps):
+    table = minimal_polynomial(ctx)
+    if not is_coset_table(ctx, table):
         raise VerificationError("coset factorization does not multiply back to x^n - 1")
-    lines = [f"{{{','.join(map(str, orbit))}}}: {mp.to_string()}\n" for orbit, mp in mps.items()]
-    sys.stdout.write("".join(lines))
+    sys.stdout.write(_coset_lines(table))
     return 0
+
+
+def _coset_lines(table: CosetTable) -> str:
+    """factor's output, one line "{members}: coefficients" per coset: the
+    members ascending, in decimal, and the row low degree first, in hex.
+    One template, built from the coset sizes, formats every value at once,
+    the values laid out in the order they are printed."""
+    sizes = table.sizes
+    # the residues stably sorted by coset are each coset's members ascending
+    owner = np.empty(len(table.members), dtype=np.intp)
+    owner[table.members] = np.repeat(np.arange(len(sizes)), sizes)
+    # line i prints 2|C_i| + 1 values: its members, then its row
+    counts = 2 * sizes + 1
+    line = np.repeat(np.arange(len(sizes)), counts)
+    is_member = np.arange(len(line)) - (np.cumsum(counts) - counts)[line] < sizes[line]
+    values = np.empty(len(line), dtype=np.int64)
+    values[is_member] = np.argsort(owner, kind="stable")
+    values[~is_member] = table.coeffs
+    per_line = sizes.tolist()
+    templates = {
+        size: f"{{{','.join(['%d'] * size)}}}: {','.join(['%x'] * (size + 1))}\n"
+        for size in set(per_line)
+    }
+    return "".join([templates[size] for size in per_line]) % tuple(values.tolist())
 
 
 _HANDLERS = {

@@ -8,20 +8,21 @@ The primitive n-th root beta used to pin defining sets is canonical per
 (field, n): it is gamma^((2^(s*m)-1)/n) for the canonical primitive element
 gamma of the extension GF(2^(s*m)), m the multiplicative order of 2^s mod n.
 The root context caches beta's powers (:func:`cycledual.gf.power_table`) and
-the coset table, the minimal polynomials of every coset of Z_n
-(:func:`cycledual.cyclo.minimal_polynomial`).  Every generator and check
-polynomial is a product of the table's rows: g over T, h over the cosets
-outside T, checked by g h = x^n - 1.  Repeated-root codes (even length) are
-deliberately rejected here; they are built by the construct module.
+the coset table, the minimal polynomials of every coset of Z_n as one record
+of read-only arrays (:class:`cycledual.cyclo.CosetTable`).  Every generator
+and check polynomial is a product of the table's rows: g over T, h over the
+cosets outside T, checked by g h = x^n - 1.  A mask over Z_n picks the rows
+by their cosets' least members, and their coefficients go to the product as
+they lie in the table.  :meth:`CyclicCode.from_generator` reads the roots of
+g off the same table, by one Horner pass at each coset's beta^c.
+Repeated-root codes (even length) are deliberately rejected here; they are
+built by the construct module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import compress
-from types import MappingProxyType
-from typing import Mapping
 
 import numpy as np
 
@@ -29,8 +30,10 @@ from . import linalg
 from .cyclo import (
     EUCLIDEAN,
     HERMITIAN,
+    CosetTable,
     DefiningSet,
     _check_kind,
+    _horner,
     complement,
     is_dual_containing_set,
     minimal_polynomial,
@@ -44,7 +47,7 @@ from .gf import (
     nth_root_of_unity,
     power_table,
 )
-from .poly import Poly, _monic_reversal, conjugate_poly, product, x_pow_n_minus_1
+from .poly import Poly, _monic_reversal, _product, conjugate_poly, x_pow_n_minus_1
 
 __all__ = ["RootContext", "root_context", "CyclicCode", "hermitian_base"]
 
@@ -74,9 +77,10 @@ class RootContext:
         return powers
 
     @cached_property
-    def minimal_polynomials(self) -> Mapping[tuple[int, ...], Poly]:
-        """The coset table, minimal_polynomial(self), on first use; read-only."""
-        return MappingProxyType(minimal_polynomial(self))
+    def minimal_polynomials(self) -> CosetTable:
+        """The coset table, minimal_polynomial(self), on first use; its
+        arrays are read-only."""
+        return minimal_polynomial(self)
 
 
 def _extension_degree(field: Field, n: int) -> int:
@@ -106,10 +110,14 @@ def root_context(field: Field, n: int) -> RootContext:
 
 
 def _coset_product(field: Field, n: int, mask: np.ndarray) -> Poly:
-    """The product of the coset table's rows whose smallest member the mask
-    holds: for the membership mask of a coset-closed S, the roots are beta^S."""
+    """The product of the coset table's rows whose least member the mask
+    holds: for the membership mask of a coset-closed S, the roots are beta^S.
+    The rows go to the product as the table's coefficients, never as Polys."""
     table = root_context(field, n).minimal_polynomials
-    return product(field, compress(table.values(), mask[[members[0] for members in table]]))
+    pick = mask[table.least]
+    lens = table.sizes + 1
+    coeffs = table.coeffs[np.repeat(pick, lens)]
+    return Poly._of(field, _product(field, coeffs, lens[pick].tolist()))
 
 
 def hermitian_base(field: Field) -> int:
@@ -178,11 +186,13 @@ class CyclicCode:
             raise ValueError("generator must be nonzero")
         g = g.monic()
         ctx = root_context(field, n)
+        table = ctx.minimal_polynomials
         # roots of a GF(q)-coefficient polynomial come in whole cosets:
-        # g(beta^(q i)) = g(beta^i)^q, so one representative decides the orbit
+        # g(beta^(q i)) = g(beta^i)^q, so one representative decides the
+        # orbit; one Horner pass evaluates g at every beta^c
+        roots = _horner(ctx, g.coeffs, ctx.powers[table.least]) == 0
         mask = np.zeros(n, dtype=bool)
-        for orbit in ctx.minimal_polynomials:
-            mask[list(orbit)] = g.eval(int(ctx.powers[orbit[0]]), ctx.emb) == 0
+        mask[table.members] = np.repeat(roots, table.sizes)
         code = cls.from_defining_set(field, n, DefiningSet._of(n, field.order, mask))
         # x^n - 1 is squarefree, so g divides it iff g is the product of x - beta^i over its roots
         if code.g != g:

@@ -9,31 +9,32 @@ expressions with no Python pass over residues.  Sets still serialize as
 comma-separated decimal residues in ascending order.
 
 :func:`minimal_polynomial` expands the minimal polynomials of every coset of
-Z_n in one numpy pass, the coset table that the root context caches once per
-(field, n): it reads the roots beta^j from the context's powers, one coset
-per column of an (L, N) matrix padded with the root 0 (L the largest coset
-size), expands the products as one (L + 1, N) coefficient matrix in L row
-steps, one :func:`cycledual.gf.times` call each, and pulls the coefficients
-back to the base field by a binary search among the embedding's sorted
-images, which it holds as arrays built once, into one array of which each
-minimal polynomial is a slice.
+Z_n in one numpy pass into the coset table, a :class:`CosetTable`, a named
+tuple of three read-only arrays (the residues coset by coset, the coset
+sizes and the rows' coefficients end to end) that the root context caches
+once per (field, n).
+It reads the roots beta^j from the context's powers, one coset per column of
+an (L, N) matrix padded with the root 0 (L the largest coset size), expands
+the products as one (L + 1, N) coefficient matrix in L row steps, one
+:func:`cycledual.gf.times` call each, keeps each column's |C| + 1 top
+coefficients, and pulls them back to the base field by a binary search among
+the embedding's sorted images, which it holds as arrays built once.  No step
+loops over the cosets in Python.
 
 :func:`is_coset_table` proves such a table without multiplying it back to
-x^n - 1: the keys must be the cosets, and each row monic over GF(q), of the
-coset's size and zero at one root, which one Horner pass over all rows
+x^n - 1: its cosets must be the q-cosets, and each row monic over GF(q), of
+the coset's size and zero at one root, which one Horner pass over all rows
 checks at once.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 import numpy as np
 
-from .gf import Field, times
-from .poly import Poly
+from .gf import Field, dtype_for, times
 
 if TYPE_CHECKING:
     from .cyclic import RootContext
@@ -49,6 +50,7 @@ __all__ = [
     "bch_bound",
     "is_dual_containing_set",
     "gcd_lemma",
+    "CosetTable",
     "minimal_polynomial",
     "is_coset_table",
 ]
@@ -200,12 +202,32 @@ def gcd_lemma(q: int, a: int, b: int, form: str) -> int:
     raise ValueError(f"unknown form {form!r}")
 
 
-def minimal_polynomial(ctx: RootContext) -> dict[tuple[int, ...], Poly]:
-    """The minimal polynomial prod_{j in C} (x - beta^j) of every q-coset C
-    of Z_n, with its coefficients pulled back to the base field GF(q).  ctx
-    is the :func:`cycledual.cyclic.root_context` of GF(q) and n, whose table
-    of beta's powers supplies the roots.  Each key is its coset's members in
-    ascending order, and the entries come in order of smallest member.
+class CosetTable(NamedTuple):
+    """The q-cyclotomic cosets of Z_n with their minimal polynomials over
+    GF(q), as three read-only arrays.
+
+    ``members`` holds the n residues coset by coset, each coset walked
+    c, c q, c q^2, ... from its least member c; ``sizes`` holds |C| for each
+    coset, the cosets in ascending order of their least members; ``coeffs``
+    holds the rows end to end, row C being the |C| + 1 coefficients of C's
+    minimal polynomial, low degree first and monic, in the base field's
+    dtype."""
+
+    members: np.ndarray
+    sizes: np.ndarray
+    coeffs: np.ndarray
+
+    @property
+    def least(self) -> np.ndarray:
+        """The least member of each coset, the first of its walk."""
+        return self.members[np.cumsum(self.sizes) - self.sizes]
+
+
+def minimal_polynomial(ctx: RootContext) -> CosetTable:
+    """The coset table: the minimal polynomial prod_{j in C} (x - beta^j)
+    of every q-coset C of Z_n, with its coefficients pulled back to the base
+    field GF(q).  ctx is the :func:`cycledual.cyclic.root_context` of GF(q)
+    and n, whose table of beta's powers supplies the roots.
 
     Each residue r walks r q^t mod n for 0 <= t <= m, m = ctx.m the order of
     q mod n, one column each; a column whose smallest entry is r is its
@@ -221,35 +243,36 @@ def minimal_polynomial(ctx: RootContext) -> dict[tuple[int, ...], Poly]:
     width = int(sizes.max())
     # padding with the root 0 makes column i x^(width - |C_i|) times its
     # minimal polynomial
+    inside = np.arange(width)[:, None] < sizes
     roots = ctx.powers[walk[:width]]
-    roots[np.arange(width)[:, None] >= sizes] = 0
-    coeffs = _expand(roots, ctx.emb.ext).T.ravel()
+    roots[~inside] = 0
+    # row i's last |C_i| + 1 coefficients, past the padding's zeros
+    coeffs = _expand(roots, ctx.emb.ext).T[np.arange(width + 1) >= width - sizes[:, None]]
     images = ctx.emb.sorted_images
     at = np.searchsorted(images, coeffs)
     if (images.take(at, mode="clip") != coeffs).any():
         raise RuntimeError(
             "internal: a minimal polynomial has a coefficient outside the base field"
         )
-    coeffs = ctx.emb.preimages[at]
-    coeffs.setflags(write=False)  # and so is each minimal polynomial's slice
-    out = {}
-    for i, (members, size) in enumerate(zip(walk.T.tolist(), sizes.tolist())):
-        end = (i + 1) * (width + 1)  # monic, past the padding's zeros
-        out[tuple(sorted(members[:size]))] = Poly._of(ctx.emb.base, coeffs[end - size - 1 : end])
-    return out
+    table = CosetTable(walk[:width].T[inside.T].astype(np.intp), sizes, ctx.emb.preimages[at])
+    for array in table:
+        array.setflags(write=False)
+    return table
 
 
-def is_coset_table(ctx: RootContext, table: Mapping[tuple[int, ...], Poly]) -> bool:
-    """Whether table is the coset table of ctx: each key one q-coset C of
-    Z_n and its row C's minimal polynomial prod_{j in C} (x - beta^j) over
-    the base field GF(q), with the keys partitioning Z_n.  Then the product
-    of the rows is prod_{j in Z_n} (x - beta^j) = x^n - 1.
+def is_coset_table(ctx: RootContext, table: CosetTable) -> bool:
+    """Whether table is the coset table of ctx: each coset C of the table a
+    q-coset of Z_n and its row C's minimal polynomial
+    prod_{j in C} (x - beta^j) over the base field GF(q), with the cosets
+    partitioning Z_n.  Then the product of the rows is
+    prod_{j in Z_n} (x - beta^j) = x^n - 1.
 
-    It checks that
-      1. the keys partition Z_n;
-      2. each key C is closed under r -> r q mod n, and |C| is the orbit
-         length of its smallest member c;
-      3. each row is over GF(q), monic, and of degree |C|;
+    Given rows of sum(|C| + 1) coefficients, it checks that
+      1. the cosets partition Z_n;
+      2. each coset C is closed under r -> r q mod n, and |C| is the orbit
+         length of its first member c (its least, in minimal_polynomial's
+         layout, though any member would do);
+      3. each row is over GF(q) and monic, so of degree |C|;
       4. each row vanishes at beta^c.
     These suffice (MacWilliams & Sloane, Ch. 4 §4).  ctx.powers proves that
     beta has order exactly n, so beta^(c q^t) = beta^c iff c q^t = c mod n,
@@ -260,49 +283,57 @@ def is_coset_table(ctx: RootContext, table: Mapping[tuple[int, ...], Poly]) -> b
     rows' roots are every beta^j once.
 
     The rows are evaluated at their beta^c by one Horner pass over all rows
-    at once: one (N, L + 1) matrix of their embedded coefficients, zero
-    above each row's degree, L the largest degree, with one
-    :func:`cycledual.gf.times` call per degree step."""
+    at once (:func:`_horner`), padded with zeros above each row's degree."""
     n, base = ctx.n, ctx.emb.base
     q = base.order
-    keys, rows = list(table), list(table.values())
-    sizes = np.fromiter(map(len, keys), dtype=np.intp, count=len(keys))
-    members = np.fromiter(chain.from_iterable(keys), dtype=np.int64, count=int(sizes.sum()))
-    # 1: n distinct residues in 0..n-1, each in one nonempty key
-    if not (len(members) == n and (sizes > 0).all()):
+    members, sizes, coeffs = table
+    # the layout: n residues in nonempty cosets and |C| + 1 coefficients each
+    if not (len(members) == n and (sizes > 0).all() and sizes.sum() == n):
         return False
-    if not np.array_equal(np.sort(members), np.arange(n)):
+    if len(coeffs) != n + len(sizes):
         return False
-    # 2: closure through the key of each residue; the smallest members walk
+    # 1: n distinct residues in 0..n-1
+    if not (members.min() >= 0 and members.max() < n):
+        return False
+    owner = np.full(n, -1, dtype=np.intp)
+    owner[members] = np.repeat(np.arange(len(sizes)), sizes)
+    if (owner < 0).any():
+        return False
+    # 2: closure through the coset of each residue; the first members c walk
     # c q^t mod n for 1 <= t <= ctx.m and are back at c by step ctx.m
-    owner = np.empty(n, dtype=np.intp)
-    owner[members] = np.repeat(np.arange(len(keys)), sizes)
     if not (owner[members * (q % n) % n] == owner[members]).all():
         return False
-    least = np.minimum.reduceat(members, np.cumsum(sizes) - sizes).astype(np.uint64)
+    least = table.least
     steps = np.array([pow(q, t, n) for t in range(1, ctx.m + 1)], dtype=np.uint64)[:, None]
-    if not ((steps * least % np.uint64(n) == least).argmax(axis=0) + 1 == sizes).all():
+    start = least.astype(np.uint64)
+    if not ((steps * start % np.uint64(n) == start).argmax(axis=0) + 1 == sizes).all():
         return False
-    # 3: over GF(q), monic, of degree |C|
-    if not all(row.field is base or row.field == base for row in rows):
+    # 3: over GF(q) and monic
+    if not (coeffs.dtype == dtype_for(base) and (coeffs < q).all()):
         return False
-    arrays = [row.coeffs for row in rows]
-    lens = np.fromiter(map(len, arrays), dtype=np.intp, count=len(arrays))
-    if not (lens == sizes + 1).all():
-        return False
-    coeffs = np.concatenate(arrays)
-    if not (coeffs[np.cumsum(lens) - 1] == 1).all():
+    if not (coeffs[np.cumsum(sizes + 1) - 1] == 1).all():
         return False
     # 4: Horner at beta^c, every row at once
     width = int(sizes.max())
-    padded = np.zeros((len(rows), width + 1), dtype=coeffs.dtype)
-    padded[np.arange(width + 1) < lens[:, None]] = coeffs
-    embedded = np.array(ctx.emb.table, dtype=np.uint64)[padded]
-    x = ctx.powers[least]
-    acc = embedded[:, width]
-    for k in range(width - 1, -1, -1):
-        acc = times(ctx.emb.ext, acc, x) ^ embedded[:, k]
-    return not acc.any()
+    padded = np.zeros((len(sizes), width + 1), dtype=coeffs.dtype)
+    padded[np.arange(width + 1) <= sizes[:, None]] = coeffs
+    return not _horner(ctx, padded, ctx.powers[least]).any()
+
+
+def _horner(ctx: RootContext, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[..., k] x^k over the extension, for base-field
+    coefficients (the last axis the degree, low first, with numpy
+    broadcasting against the points x), by Horner's rule: one
+    :func:`cycledual.gf.times` call per coefficient.  The coefficients are
+    embedded through one array of the base field's images."""
+    emb = ctx.emb
+    images = np.empty_like(emb.sorted_images)
+    images[emb.preimages] = emb.sorted_images
+    embedded = images[coeffs]
+    acc = np.zeros_like(x)
+    for k in range(coeffs.shape[-1] - 1, -1, -1):
+        acc = times(emb.ext, acc, x) ^ embedded[..., k]
+    return acc
 
 
 def _expand(roots: np.ndarray, ext: Field) -> np.ndarray:

@@ -23,7 +23,9 @@ coefficients (von zur Gathen & Gerhard, Modern Computer Algebra, Ch. 8).
 The bit-plane convolutions come back as floats, are rounded and checked to
 lie within 1/4 of an integer, and their parities fold back into GF(2^s).
 ``numpy.fft`` is reached only there, so a short product never loads it.
-The crossovers are measured; see :func:`product`.
+The crossovers are measured; see :func:`product`.  The fold and the tree
+take the factors' coefficients end to end, so the coset table's rows reach
+them without becoming Polys.
 
 The monic reversal and the q-th power of dual generators are one table
 lookup each.  Every kernel takes and returns coefficient arrays.
@@ -241,23 +243,29 @@ def product(field: Field, polys: Iterable[Poly]) -> Poly:
     to 2.5 times against the tree, and an FFT would not repay loading
     ``numpy.fft`` (about 1.4 ms and 0.8 MB, once per process).  So short
     products, such as most ``Poly.__mul__`` calls, never load it."""
-    log, exp = log_exp(field)
     rows = []
     for p in polys:
         if not isinstance(p, Poly) or p.field != field:
             raise ValueError("field mismatch")
         rows.append(p.coeffs)
-    if not rows:
-        return Poly.one(field)
-    # lens[r] is the length of row r's polynomial: a product of nonzero
-    # polynomials has length la + lb - 1, so no level searches for zeros
-    lens = [len(c) for c in rows]
-    if 0 in lens:
-        return Poly.zero(field)
+    coeffs = np.concatenate(rows) if rows else np.zeros(0, dtype_for(field))
+    return Poly._of(field, _product(field, coeffs, [len(c) for c in rows]))
+
+
+def _product(field: Field, coeffs: np.ndarray, lens: list[int]) -> np.ndarray:
+    """The coefficients of the product of the factors given end to end in
+    coeffs, lens[r] those of factor r, by the fold or the tree of
+    :func:`product`: [1] for no factor, [] when one is zero."""
+    log, exp = log_exp(field)
     dtype = dtype_for(field)
+    if not lens:
+        return np.ones(1, dtype)
+    if 0 in lens:
+        return np.zeros(0, dtype)
     if sum(lens) - len(lens) + 1 < _TREE_MIN_LENGTH:
-        acc = rows[0]
-        for b in rows[1:]:
+        acc, start = coeffs[: lens[0]], lens[0]
+        for size in lens[1:]:
+            b, start = coeffs[start : start + size], start + size
             if len(b) > len(acc):  # B, the scaled operand, is the longer one
                 acc, b = b, acc
             log_acc = log[acc]
@@ -266,9 +274,11 @@ def product(field: Field, polys: Iterable[Poly]) -> Poly:
                 if c:
                     _add_scaled(out, i, acc, log_acc, exp, int(log[c]))
             acc = out
-        return Poly._of(field, acc)
-    m = np.zeros((len(rows), max(lens)), dtype=dtype)
-    m[np.arange(m.shape[1]) < np.array(lens)[:, None]] = np.concatenate(rows)
+        return acc
+    # lens[r] is the length of row r's polynomial: a product of nonzero
+    # polynomials has length la + lb - 1, so no level searches for zeros
+    m = np.zeros((len(lens), max(lens)), dtype=dtype)
+    m[np.arange(m.shape[1]) < np.array(lens)[:, None]] = coeffs
     while len(m) > 1:
         pairs = len(m) // 2
         la, lb = lens[0 : 2 * pairs : 2], lens[1 : 2 * pairs : 2]
@@ -286,7 +296,7 @@ def product(field: Field, polys: Iterable[Poly]) -> Poly:
             out = grown
         m = out
     # every factor is nonzero, so is the product: its leading coefficient too
-    return Poly._of(field, m[0, : lens[0]])
+    return m[0, : lens[0]]
 
 
 def _columns(a: np.ndarray, b: np.ndarray, log: np.ndarray, exp: np.ndarray) -> np.ndarray:

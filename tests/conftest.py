@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 import reference
-from cycledual import CyclicCode, DefiningSet, field_create, x_pow_n_minus_1
+from cycledual import CosetTable, CyclicCode, DefiningSet, Poly, field_create, x_pow_n_minus_1
 
 
 def divisor_defining_sets(field, n):
@@ -35,6 +37,25 @@ def van_lint_verdict(g1, g_dual, n, outer_generator):
         return False
     divides = reference.poly_divrem(x_pow_n_minus_1(g1.field, 2 * n), outer_generator)[1].is_zero
     return divides and reference.seeds_in_ideal(g1, g_dual, n, outer_generator)
+
+
+def table_rows(table, field):
+    """A CosetTable as a dict from each coset, its members ascending, to its
+    row as a Poly over field, in the table's order."""
+    ends = np.cumsum(table.sizes + 1)
+    rows = np.split(table.coeffs, ends[:-1])
+    cosets = np.split(table.members, np.cumsum(table.sizes)[:-1])
+    return {tuple(sorted(c.tolist())): Poly(field, r) for c, r in zip(cosets, rows)}
+
+
+def coset_table(rows):
+    """The CosetTable laid out from a dict of that shape: each key's members
+    in the key's order, each row's coefficients as the Poly holds them."""
+    return CosetTable(
+        np.array([r for key in rows for r in key], dtype=np.intp),
+        np.array([len(key) for key in rows], dtype=np.intp),
+        np.concatenate([row.coeffs for row in rows.values()]),
+    )
 
 
 GF2 = field_create(1)

@@ -16,6 +16,7 @@ from cycledual import (
     bch_bound,
     bch_defining_set,
     build_family,
+    complement,
     dumps,
     exact_min_distance,
     family_parameters,
@@ -23,10 +24,12 @@ from cycledual import (
     is_dual_containing_set,
     paper_floor,
     sampled_weight_upper_bound,
+    set_map,
     write_certificate,
 )
+from cycledual import integers
 from cycledual.cli import main
-from cycledual.construct import pipeline_checks
+from cycledual.construct import MAX_INNER_LENGTH, pipeline_checks
 
 import reference
 from conftest import GF2, GF4, divisor_codes
@@ -239,3 +242,32 @@ def test_criterion_10():
         inner = CyclicCode.from_defining_set(cert.field, cert.n_inner, cert.defining_set)
         basis = reference.uuv_basis(inner, inner.dual("euclidean"))
         assert exact_min_distance(cert.field, basis) == exact_min_distance(cert.field, basis)
+
+
+@criterion(11, "the paper's floor on every buildable cell", limit_s=10.0)
+def test_criterion_11():
+    # every cell that build_family accepts and finds dual-containing, with
+    # E s <= 4 and H s <= 2 and exponent <= 24: the floor of the defining
+    # sets, min(bch(T^perp), 2 bch(T)), is at least the paper's closed form
+    cells = 0
+    for kind, s_max in (("euclidean", 4), ("hermitian", 2)):
+        for s in range(1, s_max + 1):
+            q = 1 if kind == "euclidean" else 1 << s
+            for m in range(1, 25, 2):
+                exponent = s * m if kind == "euclidean" else 2 * s * m
+                if exponent > 24:
+                    break
+                for mu in integers.divisors((1 << exponent) - 1):
+                    params = family_parameters(kind, s, m, mu)
+                    n = params.n_inner
+                    if n > MAX_INNER_LENGTH or params.b_default < 1:
+                        continue
+                    T = bch_defining_set(n, params.alphabet.order, params.b_default)
+                    if not is_dual_containing_set(T, kind, None if q == 1 else q):
+                        continue
+                    floor = min(bch_bound(complement(set_map(T, -q))), 2 * bch_bound(T))
+                    assert floor >= paper_floor(kind, s, m, mu).clamped, (kind, s, m, mu)
+                    if n <= 63:  # the floor that build_family records
+                        assert build_family(kind, s, m, mu).floor_min == floor, (kind, s, m, mu)
+                    cells += 1
+    assert cells == 124

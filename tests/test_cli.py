@@ -22,6 +22,7 @@ from cycledual import (
     write_certificate,
 )
 from cycledual.cli import main
+from conftest import coset_table, table_rows
 
 
 def run(capsys, *argv):
@@ -873,7 +874,11 @@ def _drop_a_residue(mps):
 )
 def test_factor_rejects_a_corrupted_factor(capsys, monkeypatch, corrupt):
     build = cli.minimal_polynomial
-    monkeypatch.setattr(cli, "minimal_polynomial", lambda ctx: corrupt(build(ctx)))
+
+    def corrupted(ctx):
+        return coset_table(corrupt(table_rows(build(ctx), ctx.emb.base)))
+
+    monkeypatch.setattr(cli, "minimal_polynomial", corrupted)
     rc, out, err = run(capsys, "factor", "--q", "4", "--n", "63")
     assert rc == 1
     assert out == ""
@@ -906,9 +911,9 @@ def test_factor_expands_every_coset_in_one_call(capsys, monkeypatch):
     build = cli.minimal_polynomial
 
     def counted(ctx):
-        mps = build(ctx)
-        calls.append(len(mps))
-        return mps
+        table = build(ctx)
+        calls.append(len(table.sizes))
+        return table
 
     monkeypatch.setattr(cli, "minimal_polynomial", counted)
     rc, out, _ = run(capsys, "factor", "--q", "2", "--n", "4095")
@@ -923,6 +928,22 @@ def test_factor_over_gf4_in_gf_2_26_is_pinned(capsys):
     assert (rc, err) == (0, "")
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == "59f796f8ac6e1a05248e88afae32213a2c9a25d08971a26a1f47d4a674c9bdc6"
+
+
+@pytest.mark.parametrize(
+    "q,n,lines,digest",
+    [
+        # GF(2^16): 257 linear factors x - beta^j, with up to four hex digits
+        (65536, 257, 257, "24dcfef78579b29d2dba801f4f83d4edebfc9e566ef71b625943ca6d4b79ce81"),
+        # GF(8): cosets of size 3 over residues of up to three decimal digits
+        (8, 511, 175, "39a0a878ad9b12c5ebbd3db83095bca104a9ec9965a4464ae42ffd526592c61e"),
+    ],
+)
+def test_factor_with_wide_tokens_is_pinned(capsys, q, n, lines, digest):
+    rc, out, err = run(capsys, "factor", "--q", str(q), "--n", str(n))
+    assert (rc, err) == (0, "")
+    assert len(out.splitlines()) == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_distance_sampled_refuses_tables_past_the_limit(tmp_path, capsys, monkeypatch):

@@ -14,7 +14,7 @@ from cycledual import (
 from cycledual import cyclic
 from cycledual.cyclo import complement, set_map
 from cycledual.poly import _monic_reversal
-from conftest import GF2, GF4, divisor_codes
+from conftest import GF2, GF4, coset_table, divisor_codes, table_rows
 from reference import contains, encode, frobenius, mat_mul, rank
 
 
@@ -56,9 +56,9 @@ def test_from_defining_set_checks_that_the_table_multiplies_back(monkeypatch, dr
     # table short of a coset outside T gives a wrong h1, which only the
     # product check g1 h1 = x^n - 1 sees
     ctx = dataclasses.replace(cyclic.root_context(GF2, 7))  # a fresh context
-    table = dict(cyclic.root_context(GF2, 7).minimal_polynomials)
+    table = table_rows(cyclic.root_context(GF2, 7).minimal_polynomials, GF2)
     del table[dropped]
-    vars(ctx)["minimal_polynomials"] = table
+    vars(ctx)["minimal_polynomials"] = coset_table(table)
     monkeypatch.setattr(cyclic, "root_context", lambda field, n: ctx)
     with pytest.raises(RuntimeError, match="^internal: the coset table does not multiply back"):
         CyclicCode.from_defining_set(GF2, 7, bch_defining_set(7, 2, 1))
@@ -67,9 +67,12 @@ def test_from_defining_set_checks_that_the_table_multiplies_back(monkeypatch, dr
 def test_root_context_table_is_read_only():
     # the context is cached and shared by every caller of root_context
     table = cyclic.root_context(GF2, 7).minimal_polynomials
-    with pytest.raises(TypeError):
-        table[(0,)] = Poly.one(GF2)
-    assert table[(0,)] == Poly(GF2, (1, 1))
+    with pytest.raises(AttributeError):
+        table.coeffs = table.coeffs.copy()
+    for array in table:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    assert table_rows(table, GF2)[(0,)] == Poly(GF2, (1, 1))
 
 
 def test_from_generator():

@@ -27,7 +27,7 @@ from cycledual import (
 from cycledual import gf
 
 import reference
-from conftest import GF2, GF4
+from conftest import GF2, GF4, coset_table, table_rows
 from reference import coset
 
 
@@ -215,7 +215,15 @@ def test_gcd_lemma_agrees_with_integer_gcd():
 
 def test_minimal_polynomial_mod7():
     ctx = root_context(GF2, 7)
-    mps = minimal_polynomial(ctx)
+    table = minimal_polynomial(ctx)
+    # each coset walked from its least member, the rows end to end, monic
+    assert table.members.tolist() == [0, 1, 2, 4, 3, 6, 5]
+    assert table.sizes.tolist() == [1, 3, 3]
+    assert table.least.tolist() == [0, 1, 3]
+    assert table.coeffs.tolist() == [1, 1, 1, 1, 0, 1, 1, 0, 1, 1]
+    assert table.coeffs.dtype == np.uint8
+    assert not any(a.flags.writeable for a in table)
+    mps = table_rows(table, GF2)
     assert list(mps.items()) == [
         ((0,), Poly(GF2, (1, 1))),
         ((1, 2, 4), Poly(GF2, (1, 1, 0, 1))),
@@ -227,7 +235,7 @@ def test_minimal_polynomial_mod7():
 @pytest.mark.parametrize("field", [GF2, GF4])
 @pytest.mark.parametrize("n", [7, 9, 15, 21, 63])
 def test_minimal_polynomial_product(field, n):
-    mps = minimal_polynomial(root_context(field, n))
+    mps = table_rows(minimal_polynomial(root_context(field, n)), field)
     assert list(mps) == list(reference.all_cosets(n, field.order).values())
     assert [(mp.coeffs[-1], mp.degree) for mp in mps.values()] == [(1, len(c)) for c in mps]
     assert product(field, mps.values()) == x_pow_n_minus_1(field, n)
@@ -243,7 +251,7 @@ def test_minimal_polynomial_from_the_powers_table_matches_the_frobenius_roots(q,
     field = field_create(q.bit_length() - 1)
     ctx = root_context(field, n)
     assert ctx.ext.s == e
-    mps = minimal_polynomial(ctx)
+    mps = table_rows(minimal_polynomial(ctx), field)
     assert mps == {
         orb: reference.minimal_polynomial(orb, ctx.beta, ctx.emb)
         for orb in reference.all_cosets(n, q).values()
@@ -273,7 +281,7 @@ def test_minimal_polynomial_of_a_batch_matches_the_reference_coset_by_coset(q, n
     # the batch is every coset, one entry each in order of smallest member
     ctx = _feasible_context(q, n)
     assume(ctx is not None)
-    mps = minimal_polynomial(ctx)
+    mps = table_rows(minimal_polynomial(ctx), ctx.emb.base)
     assert list(mps) == list(reference.all_cosets(n, q).values())
     assert mps == {c: reference.minimal_polynomial(c, ctx.beta, ctx.emb) for c in mps}
     assert product(ctx.emb.base, mps.values()) == x_pow_n_minus_1(ctx.emb.base, n)
@@ -286,7 +294,8 @@ def _tampered(ctx, powers):
 
 def test_minimal_polynomial_rejects_table_roots_that_are_not_a_coset():
     ctx = root_context(GF2, 7)
-    assert minimal_polynomial(_tampered(ctx, ctx.powers))[(1, 2, 4)] == Poly(GF2, (1, 1, 0, 1))
+    table = minimal_polynomial(_tampered(ctx, ctx.powers))
+    assert table_rows(table, GF2)[(1, 2, 4)] == Poly(GF2, (1, 1, 0, 1))
     # a GF(2) cubic with root beta is beta's minimal polynomial, whose roots
     # are exactly beta, beta^2 and beta^4: any other value for beta^2 fails
     for j in (0, 3, 5, 6):
@@ -310,12 +319,12 @@ def test_minimal_polynomial_catches_a_tampered_powers_table(data):
         st.integers(0, ctx.ext.order - 1).filter(lambda v: v != powers[j]), label="beta^j"
     )
     try:
-        mps = minimal_polynomial(_tampered(ctx, powers))
+        table = minimal_polynomial(_tampered(ctx, powers))
     except RuntimeError as exc:
         assert str(exc).startswith("internal: ")
     else:
-        assert not is_coset_table(ctx, mps)
-        assert product(field, mps.values()) != x_pow_n_minus_1(field, n)
+        assert not is_coset_table(ctx, table)
+        assert product(field, table_rows(table, field).values()) != x_pow_n_minus_1(field, n)
 
 
 def _table_lengths(q):
@@ -342,9 +351,9 @@ def test_is_coset_table_accepts_the_coset_table_as_the_product_identity_does(cas
     q, n = case
     field = field_create(q.bit_length() - 1)
     ctx = root_context(field, n)
-    mps = minimal_polynomial(ctx)
-    assert is_coset_table(ctx, mps)
-    assert product(field, mps.values()) == x_pow_n_minus_1(field, n)
+    table = minimal_polynomial(ctx)
+    assert is_coset_table(ctx, table)
+    assert product(field, table_rows(table, field).values()) == x_pow_n_minus_1(field, n)
 
 
 @settings(max_examples=60, deadline=None)
@@ -354,28 +363,45 @@ def test_is_coset_table_refuses_any_changed_coefficient(case, data):
     q, n = case
     field = field_create(q.bit_length() - 1)
     ctx = root_context(field, n)
-    mps = minimal_polynomial(ctx)
-    orbit = data.draw(st.sampled_from(list(mps)), label="orbit")
-    coeffs = mps[orbit].coeffs.tolist()
+    table = minimal_polynomial(ctx)
+    coeffs = table.coeffs.copy()
     i = data.draw(st.integers(0, len(coeffs) - 1), label="i")
     coeffs[i] = data.draw(st.integers(0, q - 1).filter(lambda c: c != coeffs[i]), label="c")
-    assert not is_coset_table(ctx, {**mps, orbit: Poly(field, coeffs)})
+    assert not is_coset_table(ctx, table._replace(coeffs=coeffs))
 
 
 def test_is_coset_table_refuses_keys_that_are_not_one_coset():
     ctx = root_context(GF2, 7)
-    mps = minimal_polynomial(ctx)
+    mps = table_rows(minimal_polynomial(ctx), GF2)
+    assert is_coset_table(ctx, coset_table(mps))
     cubic = mps[(1, 2, 4)]
     # {1, 2, 4} and {3, 5, 6} split and rejoined: a partition of Z_7 with
     # keys of the right sizes, but not closed under r -> 2r
-    assert not is_coset_table(ctx, {(0,): mps[(0,)], (1, 2, 3): cubic, (4, 5, 6): mps[(3, 5, 6)]})
+    split = {(0,): mps[(0,)], (1, 2, 3): cubic, (4, 5, 6): mps[(3, 5, 6)]}
+    assert not is_coset_table(ctx, coset_table(split))
     # {1, 2, 4} and {3, 5, 6} merged, closed, with their product as the row
     merged = {(0,): mps[(0,)], (1, 2, 3, 4, 5, 6): cubic * mps[(3, 5, 6)]}
     assert product(GF2, merged.values()) == x_pow_n_minus_1(GF2, 7)
-    assert not is_coset_table(ctx, merged)
-    # a residue twice, or a row over the extension
-    assert not is_coset_table(ctx, {**mps, (0, 0): mps[(0,)]})
-    assert not is_coset_table(ctx, {**mps, (0,): Poly(ctx.ext, (1, 1))})
+    assert not is_coset_table(ctx, coset_table(merged))
+    # a residue twice, with one more residue than Z_7 or in place of 6
+    assert not is_coset_table(ctx, coset_table({**mps, (0, 0): mps[(0,)]}))
+    twice = {(0,): mps[(0,)], (1, 2, 4): cubic, (3, 5, 2): mps[(3, 5, 6)]}
+    assert not is_coset_table(ctx, coset_table(twice))
+
+
+def test_is_coset_table_refuses_a_row_outside_the_base_field():
+    # (x - beta)(x - beta^3)(x - beta^5) vanishes at beta, the first member
+    # of {1, 2, 4}, and is monic of degree 3, but its coefficients lie in
+    # GF(8) and not all in GF(2); GF(8)'s values fit GF(2)'s dtype
+    ctx = root_context(GF2, 7)
+    mps = table_rows(minimal_polynomial(ctx), GF2)
+    roots = [Poly(ctx.ext, (int(ctx.powers[j]), 1)) for j in (1, 3, 5)]
+    row = product(ctx.ext, roots)
+    assert row.coeffs.dtype == np.uint8 and row.coeffs.max() > 1
+    assert not is_coset_table(ctx, coset_table({**mps, (1, 2, 4): row}))
+    # a row in a wider dtype than the base field's, with the true values
+    wide = coset_table(mps)
+    assert not is_coset_table(ctx, wide._replace(coeffs=wide.coeffs.astype(np.uint16)))
 
 
 def test_root_context_builds_the_powers_table_on_first_use(monkeypatch):

@@ -72,12 +72,12 @@ _COMMAND_SPANS = """
 import sys
 
 from cycledual.cyclic import CyclicCode, RootContext
-from cycledual.cyclo import DefiningSet
+from cycledual.cyclo import CosetTable, DefiningSet
 from cycledual.gf import Field
 from cycledual.poly import Poly
 
 methods = {}
-for cls in (Field, Poly, CyclicCode, DefiningSet, RootContext):
+for cls in (Field, Poly, CyclicCode, DefiningSet, RootContext, CosetTable):
     for attr, raw in vars(cls).items():
         if attr.startswith("_"):
             continue
@@ -151,9 +151,9 @@ def test_every_exported_function_is_reached_by_a_command(command_stderr):
 UNREACHED_METHODS = {
     "CyclicCode.from_generator": "perfbench/tracing.py METHODS wraps it",
     "CyclicCode.generator_matrix": "perfbench/child.py's distance ops call it",
-    "Poly.eval": "perfbench/tracing.py METHODS wraps it; from_generator calls it",
+    "Poly.eval": "perfbench/tracing.py METHODS wraps it",
     "Poly.monic": "from_generator, which the benchmark reaches, calls it",
-    "Poly.zero": "product's result when a factor is zero, which no command meets",
+    "Poly.zero": "divrem's quotient by a longer divisor, which no command meets",
 }
 
 

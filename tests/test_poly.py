@@ -27,7 +27,7 @@ from cycledual.cyclo import minimal_polynomial
 from cycledual.cyclic import root_context
 from cycledual.poly import _monic_reversal
 
-from conftest import GF2, GF4, divisor_codes
+from conftest import GF2, GF4, divisor_codes, table_rows
 
 KERNEL_FIELDS = [GF2, GF4, field_create(4), field_create(8), field_create(16)]
 
@@ -291,7 +291,7 @@ def _long_poly(draw, field, t):
 
 def test_product_of_the_1375_minimal_polynomials_mod_4095_over_gf16():
     field = field_create(4)
-    mps = minimal_polynomial(root_context(field, 4095))
+    mps = table_rows(minimal_polynomial(root_context(field, 4095)), field)
     assert len(mps) == 1375
     assert all(_canonical(mp) for mp in mps.values())
     with mock.patch.object(poly, "_fft_product", wraps=poly._fft_product) as fft:
