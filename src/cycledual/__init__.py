@@ -29,7 +29,6 @@ from .cyclo import (
     bch_bound,
     bch_defining_set,
     complement,
-    gcd_lemma,
     is_coset_table,
     is_dual_containing_set,
     minimal_polynomial,
@@ -80,7 +79,6 @@ __all__ = [
     "extension_with_embedding",
     "family_parameters",
     "field_create",
-    "gcd_lemma",
     "hermitian_base",
     "is_coset_table",
     "is_dual_containing_set",

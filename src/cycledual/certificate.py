@@ -7,9 +7,11 @@ files are read and written as ASCII bytes.  That strictness is what makes
 tampering detectable: any edit either breaks parsing or changes a parsed
 value that re-verification then contradicts.
 
-Sections: [params], [field], [inner_code], [outer_code], [bounds], [checks];
-the file ends with "format_version = 1".  Distance reports appended later by
-the CLI live in [bounds] as distance_method / distance_value / distance_exact.
+The format is one line table, ``_LINES``, that :func:`dumps` and
+:func:`loads` both walk.  [checks] ends with "automorphism_subgroup =
+not_verified" and the file with "format_version = 1".  Distance reports
+appended later by the CLI live in [bounds] as distance_method /
+distance_value / distance_exact, all three or none.
 """
 
 from __future__ import annotations
@@ -17,82 +19,173 @@ from __future__ import annotations
 import os
 import stat
 from pathlib import Path
+from typing import Any, Callable
 
 from .construct import DistanceSummary, SelfDualCertificate, check_inner_length
 from .cyclo import KINDS, DefiningSet
-from .gf import field_create
+from .gf import Field, field_create
 from .poly import Poly
 
-__all__ = [
-    "CertificateFormatError",
-    "dumps",
-    "loads",
-    "write_certificate",
-    "read_certificate",
-]
+__all__ = ["CertificateFormatError", "dumps", "loads", "write_certificate", "read_certificate"]
 
 FORMAT_VERSION = 1
-
-_SECTIONS = ("params", "field", "inner_code", "outer_code", "bounds", "checks")
 
 
 class CertificateFormatError(ValueError):
     """The certificate file does not parse as a canonical certificate."""
 
 
+def _int(text: str, what: str) -> int:
+    try:
+        v = int(text, 10)
+    except ValueError:
+        raise CertificateFormatError(f"bad integer for {what}: {text!r}") from None
+    if str(v) != text:
+        raise CertificateFormatError(f"non-canonical integer for {what}: {text!r}")
+    return v
+
+
+def _hex(text: str, what: str) -> int:
+    try:
+        v = int(text, 16)
+    except ValueError:
+        raise CertificateFormatError(f"bad hex value for {what}: {text!r}") from None
+    if format(v, "x") != text:
+        raise CertificateFormatError(f"non-canonical hex value for {what}: {text!r}")
+    return v
+
+
+# A codec is a pair (show, read): show(value) gives a line's text, and
+# read(text, values) parses it, given the values already read, by record
+# attribute.  A value that spans lines keeps its parts there until its last
+# line builds it: the field, and the optional distance record.
+_Codec = tuple[Callable[[Any], str], Callable[[str, dict], Any]]
+
+
+def _integer(what: str) -> _Codec:
+    return str, lambda text, values: _int(text, what)
+
+
+def _choice(message: str, texts: dict[str, Any]) -> _Codec:
+    """One of a few texts; any other text raises "{message} {text!r}"."""
+    def read(text: str, values: dict) -> Any:
+        if text not in texts:
+            raise CertificateFormatError(f"{message} {text!r}")
+        return texts[text]
+    return {value: text for text, value in texts.items()}.__getitem__, read
+
+
+def _verdict(what: str) -> _Codec:
+    return _choice(f"bad verdict for {what}:", {"pass": True, "fail": False})
+
+
+def _parsed(message: str, parse: Callable[[str, dict], Any], show=lambda v: v.to_string()):
+    """A value that parse reads, whose ValueError becomes "{message}: ..."."""
+    def read(text: str, values: dict) -> Any:
+        try:
+            return parse(text, values)
+        except CertificateFormatError:
+            raise
+        except ValueError as exc:
+            raise CertificateFormatError(f"{message}: {exc}") from None
+    return show, read
+
+
+def _alphabet_field(text: str, values: dict) -> Field:
+    return field_create(values["field"], _hex(text, "alphabet_modulus"))  # field is alphabet_s
+
+
+def _defining_set(text: str, values: dict) -> DefiningSet:
+    return DefiningSet.from_string(values["n_inner"], values["field"].order, text)
+
+
+def _poly(text: str, values: dict) -> Poly:
+    return Poly.from_string(values["field"], text)
+
+
+def _inner_length(text: str, values: dict) -> int:
+    n = _int(text, "inner n")
+    if n < 1:
+        raise CertificateFormatError("inner n must be positive")
+    check_inner_length(n)  # before the length-n defining-set mask
+    return n
+
+
+def _paper_floor(text: str, values: dict) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise CertificateFormatError(f"bad paper_floor {text!r}") from None
+    if repr(value) != text:
+        raise CertificateFormatError(f"non-canonical paper_floor {text!r}")
+    return value
+
+
+def _distance(text: str, values: dict) -> DistanceSummary:
+    """The record, from distance_exact and the (method, value) above it."""
+    method, value = values["distance"]
+    if text not in ("true", "false"):
+        raise CertificateFormatError(f"bad distance_exact {text!r}")
+    if (text == "true") != (method == "exhaustive"):
+        message = f"distance_exact = {text} contradicts distance_method = {method}"
+        raise CertificateFormatError(message)
+    return DistanceSummary(method, value, text == "true")
+
+
+# Every line but the fixed automorphism_subgroup and format_version ones
+_LINES: tuple[tuple[str, str, str, _Codec], ...] = (
+    ("params", "kind", "kind", _choice("bad kind", {kind: kind for kind in KINDS})),
+    ("params", "s", "s", _integer("s")),
+    ("params", "m", "m", _integer("m")),
+    ("params", "mu", "mu", _integer("mu")),
+    ("params", "b", "b", _integer("b")),
+    ("field", "alphabet_s", "field", (lambda f: str(f.s), _integer("alphabet_s")[1])),
+    ("field", "alphabet_modulus", "field",
+     _parsed("bad alphabet field", _alphabet_field, lambda f: f"{f.modulus:x}")),
+    ("field", "extension_modulus", "extension_modulus",
+     (lambda v: f"{v:x}", lambda text, values: _hex(text, "extension_modulus"))),
+    ("field", "beta_exponent", "beta_exponent", _integer("beta_exponent")),
+    ("inner_code", "n", "n_inner", (str, _inner_length)),
+    ("inner_code", "k", "k_inner", _integer("inner k")),
+    ("inner_code", "defining_set", "defining_set",
+     _parsed("bad [inner_code] value", _defining_set)),
+    ("inner_code", "generator", "inner_generator", _parsed("bad [inner_code] value", _poly)),
+    ("inner_code", "g2", "g2", _parsed("bad [inner_code] value", _poly)),
+    ("outer_code", "n", "n_outer", _integer("outer n")),
+    ("outer_code", "k", "k_outer", _integer("outer k")),
+    ("outer_code", "generator", "outer_generator", _parsed("bad [outer_code] value", _poly)),
+    ("bounds", "bch_inner", "bch_inner", _integer("bch_inner")),
+    ("bounds", "bch_dual", "bch_dual", _integer("bch_dual")),
+    ("bounds", "floor_min", "floor_min", _integer("floor_min")),
+    ("bounds", "paper_floor", "paper_floor_value", (repr, _paper_floor)),
+    ("bounds", "paper_floor_exact", "paper_floor_exact", (str, lambda text, values: text)),
+    ("bounds", "paper_floor_int", "paper_floor_int", _integer("paper_floor_int")),
+    ("bounds", "distance_method", "distance", (lambda d: d.method, _choice(
+        "bad distance_method", {"exhaustive": "exhaustive", "sampled": "sampled"})[1])),
+    ("bounds", "distance_value", "distance", (lambda d: str(d.value), lambda text, values:
+     (values["distance"], _int(text, "distance_value")))),
+    ("bounds", "distance_exact", "distance", (lambda d: str(d.exact).lower(), _distance)),
+    ("checks", "dual_containing", "dual_containing", _verdict("dual_containing")),
+    ("checks", "self_dual", "self_dual", _verdict("self_dual")),
+    ("checks", "van_lint_equivalence", "van_lint_equivalence", _verdict("van_lint_equivalence")),
+    ("checks", "cyclic_invariance", "cyclic_invariance", _verdict("cyclic_invariance")),
+)
+
+# the sections in file order, each with its lines
+_SECTIONS = {s: tuple(e for e in _LINES if e[0] == s) for s in dict.fromkeys(e[0] for e in _LINES)}
+_DISTANCE_KEYS = {key for _, key, attr, _ in _LINES if attr == "distance"}
+
+
 def dumps(cert: SelfDualCertificate) -> str:
-    lines = [
-        "[params]",
-        f"kind = {cert.kind}",
-        f"s = {cert.s}",
-        f"m = {cert.m}",
-        f"mu = {cert.mu}",
-        f"b = {cert.b}",
-        "",
-        "[field]",
-        f"alphabet_s = {cert.field.s}",
-        f"alphabet_modulus = {cert.field.modulus:x}",
-        f"extension_modulus = {cert.extension_modulus:x}",
-        f"beta_exponent = {cert.beta_exponent}",
-        "",
-        "[inner_code]",
-        f"n = {cert.n_inner}",
-        f"k = {cert.k_inner}",
-        f"defining_set = {cert.defining_set.to_string()}",
-        f"generator = {cert.inner_generator.to_string()}",
-        f"g2 = {cert.g2.to_string()}",
-        "",
-        "[outer_code]",
-        f"n = {cert.n_outer}",
-        f"k = {cert.k_outer}",
-        f"generator = {cert.outer_generator.to_string()}",
-        "",
-        "[bounds]",
-        f"bch_inner = {cert.bch_inner}",
-        f"bch_dual = {cert.bch_dual}",
-        f"floor_min = {cert.floor_min}",
-        f"paper_floor = {cert.paper_floor_value!r}",
-        f"paper_floor_exact = {cert.paper_floor_exact}",
-        f"paper_floor_int = {cert.paper_floor_int}",
-    ]
-    if cert.distance is not None:
-        lines += [
-            f"distance_method = {cert.distance.method}",
-            f"distance_value = {cert.distance.value}",
-            f"distance_exact = {'true' if cert.distance.exact else 'false'}",
-        ]
-    lines += [
-        "",
-        "[checks]",
-    ]
-    for name, ok in cert.checks.items():
-        lines.append(f"{name} = {'pass' if ok else 'fail'}")
-    lines += [
-        "automorphism_subgroup = not_verified",
-        "",
-        f"format_version = {FORMAT_VERSION}",
-    ]
-    return "\n".join(lines) + "\n"
+    lines: list[str] = []
+    for section, entries in _SECTIONS.items():
+        lines += ["", f"[{section}]"]
+        for _, key, attr, (show, _) in entries:
+            value = getattr(cert, attr)
+            if value is not None:  # None only as the absent distance record
+                lines.append(f"{key} = {show(value)}")
+    lines += ["automorphism_subgroup = not_verified", "", f"format_version = {FORMAT_VERSION}"]
+    return "\n".join(lines[1:]) + "\n"
 
 
 def _split_sections(text: str) -> dict[str, dict[str, str]]:
@@ -110,8 +203,7 @@ def _split_sections(text: str) -> dict[str, dict[str, str]]:
             name = line[1:-1]
             if name in sections:
                 raise CertificateFormatError(f"line {lineno}: duplicate section [{name}]")
-            current = {}
-            sections[name] = current
+            current = sections[name] = {}
             continue
         if " = " not in line:
             raise CertificateFormatError(f"line {lineno}: expected 'key = value'")
@@ -138,161 +230,29 @@ def _take(section: dict[str, str], section_name: str, key: str) -> str:
         raise CertificateFormatError(f"missing key {key!r} in [{section_name}]") from None
 
 
-def _int(text: str, what: str) -> int:
-    try:
-        v = int(text, 10)
-    except ValueError:
-        raise CertificateFormatError(f"bad integer for {what}: {text!r}") from None
-    if str(v) != text:
-        raise CertificateFormatError(f"non-canonical integer for {what}: {text!r}")
-    return v
-
-
-def _hex(text: str, what: str) -> int:
-    try:
-        v = int(text, 16)
-    except ValueError:
-        raise CertificateFormatError(f"bad hex value for {what}: {text!r}") from None
-    if format(v, "x") != text:
-        raise CertificateFormatError(f"non-canonical hex value for {what}: {text!r}")
-    return v
-
-
-def _bool_check(text: str, what: str) -> bool:
-    if text == "pass":
-        return True
-    if text == "fail":
-        return False
-    raise CertificateFormatError(f"bad verdict for {what}: {text!r}")
-
-
 def loads(text: str) -> SelfDualCertificate:
     sections = _split_sections(text)
-    missing = [s for s in _SECTIONS if s not in sections]
-    if missing:
+    if missing := [s for s in _SECTIONS if s not in sections]:
         raise CertificateFormatError(f"missing section [{missing[0]}]")
-    unknown = [s for s in sections if s not in _SECTIONS]
-    if unknown:
+    if unknown := [s for s in sections if s not in _SECTIONS]:
         raise CertificateFormatError(f"unknown section [{unknown[0]}]")
 
-    p = sections["params"]
-    kind = _take(p, "params", "kind")
-    if kind not in KINDS:
-        raise CertificateFormatError(f"bad kind {kind!r}")
-    s = _int(_take(p, "params", "s"), "s")
-    m = _int(_take(p, "params", "m"), "m")
-    mu = _int(_take(p, "params", "mu"), "mu")
-    b = _int(_take(p, "params", "b"), "b")
-
-    f = sections["field"]
-    alphabet_s = _int(_take(f, "field", "alphabet_s"), "alphabet_s")
-    alphabet_modulus = _hex(_take(f, "field", "alphabet_modulus"), "alphabet_modulus")
-    extension_modulus = _hex(_take(f, "field", "extension_modulus"), "extension_modulus")
-    beta_exponent = _int(_take(f, "field", "beta_exponent"), "beta_exponent")
-    try:
-        field = field_create(alphabet_s, alphabet_modulus)
-    except ValueError as exc:
-        raise CertificateFormatError(f"bad alphabet field: {exc}") from None
-
-    ic = sections["inner_code"]
-    n_inner = _int(_take(ic, "inner_code", "n"), "inner n")
-    k_inner = _int(_take(ic, "inner_code", "k"), "inner k")
-    if n_inner < 1:
-        raise CertificateFormatError("inner n must be positive")
-    check_inner_length(n_inner)  # before the length-n defining-set mask
-    try:
-        defining_set = DefiningSet.from_string(
-            n_inner, field.order, _take(ic, "inner_code", "defining_set")
-        )
-        inner_generator = Poly.from_string(field, _take(ic, "inner_code", "generator"))
-        g2 = Poly.from_string(field, _take(ic, "inner_code", "g2"))
-    except ValueError as exc:
-        raise CertificateFormatError(f"bad [inner_code] value: {exc}") from None
-
-    oc = sections["outer_code"]
-    n_outer = _int(_take(oc, "outer_code", "n"), "outer n")
-    k_outer = _int(_take(oc, "outer_code", "k"), "outer k")
-    try:
-        outer_generator = Poly.from_string(field, _take(oc, "outer_code", "generator"))
-    except ValueError as exc:
-        raise CertificateFormatError(f"bad [outer_code] value: {exc}") from None
-
-    bo = sections["bounds"]
-    bch_inner = _int(_take(bo, "bounds", "bch_inner"), "bch_inner")
-    bch_dual = _int(_take(bo, "bounds", "bch_dual"), "bch_dual")
-    floor_min = _int(_take(bo, "bounds", "floor_min"), "floor_min")
-    pf_text = _take(bo, "bounds", "paper_floor")
-    try:
-        paper_floor_value = float(pf_text)
-    except ValueError:
-        raise CertificateFormatError(f"bad paper_floor {pf_text!r}") from None
-    if repr(paper_floor_value) != pf_text:
-        raise CertificateFormatError(f"non-canonical paper_floor {pf_text!r}")
-    paper_floor_exact = _take(bo, "bounds", "paper_floor_exact")
-    paper_floor_int = _int(_take(bo, "bounds", "paper_floor_int"), "paper_floor_int")
-    distance = None
-    # a stray key is left for the unknown-key check below
-    if bo.keys() & {"distance_method", "distance_value", "distance_exact"}:
-        method = _take(bo, "bounds", "distance_method")
-        if method not in ("exhaustive", "sampled"):
-            raise CertificateFormatError(f"bad distance_method {method!r}")
-        value = _int(_take(bo, "bounds", "distance_value"), "distance_value")
-        exact_text = _take(bo, "bounds", "distance_exact")
-        if exact_text not in ("true", "false"):
-            raise CertificateFormatError(f"bad distance_exact {exact_text!r}")
-        if (exact_text == "true") != (method == "exhaustive"):
-            raise CertificateFormatError(
-                f"distance_exact = {exact_text} contradicts distance_method = {method}"
-            )
-        distance = DistanceSummary(method, value, exact_text == "true")
-
-    ch = sections["checks"]
-    dual_containing = _bool_check(_take(ch, "checks", "dual_containing"), "dual_containing")
-    self_dual = _bool_check(_take(ch, "checks", "self_dual"), "self_dual")
-    van_lint = _bool_check(
-        _take(ch, "checks", "van_lint_equivalence"), "van_lint_equivalence"
-    )
-    cyclic_invariance = _bool_check(
-        _take(ch, "checks", "cyclic_invariance"), "cyclic_invariance"
-    )
-    auto = _take(ch, "checks", "automorphism_subgroup")
+    values: dict[str, Any] = {}
+    for section, key, attr, (_, read) in _LINES:
+        lines = sections[section]
+        # a distance record needs one of its keys, then all three
+        if attr == "distance" and attr not in values and not lines.keys() & _DISTANCE_KEYS:
+            continue
+        values[attr] = read(_take(lines, section, key), values)
+    auto = _take(sections["checks"], "checks", "automorphism_subgroup")
     if auto != "not_verified":
         raise CertificateFormatError(f"bad automorphism_subgroup {auto!r}")
-
     for name in _SECTIONS:
         if sections[name]:
             extra = next(iter(sections[name]))
             raise CertificateFormatError(f"unknown key {extra!r} in [{name}]")
 
-    cert = SelfDualCertificate(
-        kind=kind,
-        s=s,
-        m=m,
-        mu=mu,
-        b=b,
-        field=field,
-        extension_modulus=extension_modulus,
-        beta_exponent=beta_exponent,
-        n_inner=n_inner,
-        k_inner=k_inner,
-        defining_set=defining_set,
-        inner_generator=inner_generator,
-        g2=g2,
-        n_outer=n_outer,
-        k_outer=k_outer,
-        outer_generator=outer_generator,
-        bch_inner=bch_inner,
-        bch_dual=bch_dual,
-        floor_min=floor_min,
-        paper_floor_value=paper_floor_value,
-        paper_floor_exact=paper_floor_exact,
-        paper_floor_int=paper_floor_int,
-        dual_containing=dual_containing,
-        self_dual=self_dual,
-        van_lint_equivalence=van_lint,
-        cyclic_invariance=cyclic_invariance,
-        distance=distance,
-    )
+    cert = SelfDualCertificate(**values)
     if dumps(cert) != text:
         raise CertificateFormatError("certificate is not in canonical form")
     return cert

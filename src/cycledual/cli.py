@@ -13,11 +13,11 @@ The commands and their flags are one table in :mod:`cycledual.options`,
 which parses argv with argparse's grammar.
 
 Exit codes: 0 all requested checks passed, 1 a mathematical check failed,
-2 usage or parameter error, 141 stdout was closed before the output was
-written (as when piped into ``head``).  ``distance`` refuses, with exit 2,
-more codewords than its budget: q^k - 1 for exhaustive enumeration, --trials
-for sampling.  --budget or else CYCLEDUAL_BUDGET overrides the default
-budget.
+2 usage or parameter error or a ``construct --out`` that cannot be written,
+141 stdout was closed before the output was written (as when piped into
+``head``).  ``distance`` refuses, with exit 2, more codewords than its
+budget: q^k - 1 for exhaustive enumeration, --trials for sampling.
+--budget or else CYCLEDUAL_BUDGET overrides the default budget.
 """
 
 from __future__ import annotations
@@ -58,7 +58,10 @@ def _cmd_construct(args: SimpleNamespace) -> int:
     for name, ok in cert.checks.items():
         print(f"{name}: {'pass' if ok else 'fail'}")
     if args.out is not None:
-        write_certificate(cert, args.out)
+        try:
+            write_certificate(cert, args.out)
+        except OSError as exc:
+            raise ValueError(f"cannot write certificate: {exc}") from exc
         print(f"certificate written to {args.out}")
     return 0 if cert.all_checks_pass else 1
 

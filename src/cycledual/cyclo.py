@@ -29,7 +29,6 @@ checks at once.
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 import numpy as np
@@ -49,7 +48,6 @@ __all__ = [
     "bch_defining_set",
     "bch_bound",
     "is_dual_containing_set",
-    "gcd_lemma",
     "CosetTable",
     "minimal_polynomial",
     "is_coset_table",
@@ -186,20 +184,6 @@ def is_dual_containing_set(T: DefiningSet, kind: str, q: int | None = None) -> b
         if q * q != T.q:
             raise ValueError(f"hermitian defining sets use base q^2; got q={q}, base={T.q}")
     return not (T.mask & set_map(T, -1 if kind == EUCLIDEAN else -q).mask).any()
-
-
-def gcd_lemma(q: int, a: int, b: int, form: str) -> int:
-    """Closed forms for gcd(q^a - 1, q^b - 1) and gcd(q^a + 1, q^b - 1)."""
-    if q < 2 or a < 1 or b < 1:
-        raise ValueError("need q > 1 and positive exponents")
-    g = math.gcd(a, b)
-    if form == "minus_minus":
-        return q**g - 1
-    if form == "plus_minus":
-        if (b // g) % 2 == 0:
-            return q**g + 1
-        return 1 if q % 2 == 0 else 2
-    raise ValueError(f"unknown form {form!r}")
 
 
 class CosetTable(NamedTuple):

@@ -58,6 +58,10 @@ codeword-set comparison) for the van Lint equivalence, and the cyclic shift
 as a code automorphism.  The tests compare the production checks with these
 at small lengths.
 
+The paper's gcd lemma (``gcd_lemma``), closed forms for gcd(q^a - 1, q^b - 1)
+and gcd(q^a + 1, q^b - 1), lives here: no command needs it, and the tests
+check it against the integer gcd.
+
 Trial division up to the square root is the reference for the divisors of
 2^e - 1 that ``table`` finds by Miller-Rabin and Pollard-Brent rho.
 
@@ -189,6 +193,21 @@ def bch_bound(members: frozenset[int], n: int) -> int:
             tail += 1
         best = max(best, lead + tail)
     return best + 1
+
+
+def gcd_lemma(q: int, a: int, b: int, form: str) -> int:
+    """The paper's lemma: closed forms for gcd(q^a - 1, q^b - 1) and
+    gcd(q^a + 1, q^b - 1)."""
+    if q < 2 or a < 1 or b < 1:
+        raise ValueError("need q > 1 and positive exponents")
+    g = math.gcd(a, b)
+    if form == "minus_minus":
+        return q**g - 1
+    if form == "plus_minus":
+        if (b // g) % 2 == 0:
+            return q**g + 1
+        return 1 if q % 2 == 0 else 2
+    raise ValueError(f"unknown form {form!r}")
 
 
 # -- scalars in GF(2^s) ----------------------------------------------------------

@@ -20,7 +20,6 @@ from cycledual import (
     dumps,
     exact_min_distance,
     family_parameters,
-    gcd_lemma,
     is_dual_containing_set,
     paper_floor,
     sampled_weight_upper_bound,
@@ -32,6 +31,7 @@ from cycledual.cli import main
 from cycledual.construct import MAX_INNER_LENGTH, pipeline_checks
 
 import reference
+from reference import gcd_lemma
 from conftest import GF2, GF4, divisor_codes
 
 FULL_SET_LIMIT = 1 << 20

@@ -87,6 +87,21 @@ def test_rejects_missing_key(cert):
         loads(text)
 
 
+@pytest.mark.parametrize(
+    "section,key",
+    [("inner_code", "defining_set"), ("inner_code", "g2"), ("outer_code", "generator"),
+     ("bounds", "bch_dual")],
+)
+def test_a_missing_key_is_named_once(cert, section, key):
+    # the same message in every section, never wrapped as a bad value
+    text = dumps(cert)
+    start = text.index(f"\n{key} = ", text.index(f"[{section}]")) + 1
+    edited = text[:start] + text[text.index("\n", start) + 1 :]
+    with pytest.raises(CertificateFormatError) as info:
+        loads(edited)
+    assert str(info.value) == f"missing key {key!r} in [{section}]"
+
+
 def test_rejects_unknown_key(cert):
     text = dumps(cert).replace("bch_inner = 3", "bch_inner = 3\nextra = 1")
     with pytest.raises(CertificateFormatError):
@@ -121,6 +136,38 @@ def test_rejects_bad_values(cert):
             continue
         with pytest.raises(CertificateFormatError):
             loads(mutant)
+
+
+def _structural_edits(text):
+    """Every copy of text with one line dropped, duplicated, renamed (a key
+    line) or swapped with the next one."""
+    lines = text.splitlines(keepends=True)
+    for i, line in enumerate(lines):
+        yield lines[:i] + lines[i + 1 :]
+        yield lines[: i + 1] + lines[i:]
+        if " = " in line:
+            yield lines[:i] + ["renamed_" + line] + lines[i + 1 :]
+        if i + 1 < len(lines):
+            yield lines[:i] + [lines[i + 1], line] + lines[i + 2 :]
+
+
+@pytest.mark.parametrize(
+    "cell,record,edits",
+    [
+        (("euclidean", 1, 3, 1), None, 151),
+        (("euclidean", 1, 3, 1), DistanceSummary("exhaustive", 4, True), 163),
+        (("euclidean", 2, 3, 7), None, 151),
+        (("euclidean", 2, 3, 7), DistanceSummary("sampled", 6, False), 163),
+    ],
+    ids=["E1m3", "E1m3-exhaustive", "E2m3mu7", "E2m3mu7-sampled"],
+)
+def test_structural_edits_never_load(cell, record, edits):
+    text = dumps(dataclasses.replace(build_family(*cell), distance=record))
+    mutants = list(_structural_edits(text))
+    assert len(mutants) == edits
+    for lines in mutants:
+        with pytest.raises(CertificateFormatError):
+            loads("".join(lines))
 
 
 def test_value_level_edit_parses_but_differs(cert):

@@ -279,6 +279,22 @@ def test_verify_missing_file_exits_2(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("target", ["no-such-dir/cert.txt", "a-dir"], ids=["missing-dir", "a-dir"])
+def test_construct_to_an_unwritable_path_exits_2(tmp_path, capsys, target):
+    # every check has passed; the write fails in open (a missing directory)
+    # or in the rename (a directory at the target), which is no failed check
+    (tmp_path / "a-dir").mkdir()
+    rc, out, err = run(
+        capsys, "construct", "--kind", "euclidean", "--s", "1", "--m", "3",
+        "--mu", "1", "--out", str(tmp_path / target),
+    )
+    assert rc == 2
+    assert "dual_containing: pass" in out
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: cannot write certificate: ")
+    assert list(tmp_path.rglob(".*.tmp")) == []
+
+
 def test_distance_exhaustive(tmp_path, capsys):
     path = build_cert(tmp_path, capsys)
     rc, out, _ = run(capsys, "distance", str(path), "--method", "exhaustive")

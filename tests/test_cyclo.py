@@ -15,7 +15,6 @@ from cycledual import (
     bch_defining_set,
     complement,
     field_create,
-    gcd_lemma,
     is_coset_table,
     is_dual_containing_set,
     minimal_polynomial,
@@ -28,7 +27,7 @@ from cycledual import gf
 
 import reference
 from conftest import GF2, GF4, coset_table, table_rows
-from reference import coset
+from reference import coset, gcd_lemma
 
 
 def DS(n, q, members):

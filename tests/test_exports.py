@@ -140,11 +140,10 @@ def command_stderr(tmp_path_factory):
 
 
 def test_every_exported_function_is_reached_by_a_command(command_stderr):
-    # gcd_lemma is the paper's lemma, checked by acceptance criterion 7; every
-    # other exported function must be on some command's path, so no public
+    # every exported function must be on some command's path, so no public
     # check lives on beside the one that production runs
     unreached = [line for line in command_stderr if line.startswith("unreached ")]
-    assert unreached == ["unreached gcd_lemma"]
+    assert unreached == []
 
 
 # Public methods and properties that no command runs, each with its reason.
